@@ -6,6 +6,7 @@ from .errors import (
     BadEvaluation,
     BothConstant,
     BothZero,
+    CoefficientOutsideBaseField,
     ContextMismatch,
     DegreeMismatch,
     DivisionByZero,

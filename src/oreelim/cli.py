@@ -4,8 +4,8 @@ Exit codes: 0 ok, 2 usage, 3 parse error, 4 math-domain error, 5 internal
 assertion.  Errors are printed to stderr as ``error[<code>]: message`` with
 the machine-readable code in brackets.  The ``--seed`` flag (or the
 ORE_ELIM_SEED environment variable) makes randomized benchmark inputs
-reproducible; ``--threads N`` parallelizes the chain evaluations of the
-modular method without changing any output.
+reproducible; ``--threads N`` is accepted for compatibility and has no
+effect on output (the modular method evaluates its chain in one thread).
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (fallback: ORE_ELIM_SEED, then 0)")
         p.add_argument("--threads", type=int, default=1,
-                       help="parallel chain evaluations (output is identical)")
+                       help="accepted for compatibility; no effect on output")
 
     pe = sub.add_parser("eliminate", help="compute the eliminant of f and g")
     add_common(pe, need_fg=True)

@@ -187,7 +187,6 @@ class FieldCtx:
         "m",
         "q",
         "modulus",
-        "generator_hint",
         "backend",
         "_exp",
         "_log",
@@ -199,7 +198,7 @@ class FieldCtx:
         "_one_elem",
     )
 
-    def __init__(self, p, m, modulus=None, generator_hint=None, backend=None):
+    def __init__(self, p, m, modulus=None, backend=None):
         if not isinstance(p, int) or not _is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if not isinstance(m, int) or m < 1:
@@ -221,7 +220,6 @@ class FieldCtx:
             if not _is_irreducible(mod, p):
                 raise ReducibleModulus(f"modulus {tuple(mod)} is reducible over GF({p})")
             self.modulus = tuple(mod)
-        self.generator_hint = generator_hint
         if backend is None:
             if q <= _TABLE_MAX:
                 backend = "table"
@@ -565,7 +563,7 @@ class FieldCtx:
     @property
     def generator(self):
         """Deterministic generator of the multiplicative group (least packed
-        primitive element, or the validated generator_hint)."""
+        primitive element)."""
         if self._generator is None:
             self._generator = self._find_generator()
         return FieldElem(self, self._generator)
@@ -573,13 +571,7 @@ class FieldCtx:
     def _find_generator(self):
         order = self.q - 1
         factors = _prime_factors(order) if order > 1 else []
-        candidates = []
-        if self.generator_hint is not None:
-            candidates.append(int(self.generator_hint))
-        candidates.extend(range(1, self.q))
-        for cand in candidates:
-            if cand == 0:
-                continue
+        for cand in range(1, self.q):
             if all(self._pow_raw(cand, order // ell) != 1 for ell in factors):
                 return cand
         raise AssertionError("no generator found")  # pragma: no cover
@@ -800,7 +792,7 @@ _CTX_CACHE = {}
 _CTX_LOCK = threading.Lock()
 
 
-def field_new(p, m, modulus=None, generator_hint=None):
+def field_new(p, m, modulus=None):
     """Validated, cached context for GF(p^m).
 
     When modulus is omitted the lexicographically least monic irreducible of
@@ -812,7 +804,7 @@ def field_new(p, m, modulus=None, generator_hint=None):
         with _CTX_LOCK:
             ctx = _CTX_CACHE.get(key)
             if ctx is None:
-                ctx = FieldCtx(p, m, modulus=modulus, generator_hint=generator_hint)
+                ctx = FieldCtx(p, m, modulus=modulus)
                 _CTX_CACHE[key] = ctx
                 _CTX_CACHE.setdefault((p, m, ctx.modulus), ctx)
     return ctx
@@ -844,11 +836,6 @@ def sigma_norm(sigma, a):
 
 def mat_vec_mod_p(rows, vec, p):
     return [sum(r * v for r, v in zip(row, vec)) % p for row in rows]
-
-
-def mat_mul_mod_p(a, b, p):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
 
 
 def rref_with_transform_mod_p(rows, p):

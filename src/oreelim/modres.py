@@ -14,14 +14,17 @@ invertible Moore system.  Steps:
   1. bound the eliminant degree D from the Sylvester shape and, if the input
      field is too small, extend it (Frobenius exponents lift unchanged, and
      the embedding commutes with them);
-  2. map both inputs into the working field and rename x1 -> sigma1
-     (operator-valued Sylvester entries; the commutation data is identical,
-     so the skew triangularization machinery applies verbatim);
-  3. triangularize once, sharing the pivot rule with the direct method;
-  4. evaluate the diagonal chain at every plan point (independently, hence
-     optionally in parallel -- results do not depend on evaluation order);
-  5. solve the Moore system and map coefficients back through the inverse
-     embedding when they lie in the base field.
+  2. triangularize the Sylvester matrix once, in the base field, by the
+     direct method's own call (same pivot rule, same op log);
+  3. embed the diagonal into the working field and read it under x1 ->
+     sigma1: the embedding is an injective ring map commuting with every
+     Frobenius power, and the pivot rules see only degrees, zero-ness and
+     their seeded rng, so this is exactly the embedded matrix's diagonal;
+  4. evaluate the diagonal chain at every plan point;
+  5. solve the Moore system, whose elimination depends only on the plan
+     shape and is recorded once per shape, and map the coefficients back
+     through the inverse embedding (a coefficient outside the base field is
+     an internal error).
 
 The working degree M is chosen so that M > D and sigma1's order on GF(p^M)
 exceeds D; distinct powers sigma1^0..sigma1^D are then distinct automorphisms,
@@ -36,12 +39,12 @@ recovery.  `ModularPlan.mode` records which regime a plan uses.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
     BadEvaluation,
+    CoefficientOutsideBaseField,
     PlanFailure,
     RingMismatch,
     SingularMooreSystem,
@@ -49,7 +52,7 @@ from .errors import (
 )
 from .field import NEG_INF, Automorphism, FieldElem, extend_field, sigma_norm
 from .ore_bivar import BivarOrePoly, BivarRing
-from .opeval import eval_bivar
+from .opeval import apply_formal, eval_uni
 from .resultant import sylvester_degree_bound, sylvester_matrix
 from .skewdet import DetResult, triangularize_with_log
 
@@ -165,34 +168,7 @@ def check_bad_eval(f, plan):
         return True
     if plan.mode == "plugin":
         return False
-    ctx = plan.work_ctx
-    e = plan.work_ring.sigma1.e
-    add, mul, frob = ctx.add, ctx.mul, ctx.frob
-    for j in range(ctx.m):
-        u = ctx.p**j
-        acc = 0
-        cur = u
-        for i, c in enumerate(lead.coeffs):
-            if i:
-                cur = frob(cur, e)
-            if c:
-                acc = add(acc, mul(c, cur))
-        if acc:
-            return False
-    return True
-
-
-def _apply_formal(ctx, e, coeffs, u):
-    """sum(c_i * sigma^i(u)) on packed values."""
-    add, mul, frob = ctx.add, ctx.mul, ctx.frob
-    acc = 0
-    cur = u
-    for i, c in enumerate(coeffs):
-        if i:
-            cur = frob(cur, e)
-        if c:
-            acc = add(acc, mul(c, cur))
-    return acc
+    return eval_uni(lead).is_zero_map()
 
 
 def _eval_plugin(ctx, coeffs, u):
@@ -207,98 +183,115 @@ def _eval_plugin(ctx, coeffs, u):
 def chain_evaluate(diag, plan, threads=1):
     """PartialEval at every plan point of the diagonal chain per the
     composition formula: the row-order product d_1 * ... * d_k acts as
-    d_1 applied last.  Points are independent; the output order is the
-    plan's point order regardless of thread count."""
+    d_1 applied last.  Output is in the plan's point order; `threads` is
+    accepted for compatibility and has no effect."""
     ctx = plan.work_ctx
     e = plan.work_ring.sigma1.e
     coeff_rows = [d.coeffs for d in diag]
 
-    def at_point(pt):
-        u = pt.val
+    out = []
+    for pt in plan.points:
         if plan.mode == "frobenius":
+            u = pt.val
             for coeffs in reversed(coeff_rows):
-                u = _apply_formal(ctx, e, coeffs, u)
+                u = apply_formal(ctx, e, coeffs, u)
         else:
-            acc = 1
+            u = 1
             for coeffs in coeff_rows:
-                acc = ctx.mul(acc, _eval_plugin(ctx, coeffs, pt.val))
-            u = acc
-        return PartialEval(point=pt, value=FieldElem(ctx, u))
+                u = ctx.mul(u, _eval_plugin(ctx, coeffs, pt.val))
+        out.append(PartialEval(point=pt, value=FieldElem(ctx, u)))
+    return tuple(out)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(at_point, plan.points))
-    return tuple(at_point(pt) for pt in plan.points)
+
+def _eliminate(ctx, rows, ncols):
+    """Gauss-Jordan elimination of a system matrix of full column rank,
+    recorded per column as (pivot row swapped into place, pivot inverse,
+    (row, multiplier) pairs cleared against it)."""
+    mul, sub = ctx.mul, ctx.sub
+    a = [list(row) for row in rows]
+    steps = []
+    for col in range(ncols):
+        sel = next((k for k in range(col, len(a)) if a[k][col]), None)
+        if sel is None:
+            raise SingularMooreSystem(
+                "evaluation points do not determine the coefficients"
+            )
+        a[col], a[sel] = a[sel], a[col]
+        inv = ctx.inv(a[col][col])
+        prow = [mul(inv, x) for x in a[col][col + 1 :]]
+        a[col][col + 1 :] = prow
+        elim = []
+        for k, row in enumerate(a):
+            c = row[col]
+            if k != col and c:
+                tail = zip(row[col + 1 :], prow)
+                row[col + 1 :] = [sub(x, mul(c, y)) for x, y in tail]
+                elim.append((k, c))
+        steps.append((sel, inv, tuple(elim)))
+    return tuple(steps)
+
+
+def _replay(ctx, steps, rhs):
+    """Replay a recorded elimination on a right-hand side in O(rows * cols);
+    the leftover equations must reduce to zero."""
+    mul, sub = ctx.mul, ctx.sub
+    v = list(rhs)
+    for col, (sel, inv, elim) in enumerate(steps):
+        v[col], v[sel] = v[sel], v[col]
+        pv = v[col] = mul(inv, v[col])
+        if pv:
+            for k, c in elim:
+                v[k] = sub(v[k], mul(c, pv))
+    if any(v[len(steps) :]):
+        raise SingularMooreSystem("chain values are inconsistent")
+    return v[: len(steps)]
 
 
 def _solve_exact(ctx, rows, rhs, ncols):
     """Gauss-Jordan over the working field; rows may exceed ncols, in which
     case the leftover equations are checked for consistency."""
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    nrows = len(aug)
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for k in range(rank, nrows):
-            if aug[k][col]:
-                sel = k
-                break
-        if sel is None:
-            raise SingularMooreSystem(
-                "evaluation points do not determine the coefficients"
-            )
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        inv = ctx.inv(aug[rank][col])
-        mul, sub = ctx.mul, ctx.sub
-        aug[rank] = [mul(inv, x) for x in aug[rank]]
-        prow = aug[rank]
-        for k in range(nrows):
-            if k != rank and aug[k][col]:
-                c = aug[k][col]
-                aug[k] = [sub(x, mul(c, y)) for x, y in zip(aug[k], prow)]
-        rank += 1
-    for k in range(rank, nrows):
-        if any(aug[k]):
-            raise SingularMooreSystem("chain values are inconsistent")
-    return [aug[i][ncols] for i in range(ncols)]
+    return _replay(ctx, _eliminate(ctx, rows, ncols), rhs)
+
+
+def _system_rows(plan):
+    """The Moore (sigma-power) or Vandermonde (power) rows at the plan
+    points, D + 1 columns each."""
+    ctx = plan.work_ctx
+    d = plan.degree_bound
+    e = plan.work_ring.sigma1.e
+    rows = []
+    for pt in plan.points:
+        cur = pt.val if plan.mode == "frobenius" else 1
+        row = [cur]
+        for _ in range(d):
+            cur = ctx.frob(cur, e) if plan.mode == "frobenius" else ctx.mul(cur, pt.val)
+            row.append(cur)
+        rows.append(row)
+    return rows
+
+
+# (working field, e1, D, mode, points) -> recorded elimination; the system
+# depends on nothing else, so every pair of one plan shape shares it.
+_MOORE_CACHE = {}
 
 
 def _recover_coefficients(plan, evals):
     ctx = plan.work_ctx
-    d = plan.degree_bound
-    if plan.mode == "frobenius":
-        e = plan.work_ring.sigma1.e
-        rows = []
-        for pe in evals:
-            cur = pe.point.val
-            row = [cur]
-            for _ in range(d):
-                cur = ctx.frob(cur, e)
-                row.append(cur)
-            rows.append(row)
-    else:
-        rows = []
-        for pe in evals:
-            cur = 1
-            row = [1]
-            for _ in range(d):
-                cur = ctx.mul(cur, pe.point.val)
-                row.append(cur)
-            rows.append(row)
-    rhs = [pe.value.val for pe in evals]
-    return _solve_exact(ctx, rows, rhs, d + 1)
+    key = (ctx, plan.work_ring.sigma1.e, plan.degree_bound, plan.mode, plan.points)
+    steps = _MOORE_CACHE.get(key)
+    if steps is None:
+        steps = _eliminate(ctx, _system_rows(plan), plan.degree_bound + 1)
+        _MOORE_CACHE[key] = steps
+    return _replay(ctx, steps, [pe.value.val for pe in evals])
 
 
 def _pipeline(f, g, plan, rule, seed):
-    """Steps 2-4: embed, rename, build the operator-entry Sylvester matrix,
-    triangularize.  Returns the diagonal (inner polynomials over the working
-    field) and the op log."""
-    fw = embed_bivar(f, plan)
-    gw = embed_bivar(g, plan)
-    syl = sylvester_matrix(eval_bivar(fw).inner, eval_bivar(gw).inner)
+    """Steps 2-3: triangularize the Sylvester matrix in the base field, then
+    embed the diagonal.  Returns the diagonal (inner polynomials over the
+    working field) and the base-field op log."""
+    syl = sylvester_matrix(f, g)
     tri, ops = triangularize_with_log(syl.inner, rule=rule, seed=seed)
-    diag = [tri.rows[i][i] for i in range(tri.n)]
-    return diag, ops
+    return [embed_uni(tri.rows[i][i], plan) for i in range(tri.n)], ops
 
 
 def partial_evaluations(f, g, plan=None, rule="min_degree", seed=0, threads=1):
@@ -309,16 +302,17 @@ def partial_evaluations(f, g, plan=None, rule="min_degree", seed=0, threads=1):
     if any(d.is_zero for d in diag):
         zero = plan.work_ctx.zero
         return plan, tuple(PartialEval(point=pt, value=zero) for pt in plan.points)
-    return plan, chain_evaluate(diag, plan, threads=threads)
+    return plan, chain_evaluate(diag, plan)
 
 
 def res_x2_modular(f, g, rule="min_degree", seed=0, threads=1, plan=None) -> DetResult:
     """res_{x2}(f, g) by evaluation and interpolation.
 
     Equals the direct representative coefficient-for-coefficient when both
-    use the same pivot rule: the triangularization of the embedded inputs
-    mirrors the base-field one step for step, and Moore recovery is exact for
-    degree bound < working degree."""
+    use the same pivot rule: the diagonal is the direct route's, embedded,
+    and Moore recovery is exact for degree bound < working degree.  The op
+    log is the direct route's too.  `threads` is accepted for compatibility
+    and has no effect."""
     if plan is None:
         plan = plan_modular(f, g)
     if check_bad_eval(f, plan):
@@ -336,13 +330,13 @@ def res_x2_modular(f, g, rule="min_degree", seed=0, threads=1, plan=None) -> Det
         raise PlanFailure(
             f"diagonal degree {deg_r} exceeds the planned bound {plan.degree_bound}"
         )
-    evals = chain_evaluate(diag, plan, threads=threads)
-    coeffs = _recover_coefficients(plan, evals)
+    coeffs = _recover_coefficients(plan, chain_evaluate(diag, plan))
     back = [plan.embedding.inverse_packed(c) for c in coeffs]
-    if all(b is not None for b in back):
-        rep = base_inner.from_packed(back)
-    else:
-        rep = plan.work_ring.inner.from_packed(coeffs)
+    if any(b is None for b in back):
+        raise CoefficientOutsideBaseField(
+            "a recovered coefficient has no preimage in the base field"
+        )
+    rep = base_inner.from_packed(back)
     return DetResult(rep=rep, is_zero=rep.is_zero, degree=rep.degree, op_log=ops)
 
 

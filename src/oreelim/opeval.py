@@ -26,6 +26,19 @@ from .ore_bivar import BivarOrePoly
 from .ore_uni import OrePoly
 
 
+def apply_formal(ctx, e, coeffs, u):
+    """sum(c_i * sigma^i(u)) on packed values, sigma the Frobenius power e."""
+    add, mul, frob = ctx.add, ctx.mul, ctx.frob
+    acc = 0
+    cur = u
+    for i, c in enumerate(coeffs):
+        if i:
+            cur = frob(cur, e)
+        if c:
+            acc = add(acc, mul(c, cur))
+    return acc
+
+
 class LinearizedOp:
     """A formal sigma-polynomial acting on its field as an additive map."""
 
@@ -59,17 +72,7 @@ class LinearizedOp:
         return FieldElem(self.ctx, self.apply_packed(a.val))
 
     def apply_packed(self, u):
-        ctx = self.ctx
-        e = self.sigma.e
-        add, mul, frob = ctx.add, ctx.mul, ctx.frob
-        out = 0
-        cur = u
-        for i, c in enumerate(self.formal.coeffs):
-            if i:
-                cur = frob(cur, e)
-            if c:
-                out = add(out, mul(c, cur))
-        return out
+        return apply_formal(self.ctx, self.sigma.e, self.formal.coeffs, u)
 
     def compose(self, other):
         """self after other; corresponds to multiplying the formal parts."""

@@ -4,7 +4,9 @@ These deliberately avoid the package's polynomial and matrix code paths:
 commutative polynomial arithmetic is done on plain int lists, determinants by
 cofactor expansion, Ore products by moving x past one coefficient at a time,
 and conjugacy by enumerating every conjugator.  Only the validated base-field
-scalar operations are shared.
+scalar operations are shared.  The one exception is
+`working_field_triangularization`, the modular route's former pipeline kept
+as the reference for the base-field diagonal that replaced it.
 """
 
 
@@ -173,3 +175,17 @@ def brute_conjugacy(ctx, sigma):
         classes.append(frozenset(orbit))
         seen |= orbit
     return frozenset(classes)
+
+
+# -- the modular route's former working-field pipeline -------------------------
+
+
+def working_field_triangularization(f, g, plan, rule, seed):
+    """Embed both inputs into the plan's working field, build the Sylvester
+    matrix there and triangularize it.  Returns (diagonal, op log) over the
+    working field."""
+    from oreelim import embed_bivar, sylvester_matrix, triangularize_with_log
+
+    syl = sylvester_matrix(embed_bivar(f, plan), embed_bivar(g, plan))
+    tri, ops = triangularize_with_log(syl.inner, rule=rule, seed=seed)
+    return [tri.rows[i][i] for i in range(tri.n)], ops

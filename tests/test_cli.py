@@ -4,7 +4,7 @@ import csv
 import io
 import json
 
-from oreelim import field_new, make_rings, parse_ore_poly
+from oreelim import field_new, make_rings, modres, parse_ore_poly
 from oreelim.cli import _find_acceptance_tests, main
 
 
@@ -147,3 +147,18 @@ def test_threads_flag_output_identical(capsys):
 
 def test_verify_locates_acceptance_suite():
     assert _find_acceptance_tests() is not None
+
+
+def test_coefficient_outside_base_field_is_internal_error(capsys, monkeypatch):
+    def outside(plan, evals):
+        inverse = plan.embedding.inverse_packed
+        return [next(v for v in range(plan.work_ctx.q) if inverse(v) is None)]
+
+    monkeypatch.setattr(modres, "_recover_coefficients", outside)
+    code, _, err = run_cli(
+        capsys,
+        "eliminate", "--field", "GF(2^2)", "--sigma1", "1", "--sigma2", "1",
+        "--f", "x1^2*x2 + x1", "--g", "x1^2*x2 + 1", "--method", "modular",
+    )
+    assert code == 5
+    assert err.startswith("error[coefficient-outside-base-field]")

@@ -1,14 +1,19 @@
 """The evaluation/interpolation pipeline and its plan machinery."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 from oreelim import (
+    AddMulOp,
     Automorphism,
+    CoefficientOutsideBaseField,
     ModularPlan,
+    PartialEval,
     PlanFailure,
+    SingularMooreSystem,
     check_bad_eval,
     conjugacy_audit,
     embed_uni,
@@ -20,8 +25,15 @@ from oreelim import (
     res_x2_direct,
     res_x2_modular,
 )
-from oracles import classical_resultant, bivar_to_lists, uni_to_list
-from support import bivar_for, rand_bivar, rand_bivar_exact
+from oreelim import modres
+from oreelim.skewdet import PIVOT_RULES
+from oracles import (
+    bivar_to_lists,
+    classical_resultant,
+    uni_to_list,
+    working_field_triangularization,
+)
+from support import bivar_for, rand_bivar, rand_bivar_exact, rand_orepoly_exact
 
 
 def test_plan_no_extension_when_bound_small():
@@ -215,3 +227,120 @@ def test_conjugacy_audit_gf9():
     # norms land in the fixed prime field
     for norm, _ in report.classes:
         assert norm.val in (1, 2)
+
+
+def full_pair(ring, rng, d2, d1):
+    """Two inputs of x2-degree d2 whose x2-coefficients all have x1-degree
+    d1, so the degree bound is 2 * d2 * d1."""
+    return tuple(
+        ring.poly([rand_orepoly_exact(ring.inner, rng, d1) for _ in range(d2 + 1)])
+        for _ in range(2)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, m, e1, e2", [(2, 2, 1, 1), (2, 8, 1, 1), (3, 4, 1, 2), (7, 1, 0, 0)]
+)
+def test_base_diagonal_equals_working_field_triangularization(p, m, e1, e2):
+    # the embedding commutes with Frobenius and the pivot rules see only
+    # degrees, zero-ness and their seeded rng: the base-field run must mirror
+    # the working-field run step for step
+    ring = bivar_for(p, m, e1, e2)
+    for rule in PIVOT_RULES:
+        for seed in range(3):
+            rng = random.Random(f"{p}^{m}/{rule}/{seed}")
+            f = rand_bivar(ring, rng, 2, 2, min_d2=1)
+            g = rand_bivar(ring, rng, 2, 2, min_d2=1)
+            plan = plan_modular(f, g)
+            diag, ops = modres._pipeline(f, g, plan, rule, seed)
+            want_diag, want_ops = working_field_triangularization(
+                f, g, plan, rule, seed
+            )
+            assert diag == want_diag
+            assert len(ops) == len(want_ops)
+            for op, want in zip(ops, want_ops):
+                assert type(op) is type(want)
+                if isinstance(op, AddMulOp):
+                    assert (op.src, op.dst) == (want.src, want.dst)
+                    assert embed_uni(op.q, plan) == want.q
+                else:
+                    assert (op.i, op.j) == (want.i, want.j)
+
+
+def test_modular_op_log_equals_direct():
+    ring = bivar_for(3, 4, 1, 2)
+    rng = random.Random(8)
+    for rule in PIVOT_RULES:
+        f = rand_bivar(ring, rng, 2, 2, min_d2=1)
+        g = rand_bivar(ring, rng, 2, 2, min_d2=1)
+        modular = res_x2_modular(f, g, rule=rule, seed=5)
+        assert modular.op_log == res_x2_direct(f, g, rule=rule, seed=5).op_log
+
+
+@pytest.mark.parametrize("p, m, e1", [(2, 8, 1), (7, 1, 0)])
+def test_cached_recovery_equals_solve_exact(p, m, e1, monkeypatch):
+    monkeypatch.setattr(modres, "_MOORE_CACHE", {})
+    ring = bivar_for(p, m, e1, e1)
+    rng = random.Random(9)
+    for _ in range(3):
+        f, g = full_pair(ring, rng, 2, 2)
+        plan, evals = partial_evaluations(f, g)
+        ctx = plan.work_ctx
+        rows = modres._system_rows(plan)
+        rhs = [pe.value.val for pe in evals]
+        want = modres._solve_exact(ctx, rows, rhs, plan.degree_bound + 1)
+        # the first call builds the shape's elimination, later ones replay it
+        assert modres._recover_coefficients(plan, evals) == want
+        for row, b in zip(rows, rhs):
+            acc = 0
+            for a, x in zip(row, want):
+                acc = ctx.add(acc, ctx.mul(a, x))
+            assert acc == b
+    assert len(modres._MOORE_CACHE) == 1
+
+
+def test_perturbed_chain_value_is_inconsistent():
+    # with M > D + 1 points every chain value is checked: a linearized
+    # polynomial of sigma-degree <= D cannot vanish on M - 1 basis elements
+    ring = bivar_for(2, 8, 1, 1)
+    f, g = full_pair(ring, random.Random(10), 1, 2)
+    plan, evals = partial_evaluations(f, g)
+    assert len(evals) > plan.degree_bound + 1
+    one = plan.work_ctx.one
+    for k, pe in enumerate(evals):
+        bad = list(evals)
+        bad[k] = PartialEval(point=pe.point, value=pe.value + one)
+        with pytest.raises(SingularMooreSystem):
+            modres._recover_coefficients(plan, bad)
+
+
+def test_recovery_cache_key_separates_plan_shapes(monkeypatch):
+    # D = 10 and D = 12 over GF(2^8) with sigma1 = Frobenius share the working
+    # field GF(2^16) and its power basis; only the degree bound tells the
+    # two Moore systems apart.  A hand-built plan with the basis reversed
+    # differs from the first shape in its points alone.
+    monkeypatch.setattr(modres, "_MOORE_CACHE", {})
+    ring = bivar_for(2, 8, 1, 1)
+    rng = random.Random(11)
+    pairs = [full_pair(ring, rng, 1, d1) for d1 in (5, 5, 6)]
+    plans = [plan_modular(f, g) for f, g in pairs]
+    assert [pl.degree_bound for pl in plans] == [10, 10, 12]
+    assert len({(pl.work_ctx, pl.points) for pl in plans}) == 1
+    pairs.append(pairs[0])
+    plans.append(dataclasses.replace(plans[0], points=plans[0].points[::-1]))
+    for (f, g), plan in zip(pairs, plans):
+        assert res_x2_modular(f, g, plan=plan).rep == res_x2_direct(f, g).rep
+    assert len(modres._MOORE_CACHE) == 3
+
+
+def test_recovered_coefficient_outside_base_field_raises(monkeypatch):
+    ring = bivar_for(2, 8, 1, 1)
+    f, g = full_pair(ring, random.Random(12), 1, 5)
+    plan = plan_modular(f, g)
+    emb = plan.embedding
+    outside = next(v for v in range(plan.work_ctx.q) if emb.inverse_packed(v) is None)
+    monkeypatch.setattr(modres, "_recover_coefficients", lambda plan, evals: [outside])
+    with pytest.raises(CoefficientOutsideBaseField) as info:
+        res_x2_modular(f, g, plan=plan)
+    assert info.value.code == "coefficient-outside-base-field"
+    assert info.value.exit_code == 5
