@@ -16,6 +16,11 @@ q = p^m:
 *  ``poly``  (otherwise): coordinate convolution plus reduction, with cached
    Frobenius basis images so that applying sigma costs about one mul.
 
+Every GF(p)-linear map between packed values -- a Frobenius power, the
+multiplication-by-generator step of the table build, the embedding
+GF(p^m) -> GF(p^M) and its inverse -- is stored as the images of the power
+basis (`FieldCtx._columns`) and applied by one kernel, `FieldCtx._combine`.
+
 Contexts are immutable after construction and cached by (p, m, modulus), so
 repeated `field_new` calls are cheap and all values of one field share state.
 Fields are restricted to p^m < 2^63 (machine-word residue packing).
@@ -42,19 +47,33 @@ _TABLE_MAX = 1 << 16
 _ORDER_MAX = 1 << 63
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
-    """Deterministic trial division; adequate at desk scale."""
+    """Miller-Rabin over the 12 smallest prime bases: exact for n < 2^64
+    (Sorenson-Webster, Math. Comp. 2017), so for every p with p^m < 2^63.
+    Above that it is a probable-prime answer, which only decides whether an
+    out-of-range p is reported as NotPrime or as too large."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -237,11 +256,7 @@ class FieldCtx:
         if backend == "table":
             self._build_tables()
         elif backend == "bits":
-            bits = 0
-            for i, c in enumerate(self.modulus):
-                if c:
-                    bits |= 1 << i
-            self._modbits = bits
+            self._modbits = self.pack(self.modulus)
         self._zero_elem = FieldElem(self, 0)
         self._one_elem = FieldElem(self, 1)
 
@@ -396,15 +411,7 @@ class FieldCtx:
         if k < 0:
             u = self.inv(u)
             k = -k
-        k %= self.q - 1
-        result = 1
-        b = u
-        while k:
-            if k & 1:
-                result = self.mul(result, b)
-            b = self.mul(b, b)
-            k >>= 1
-        return result
+        return self._pow_raw(u, k % (self.q - 1))
 
     def frob(self, u, e):
         """u raised to the p^e power (the e-th Frobenius)."""
@@ -413,27 +420,39 @@ class FieldCtx:
             return u
         if self.backend == "table":
             return self._exp[(self._log[u] * self._pe[e]) % (self.q - 1)]
-        images = self._frob_images.get(e)
-        if images is None:
-            images = self._build_frob_images(e)
+        images = self._frob_images.get(e) or self._build_frob_images(e)
+        return self._combine(images, u)
+
+    # -- GF(p)-linear maps given by the images of the power basis ---------------
+
+    def _columns(self, values):
+        """Column list of the GF(p)-linear map sending the i-th power basis
+        element of its source to the packed value values[i] of this field."""
+        if self.p == 2:
+            return list(values)
+        return [self.coords(v) for v in values]
+
+    def _combine(self, cols, u):
+        """The map with columns `cols` applied to packed u: the sum of
+        c_i * cols[i] over the base-p digits c_i of u, packed in this field."""
         if self.p == 2:
             out = 0
             i = 0
             while u:
                 if u & 1:
-                    out ^= images[i]
+                    out ^= cols[i]
                 u >>= 1
                 i += 1
             return out
+        p = self.p
         acc = [0] * self.m
         i = 0
-        p = self.p
         while u:
             u, c = divmod(u, p)
             if c:
-                img = images[i]
+                col = cols[i]
                 for j in range(self.m):
-                    acc[j] += c * img[j]
+                    acc[j] += c * col[j]
             i += 1
         return self.pack(acc)
 
@@ -541,13 +560,12 @@ class FieldCtx:
         Lazily memoized; concurrent builds compute identical values, so the
         benign race keeps contexts shareable across threads."""
         tau = self._pow_raw(self.p, self.p**e)  # t^(p^e)
-        images = []
-        cur = 1
-        for _ in range(self.m):
-            images.append(cur if self.p == 2 else self.coords(cur))
-            cur = self._mul_raw(cur, tau) if self.backend != "bits" else self._mul_bits(cur, tau)
-        self._frob_images[e] = images
-        return images
+        mul = self._mul_bits if self.backend == "bits" else self._mul_raw
+        images = [1]
+        for _ in range(self.m - 1):
+            images.append(mul(images[-1], tau))
+        self._frob_images[e] = cols = self._columns(images)
+        return cols
 
     def _pow_raw(self, u, k):
         mul = self._mul_bits if self.backend == "bits" else self._mul_raw
@@ -582,49 +600,16 @@ class FieldCtx:
         self._generator = g
         exp = [0] * max(q - 1, 1)
         exp[0] = 1
-        step = self._make_mulg(g)
+        mulg = self._columns([self._mul_raw(g, self.p**i) for i in range(self.m)])
         cur = 1
         for k in range(1, q - 1):
-            cur = step(cur)
+            cur = self._combine(mulg, cur)
             exp[k] = cur
         log = [0] * q
         for k, v in enumerate(exp):
             log[v] = k
         self._exp = exp
         self._log = log
-
-    def _make_mulg(self, g):
-        cols = [self._mul_raw(g, self.p**i) for i in range(self.m)]
-        if self.p == 2:
-            m = self.m
-
-            def step(u):
-                out = 0
-                i = 0
-                while u:
-                    if u & 1:
-                        out ^= cols[i]
-                    u >>= 1
-                    i += 1
-                return out
-
-            return step
-        colcoords = [self.coords(c) for c in cols]
-        p, m = self.p, self.m
-
-        def step(u):
-            acc = [0] * m
-            i = 0
-            while u:
-                u, c = divmod(u, p)
-                if c:
-                    col = colcoords[i]
-                    for j in range(m):
-                        acc[j] += c * col[j]
-                i += 1
-            return self.pack(acc)
-
-        return step
 
 
 class FieldElem:
@@ -834,10 +819,6 @@ def sigma_norm(sigma, a):
 # GF(p) linear algebra (prime-subfield helpers)
 
 
-def mat_vec_mod_p(rows, vec, p):
-    return [sum(r * v for r, v in zip(row, vec)) % p for row in rows]
-
-
 def rref_with_transform_mod_p(rows, p):
     """Row-reduce ``rows`` over GF(p); returns (R, T, pivot_cols) with
     T * rows == R and R in reduced row-echelon form."""
@@ -896,34 +877,26 @@ class FieldEmbedding:
     to a deterministically chosen root of the small modulus (commutes with
     Frobenius, as any field embedding does)."""
 
-    __slots__ = ("small", "big", "root", "_cols", "_t", "_npiv")
+    __slots__ = ("small", "big", "root", "_cols", "_inv_cols")
 
     def __init__(self, small, big, root):
         self.small = small
         self.big = big
         self.root = root
-        cols = []
-        cur = 1
-        for _ in range(small.m):
-            cols.append(big.coords(cur))
-            cur = big.mul(cur, root)
-        self._cols = cols  # column i = coords of root^i
-        rows = [[cols[j][i] for j in range(small.m)] for i in range(big.m)]
+        powers = [1]  # root^i, the image of t^i
+        for _ in range(small.m - 1):
+            powers.append(big.mul(powers[-1], root))
+        self._cols = big._columns(powers)
+        # T * A = [I; 0] for A the big.m x small.m matrix of root powers, so
+        # T * v has zero coordinates past small.m exactly when v is an image.
+        rows = list(zip(*(big.coords(v) for v in powers)))
         _, t, pivots = rref_with_transform_mod_p(rows, big.p)
-        self._t = t
-        self._npiv = len(pivots)
-        if self._npiv != small.m:  # pragma: no cover - root powers independent
+        if len(pivots) != small.m:  # pragma: no cover - root powers independent
             raise AssertionError("embedding matrix is rank deficient")
+        self._inv_cols = big._columns([big.pack(col) for col in zip(*t)])
 
     def map_packed(self, u):
-        cs = self.small.coords(u)
-        acc = [0] * self.big.m
-        for i, c in enumerate(cs):
-            if c:
-                col = self._cols[i]
-                for j in range(self.big.m):
-                    acc[j] += c * col[j]
-        return self.big.pack(acc)
+        return self.big._combine(self._cols, u)
 
     def __call__(self, a):
         if not isinstance(a, FieldElem) or a.ctx != self.small:
@@ -932,10 +905,8 @@ class FieldEmbedding:
 
     def inverse_packed(self, v):
         """Preimage of a packed big-field value, or None if outside the image."""
-        w = mat_vec_mod_p(self._t, list(self.big.coords(v)), self.big.p)
-        if any(w[self._npiv :]):
-            return None
-        return self.small.pack(w[: self._npiv])
+        w = self.big._combine(self._inv_cols, v)
+        return w if w < self.small.q else None
 
     def inverse(self, b):
         if not isinstance(b, FieldElem) or b.ctx != self.big:
@@ -974,26 +945,15 @@ def _least_modulus_root(ctx, big):
     """Least packed root in `big` of ctx's modulus, found by enumerating the
     unique subfield of order p^m (kernel of x^(p^m) - x)."""
     p, m, M = ctx.p, ctx.m, big.m
-    rows = []
-    for i in range(M):
-        basis_val = p**i
-        img = big.frob(basis_val, m % M)
-        diff = big.coords(big.sub(img, basis_val))
-        rows.append(list(diff))
     # columns of the map x -> x^(p^m) - x; kernel = subfield GF(p^m)
-    mat = [[rows[j][i] for j in range(M)] for i in range(M)]
-    kern = kernel_basis_mod_p(mat, p)
+    images = (big.coords(big.sub(big.frob(p**i, m % M), p**i)) for i in range(M))
+    kern = kernel_basis_mod_p(list(zip(*images)), p)
     if len(kern) != m:  # pragma: no cover
         raise AssertionError("subfield has wrong dimension")
-    packed_basis = [big.pack(v) for v in kern]
+    cols = big._columns([big.pack(v) for v in kern])
     roots = []
     for counter in range(p**m):
-        acc = 0
-        c = counter
-        for b in packed_basis:
-            c, r = divmod(c, p)
-            if r:
-                acc = big.add(acc, b if r == 1 else big.mul(b, r))
+        acc = big._combine(cols, counter)
         # evaluate modulus at acc
         val = 0
         for coeff in reversed(ctx.modulus):

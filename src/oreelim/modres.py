@@ -180,11 +180,10 @@ def _eval_plugin(ctx, coeffs, u):
     return acc
 
 
-def chain_evaluate(diag, plan, threads=1):
+def chain_evaluate(diag, plan):
     """PartialEval at every plan point of the diagonal chain per the
     composition formula: the row-order product d_1 * ... * d_k acts as
-    d_1 applied last.  Output is in the plan's point order; `threads` is
-    accepted for compatibility and has no effect."""
+    d_1 applied last.  Output is in the plan's point order."""
     ctx = plan.work_ctx
     e = plan.work_ring.sigma1.e
     coeff_rows = [d.coeffs for d in diag]
@@ -294,7 +293,7 @@ def _pipeline(f, g, plan, rule, seed):
     return [embed_uni(tri.rows[i][i], plan) for i in range(tri.n)], ops
 
 
-def partial_evaluations(f, g, plan=None, rule="min_degree", seed=0, threads=1):
+def partial_evaluations(f, g, plan=None, rule="min_degree", seed=0):
     """Run the pipeline through step 4 and return (plan, partial evals)."""
     if plan is None:
         plan = plan_modular(f, g)

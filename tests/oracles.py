@@ -3,8 +3,8 @@
 These deliberately avoid the package's polynomial and matrix code paths:
 commutative polynomial arithmetic is done on plain int lists, determinants by
 cofactor expansion, Ore products by moving x past one coefficient at a time,
-and conjugacy by enumerating every conjugator.  Only the validated base-field
-scalar operations are shared.  The one exception is
+and conjugacy by enumerating every conjugator, primality by trial division.  Only
+the validated base-field scalar operations are shared.  The one exception is
 `working_field_triangularization`, the modular route's former pipeline kept
 as the reference for the base-field diagonal that replaced it.
 """
@@ -12,6 +12,23 @@ as the reference for the base-field diagonal that replaced it.
 
 class FieldTooLarge(Exception):
     pass
+
+
+def is_prime_trial(n):
+    """Primality by trial division: the field layer's former test, kept as
+    the reference for its Miller-Rabin replacement.  Slow on large primes."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 # -- commutative GF(p)[x] on little-endian int lists -------------------------

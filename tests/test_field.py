@@ -17,7 +17,8 @@ from oreelim import (
     field_new,
     sigma_norm,
 )
-from oracles import brute_conjugacy
+from oreelim.field import _is_prime
+from oracles import brute_conjugacy, is_prime_trial
 
 
 def test_field_new_gf4():
@@ -41,6 +42,38 @@ def test_field_new_degenerate_degree():
 def test_field_new_not_prime():
     with pytest.raises(NotPrime):
         field_new(6, 1)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n) != is_prime_trial(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (561, False),  # Carmichael number
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, False),  # ... to every prime base up to 31
+        (2**61 - 1, True),
+        (2**63 - 25, True),  # largest prime below 2^63
+    ],
+)
+def test_is_prime_hard_cases(n, prime):
+    assert _is_prime(n) is prime
+    if not prime:  # each composite has a factor below 2^18
+        assert is_prime_trial(n) is False
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**63 - 25])
+def test_field_new_large_prime(p):
+    ctx = field_new(p, 1)
+    assert ctx.q == p and ctx.modulus == (0, 1)
+    rng = random.Random(5)
+    for _ in range(200):
+        u, v = rng.randrange(1, p), rng.randrange(p)
+        assert ctx.mul(u, v) == u * v % p
+        assert ctx.inv(u) == pow(u, p - 2, p)
+        assert ctx.mul(u, ctx.inv(u)) == 1
 
 
 def test_field_new_reducible_modulus():
@@ -231,6 +264,44 @@ def test_embedding_membership_test():
             assert pre is None
 
 
+@pytest.mark.parametrize(
+    "p, m, M, backend", [(2, 8, 32, "bits"), (3, 4, 16, "poly"), (7, 1, 2, "table")]
+)
+def test_embedding_round_trips(p, m, M, backend):
+    rng = random.Random(4)
+    ctx = field_new(p, m)
+    big, emb = extend_field(ctx, M)
+    assert big.backend == backend
+    for _ in range(300):
+        u, u2 = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        v = emb.map_packed(u)
+        assert big.frob(v, m) == v and emb.inverse_packed(v) == u
+        assert emb.map_packed(ctx.mul(u, u2)) == big.mul(v, emb.map_packed(u2))
+        # the image is the subfield of order p^m: the fixed points of frob^m
+        for w in (rng.randrange(big.q), big.add(v, rng.randrange(big.q))):
+            pre = emb.inverse_packed(w)
+            if big.frob(w, m) == w:
+                assert pre is not None and emb.map_packed(pre) == w
+            else:
+                assert pre is None
+
+
+def test_pinned_field_choices():
+    """Default moduli, generators and embedding roots are part of the output
+    contract: representatives depend on them."""
+    assert field_new(2, 8).modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    assert field_new(2, 8).generator.val == 3
+    assert field_new(3, 4).modulus == (2, 1, 0, 0, 1)
+    assert field_new(3, 4).generator.val == 3
+    for p, m, M, root in [
+        (2, 8, 32, 1084517114),
+        (3, 4, 16, 18062960),
+        (2, 8, 24, 588237),
+        (2, 2, 4, 6),
+    ]:
+        assert extend_field(field_new(p, m), M)[1].root == root
+
+
 def test_field_axioms_random():
     rng = random.Random(2)
     for p, m in [(2, 8), (3, 4), (5, 2), (7, 1)]:
@@ -245,26 +316,33 @@ def test_field_axioms_random():
             assert a - a == ctx.zero
 
 
+def _field_ops(ctx, u, v, k):
+    return (
+        ctx.mul(u, v),
+        ctx.add(u, v),
+        ctx.sub(u, v),
+        ctx.inv(u) if u else None,
+        [ctx.frob(u, e) for e in range(ctx.m)],
+        ctx.pow_packed(u, k) if u else None,
+    )
+
+
 def test_backends_agree():
     rng = random.Random(3)
-    table = field_new(3, 4)
-    poly = FieldCtx(3, 4, backend="poly")
-    for _ in range(2000):
-        u, v = rng.randrange(81), rng.randrange(81)
-        assert table.mul(u, v) == poly.mul(u, v)
-        assert table.add(u, v) == poly.add(u, v)
-        if u:
-            assert table.inv(u) == poly.inv(u)
-        assert table.frob(u, 1) == poly.frob(u, 1)
-        assert table.frob(u, 3) == poly.frob(u, 3)
-    table2 = field_new(2, 8)
-    bits = FieldCtx(2, 8, backend="bits")
-    for _ in range(2000):
-        u, v = rng.randrange(256), rng.randrange(256)
-        assert table2.mul(u, v) == bits.mul(u, v)
-        if u:
-            assert table2.inv(u) == bits.inv(u)
-        assert table2.frob(u, 5) == bits.frob(u, 5)
+    for p, m, backends, rounds in [
+        (3, 4, ("table", "poly"), 2000),
+        (2, 8, ("table", "bits", "poly"), 2000),
+        (5, 2, ("table", "poly"), 500),
+        (7, 1, ("table", "poly"), 500),
+        (2, 20, ("bits", "poly"), 200),
+    ]:
+        ref, *others = [FieldCtx(p, m, backend=b) for b in backends]
+        for _ in range(rounds):
+            u, v = rng.randrange(ref.q), rng.randrange(ref.q)
+            k = rng.randrange(-2 * ref.q, 2 * ref.q)  # negative k inverts
+            want = _field_ops(ref, u, v, k)
+            for ctx in others:
+                assert _field_ops(ctx, u, v, k) == want, (ctx.backend, u, v, k)
 
 
 def test_generator_order():
