@@ -34,19 +34,17 @@ from .field import (
     sigma_norm,
 )
 from .modres import (
-    ConjugacyReport,
     ModularPlan,
     PartialEval,
     chain_evaluate,
     check_bad_eval,
-    conjugacy_audit,
     embed_bivar,
     embed_uni,
     partial_evaluations,
     plan_modular,
     res_x2_modular,
 )
-from .opeval import LinearizedOp, OpBivarPoly, eval_bivar, eval_uni, kernel_collision
+from .opeval import LinearizedOp, OpBivarPoly, eval_bivar, eval_uni
 from .ore_bivar import BivarOrePoly, BivarRing
 from .ore_uni import OrePoly, OreRing, gcrd
 from .parsing import (
@@ -71,7 +69,6 @@ from .skewdet import (
     apply_op_log,
     dieudonne_det,
     surrogates_equal,
-    triangularize,
     triangularize_with_log,
 )
 

@@ -17,27 +17,11 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 
-from .errors import OreError, ParseError
+from .errors import OreError
 from .modres import res_x2_modular
 from .parsing import make_rings, parse_bivar_poly, parse_field_spec
 from .resultant import res_x2_direct
-
-
-@dataclass
-class JobSpec:
-    """One elimination job as described on the command line."""
-
-    field: str
-    sigma1: int
-    sigma2: int
-    f: str
-    g: str
-    method: str = "both"
-    output: str = "text"
-    seed: int = 0
-    threads: int = 1
 
 
 def _now_us():
@@ -70,39 +54,28 @@ def _result_dict(det, micros):
 
 
 def cmd_eliminate(args):
-    spec = JobSpec(
-        field=args.field,
-        sigma1=args.sigma1,
-        sigma2=args.sigma2,
-        f=args.f,
-        g=args.g,
-        method=args.method,
-        output="json" if args.json else "text",
-        seed=_resolve_seed(args),
-        threads=args.threads,
-    )
-    ctx = parse_field_spec(spec.field)
-    ring = make_rings(ctx, spec.sigma1, spec.sigma2)
-    f = parse_bivar_poly(spec.f, ring)
-    g = parse_bivar_poly(spec.g, ring)
-    methods = ["direct", "modular"] if spec.method == "both" else [spec.method]
+    ctx = parse_field_spec(args.field)
+    ring = make_rings(ctx, args.sigma1, args.sigma2)
+    f = parse_bivar_poly(args.f, ring)
+    g = parse_bivar_poly(args.g, ring)
+    methods = ["direct", "modular"] if args.method == "both" else [args.method]
     results = {}
     dets = {}
     for name in methods:
-        det, micros = _run_method(name, f, g, spec.threads)
+        det, micros = _run_method(name, f, g, args.threads)
         dets[name] = det
         results[name] = _result_dict(det, micros)
     agree = None
     if len(methods) == 2:
         agree = dets["direct"].rep == dets["modular"].rep
-    if spec.output == "json":
+    if args.json:
         payload = {
             "field": ctx.spec_string(),
             "sigma1": ring.sigma1.e,
             "sigma2": ring.sigma2.e,
             "f": f.text(),
             "g": g.text(),
-            "method": spec.method,
+            "method": args.method,
             "results": results,
         }
         if agree is not None:
@@ -137,6 +110,9 @@ def _random_bivar(ring, rng, deg_x2, deg_x1):
 def cmd_bench(args):
     if args.trials < 1:
         print("error[usage]: --trials must be >= 1", file=sys.stderr)
+        return 2
+    if args.deg_x1 < 0 or args.deg_x2 < 0:
+        print("error[usage]: --deg-x1 and --deg-x2 must be >= 0", file=sys.stderr)
         return 2
     ctx = parse_field_spec(args.field)
     ring = make_rings(ctx, args.sigma1, args.sigma2)
@@ -243,9 +219,6 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return exc.exit_code
     except OreError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -736,9 +736,6 @@ class Automorphism:
             raise ContextMismatch("automorphism applied to element of another field")
         return FieldElem(self.ctx, self.ctx.frob(a.val, self.e))
 
-    def apply_packed(self, u):
-        return self.ctx.frob(u, self.e)
-
     def compose(self, other):
         if other.ctx != self.ctx:
             raise ContextMismatch("cannot compose automorphisms of different fields")

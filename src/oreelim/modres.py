@@ -50,7 +50,7 @@ from .errors import (
     SingularMooreSystem,
     ZeroPolynomial,
 )
-from .field import NEG_INF, Automorphism, FieldElem, extend_field, sigma_norm
+from .field import NEG_INF, Automorphism, FieldElem, extend_field
 from .ore_bivar import BivarOrePoly, BivarRing
 from .opeval import apply_formal, eval_uni
 from .resultant import sylvester_degree_bound, sylvester_matrix
@@ -293,14 +293,19 @@ def _pipeline(f, g, plan, rule, seed):
     return [embed_uni(tri.rows[i][i], plan) for i in range(tri.n)], ops
 
 
+def _plan_for(f, g, plan):
+    """The given plan, checked against the inputs' ring, or a fresh one."""
+    if plan is None:
+        return plan_modular(f, g)
+    if f.ring != plan.base_ring or g.ring != plan.base_ring:
+        raise RingMismatch("the plan was built for another Ore algebra")
+    return plan
+
+
 def partial_evaluations(f, g, plan=None, rule="min_degree", seed=0):
     """Run the pipeline through step 4 and return (plan, partial evals)."""
-    if plan is None:
-        plan = plan_modular(f, g)
+    plan = _plan_for(f, g, plan)
     diag, _ = _pipeline(f, g, plan, rule, seed)
-    if any(d.is_zero for d in diag):
-        zero = plan.work_ctx.zero
-        return plan, tuple(PartialEval(point=pt, value=zero) for pt in plan.points)
     return plan, chain_evaluate(diag, plan)
 
 
@@ -312,8 +317,7 @@ def res_x2_modular(f, g, rule="min_degree", seed=0, threads=1, plan=None) -> Det
     and Moore recovery is exact for degree bound < working degree.  The op
     log is the direct route's too.  `threads` is accepted for compatibility
     and has no effect."""
-    if plan is None:
-        plan = plan_modular(f, g)
+    plan = _plan_for(f, g, plan)
     if check_bad_eval(f, plan):
         raise BadEvaluation("leading coefficient of f acts as the zero map")
     if check_bad_eval(g, plan):
@@ -337,47 +341,3 @@ def res_x2_modular(f, g, rule="min_degree", seed=0, threads=1, plan=None) -> Det
         )
     rep = base_inner.from_packed(back)
     return DetResult(rep=rep, is_zero=rep.is_zero, degree=rep.degree, op_log=ops)
-
-
-@dataclass(frozen=True)
-class ConjugacyReport:
-    """How the plan's points fall into sigma-conjugacy classes (informational:
-    correctness rests on GF(p)-linear independence, but the class structure is
-    what the interpolation-point folklore talks about)."""
-
-    classes: tuple  # ((norm FieldElem, members tuple), ...)
-    zero_points: tuple
-
-    @property
-    def class_sizes(self):
-        return [len(members) for _, members in self.classes]
-
-    def to_jsonable(self):
-        return {
-            "classes": [
-                {"norm": str(norm), "members": [str(x) for x in members]}
-                for norm, members in self.classes
-            ],
-            "zero_points": [str(x) for x in self.zero_points],
-        }
-
-
-def conjugacy_audit(points, sigma):
-    """Partition points by sigma-norm; zero points are reported, not rejected."""
-    zero_points = []
-    buckets = {}
-    order = []
-    for pt in points:
-        if pt.is_zero:
-            zero_points.append(pt)
-            continue
-        nv = sigma_norm(sigma, pt)
-        key = nv.val
-        if key not in buckets:
-            buckets[key] = (nv, [])
-            order.append(key)
-        buckets[key][1].append(pt)
-    classes = tuple(
-        (buckets[k][0], tuple(buckets[k][1])) for k in sorted(order)
-    )
-    return ConjugacyReport(classes=classes, zero_points=tuple(zero_points))

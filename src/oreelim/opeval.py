@@ -10,12 +10,11 @@ renaming, kept *unreduced*: no quotient by sigma^ord - 1 is taken, since that
 quotient has zero divisors and would break the Euclidean machinery the
 elimination pipeline reuses.  The renaming therefore loses nothing formally,
 but point evaluations alone stop distinguishing operators once the formal
-degree reaches the order of sigma -- `kernel_collision` makes that gap
-explicit, and `matrix` gives the decidable action-level equality.
+degree reaches the order of sigma.
 
 Equality of LinearizedOp values is equality of formal polynomials (strong);
-equality as maps is equality of `matrix()` output (weaker).  Tests state
-which level they assert.
+equality as maps is checked by applying both operators to every element
+(weaker).  Tests state which level they assert.
 """
 
 from __future__ import annotations
@@ -90,16 +89,6 @@ class LinearizedOp:
             return LinearizedOp(self.formal + other.formal)
         return NotImplemented
 
-    def matrix(self):
-        """The m x m matrix over GF(p) of the additive action with respect
-        to the power basis; column j holds the coordinates of the image of
-        the j-th basis element.  Operators of formal degree below the order
-        of sigma act equally iff their matrices are equal (and in that range
-        iff the formal parts are equal)."""
-        ctx = self.ctx
-        cols = [ctx.coords(self.apply_packed(ctx.p**j)) for j in range(ctx.m)]
-        return [[cols[j][i] for j in range(ctx.m)] for i in range(ctx.m)]
-
     def is_zero_map(self):
         ctx = self.ctx
         return all(self.apply_packed(ctx.p**j) == 0 for j in range(ctx.m))
@@ -121,15 +110,6 @@ def eval_uni(f):
     if not isinstance(f, OrePoly):
         raise RingMismatch("eval_uni expects a univariate Ore polynomial")
     return LinearizedOp(f)
-
-
-def kernel_collision(op):
-    """True iff the formal degree reaches the order of sigma, i.e. point
-    evaluations can no longer distinguish this formal polynomial from a
-    lower-degree one (sigma^ord is the identity map)."""
-    if op.formal.is_zero:
-        return False
-    return op.formal.degree >= op.sigma.order
 
 
 class OpBivarPoly:

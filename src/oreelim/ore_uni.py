@@ -246,33 +246,6 @@ class OrePoly:
                 r.pop()
         return OrePoly(self.ring, _normalize(q)), OrePoly(self.ring, tuple(r))
 
-    def left_divmod(self, b):
-        """q, r with self = b*q + r and deg r < deg b."""
-        b = self._coerce(b)
-        if b is None or not isinstance(b, OrePoly):
-            raise RingMismatch("divisor must live in the same ring")
-        if b.is_zero:
-            raise DivisionByZero("left division by the zero polynomial")
-        ctx = self.ring.ctx
-        e = self.ring.sigma.e
-        sub, mul, frob, inv = ctx.sub, ctx.mul, ctx.frob, ctx.inv
-        bc = b.coeffs
-        db = len(bc) - 1
-        blead_inv = inv(bc[-1])
-        r = list(self.coeffs)
-        if len(r) - 1 < db:
-            return OrePoly(self.ring, ()), self
-        q = [0] * (len(r) - db)
-        while len(r) - 1 >= db and r:
-            k = len(r) - 1 - db
-            qk = frob(mul(blead_inv, r[-1]), -db * e)
-            q[k] = qk
-            for j in range(db + 1):
-                r[j + k] = sub(r[j + k], mul(bc[j], frob(qk, j * e)))
-            while r and r[-1] == 0:
-                r.pop()
-        return OrePoly(self.ring, _normalize(q)), OrePoly(self.ring, tuple(r))
-
     def monic(self):
         """lc(f)^-1 * f: left-multiplication by the inverse leading coefficient."""
         if self.is_zero:

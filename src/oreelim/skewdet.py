@@ -85,9 +85,6 @@ class OreMatrix:
         one, zero = ring.one(), ring.zero()
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def __eq__(self, other):
         if isinstance(other, OreMatrix):
             return self.ring == other.ring and self.rows == other.rows
@@ -253,10 +250,6 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
                 swap(k, col)
                 reduce_below(col)
     return OreMatrix(ring, work), tuple(ops)
-
-
-def triangularize(matrix, rule="min_degree", seed=0):
-    return triangularize_with_log(matrix, rule=rule, seed=seed)[0]
 
 
 def dieudonne_det(matrix, rule="min_degree", seed=0):

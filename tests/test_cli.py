@@ -99,6 +99,13 @@ def test_usage_exit_codes(capsys):
     )
     assert code == 2
     assert "--trials" in err
+    for flag in ("--deg-x1", "--deg-x2"):
+        code, out, err = run_cli(
+            capsys, "bench", "--field", "GF(7)", "--trials", "1", flag, "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[usage]:") and flag in err
 
 
 def test_bench_csv_format_and_determinism(capsys):

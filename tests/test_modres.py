@@ -8,18 +8,19 @@ import pytest
 
 from oreelim import (
     AddMulOp,
-    Automorphism,
     CoefficientOutsideBaseField,
     ModularPlan,
     PartialEval,
     PlanFailure,
+    RingMismatch,
     SingularMooreSystem,
     check_bad_eval,
-    conjugacy_audit,
     embed_uni,
     eval_uni,
     extend_field,
     field_new,
+    make_rings,
+    parse_bivar_poly,
     partial_evaluations,
     plan_modular,
     res_x2_direct,
@@ -171,6 +172,47 @@ def test_partial_evaluations_match_direct_rep():
             assert op(pe.point) == pe.value
 
 
+@pytest.mark.parametrize("p, m, e1", [(2, 4, 1), (7, 1, 0)])
+def test_partial_evaluations_vanish_on_common_right_factor(p, m, e1):
+    # a common right factor leaves a zero on the diagonal; the chain then
+    # evaluates to zero at every plan point, in both regimes
+    ring = bivar_for(p, m, e1, e1)
+    rng = random.Random(11)
+    hits = 0
+    while hits < 5:
+        h = rand_bivar_exact(ring, rng, 1, 1)
+        f = rand_bivar(ring, rng, 1, 1) * h
+        g = rand_bivar(ring, rng, 1, 1) * h
+        if f.is_zero or g.is_zero or f.degree < 1 or g.degree < 1:
+            continue
+        plan, evals = partial_evaluations(f, g)
+        diag, _ = modres._pipeline(f, g, plan, "min_degree", 0)
+        assert any(d.is_zero for d in diag)
+        assert [pe.point for pe in evals] == list(plan.points)
+        assert all(pe.value == plan.work_ctx.zero for pe in evals)
+        hits += 1
+
+
+def test_plan_from_another_algebra_is_rejected(monkeypatch):
+    text_f, text_g = "(x1 + t)*x2^2 + t*x1*x2 + 1", "x2 - x1^2"
+    ring_2_8 = make_rings(field_new(2, 8), 1, 1)
+    plan = plan_modular(
+        parse_bivar_poly(text_f, ring_2_8), parse_bivar_poly(text_g, ring_2_8)
+    )
+    ring_3_4 = make_rings(field_new(3, 4), 1, 2)
+    f, g = parse_bivar_poly(text_f, ring_3_4), parse_bivar_poly(text_g, ring_3_4)
+    assert res_x2_direct(f, g).rep.text() == "x^5 + t*x^4 + t*x^3 + 1"
+
+    def no_work(*args):
+        raise AssertionError("the pipeline ran on a foreign plan")
+
+    monkeypatch.setattr(modres, "_pipeline", no_work)
+    with pytest.raises(RingMismatch):
+        res_x2_modular(f, g, plan=plan)
+    with pytest.raises(RingMismatch):
+        partial_evaluations(f, g, plan=plan)
+
+
 def test_moore_recovery_reproduces_chain_values():
     ring = bivar_for(2, 8, 1, 1)
     rng = random.Random(5)
@@ -209,24 +251,6 @@ def test_plan_serializes_to_json():
     payload = json.loads(json.dumps(plan.to_jsonable()))
     assert payload["mode"] == "frobenius"
     assert payload["degree_bound"] == plan.degree_bound
-
-
-def test_conjugacy_audit_gf4():
-    ctx = field_new(2, 2)
-    report = conjugacy_audit(list(ctx.elements()), Automorphism(ctx, 1))
-    assert report.class_sizes == [3]
-    assert len(report.zero_points) == 1
-    json.dumps(report.to_jsonable())
-
-
-def test_conjugacy_audit_gf9():
-    ctx = field_new(3, 2)
-    points = [a for a in ctx.elements() if not a.is_zero]
-    report = conjugacy_audit(points, Automorphism(ctx, 1))
-    assert sorted(report.class_sizes) == [4, 4]
-    # norms land in the fixed prime field
-    for norm, _ in report.classes:
-        assert norm.val in (1, 2)
 
 
 def full_pair(ring, rng, d2, d1):

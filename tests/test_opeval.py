@@ -11,7 +11,6 @@ from oreelim import (
     eval_bivar,
     eval_uni,
     field_new,
-    kernel_collision,
 )
 from support import bivar_for, rand_bivar, rand_elem, rand_orepoly, ring_for
 
@@ -19,11 +18,6 @@ from support import bivar_for, rand_bivar, rand_elem, rand_orepoly, ring_for
 def gf4_ring():
     ctx = field_new(2, 2)
     return ctx, OreRing(ctx, Automorphism(ctx, 1))
-
-
-def matmul_mod(a, b, p):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
 
 
 def test_eval_uni_generator_acts_as_sigma():
@@ -117,45 +111,3 @@ def test_eval_bivar_is_ring_morphism():
         f = rand_bivar(ring, rng, 3, 2)
         g = rand_bivar(ring, rng, 3, 2)
         assert eval_bivar(f * g) == eval_bivar(f) * eval_bivar(g)
-
-
-def test_op_matrix_identity_and_frobenius():
-    ctx, ring = gf4_ring()
-    assert eval_uni(ring.one()).matrix() == [[1, 0], [0, 1]]
-    # columns are the coordinates of 1^2 and w^2 = w + 1
-    assert eval_uni(ring.x()).matrix() == [[1, 1], [0, 1]]
-
-
-def test_op_matrix_full_order_power_is_identity():
-    ctx = field_new(2, 3)
-    ring = OreRing(ctx, Automorphism(ctx, 1))
-    ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    assert eval_uni(ring.x(3)).matrix() == ident
-
-
-def test_op_matrix_multiplicative():
-    ring = ring_for(3, 2, 1)
-    p = ring.ctx.p
-    rng = random.Random(4)
-    for _ in range(100):
-        f = rand_orepoly(ring, rng, 2)
-        g = rand_orepoly(ring, rng, 2)
-        lhs = eval_uni(f).compose(eval_uni(g)).matrix()
-        rhs = matmul_mod(eval_uni(f).matrix(), eval_uni(g).matrix(), p)
-        assert lhs == rhs
-
-
-def test_op_matrix_detects_action_equality():
-    # x^2 and 1 act identically on GF(4) though formally different
-    _, ring = gf4_ring()
-    a, b = eval_uni(ring.x(2)), eval_uni(ring.one())
-    assert a != b
-    assert a.matrix() == b.matrix()
-
-
-def test_kernel_collision_thresholds():
-    _, ring = gf4_ring()
-    assert not kernel_collision(eval_uni(ring.x()))
-    assert kernel_collision(eval_uni(ring.x(2)))
-    big = ring_for(2, 8, 1)
-    assert not kernel_collision(eval_uni(big.x(5)))

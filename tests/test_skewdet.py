@@ -12,7 +12,6 @@ from oreelim import (
     apply_op_log,
     dieudonne_det,
     surrogates_equal,
-    triangularize,
     triangularize_with_log,
 )
 from oracles import det_poly_matrix, uni_to_list
@@ -89,7 +88,7 @@ def test_triangularize_diagonal_input_unchanged():
             [ring.zero(), ring.zero(), ring.x(2)],
         ],
     )
-    assert triangularize(m) == m
+    assert triangularize_with_log(m)[0] == m
 
 
 def test_triangularize_euclidean_example():
@@ -104,7 +103,7 @@ def test_triangularize_euclidean_example():
 def test_triangularize_zero_column():
     ring = ring_for(5, 1, 0)
     m = OreMatrix(ring, [[ring.zero(), ring.x()], [ring.zero(), ring.one()]])
-    tri = triangularize(m)
+    tri = triangularize_with_log(m)[0]
     assert tri.rows[0][0].is_zero or tri.rows[1][1].is_zero
     assert dieudonne_det(m).is_zero
 
