@@ -11,7 +11,11 @@ Three arithmetic backends are selected automatically from the field order
 q = p^m:
 
 *  ``table`` (q <= 65536): discrete-log tables over a deterministically chosen
-   generator; mul/inv/frobenius are O(1).
+   generator; mul/inv/frobenius are O(1).  For odd p, add/sub/neg are O(1)
+   too: a Zech-logarithm table zech[k] = log(1 + g^k) gives
+   g^a + g^b = g^(a + zech[b - a]), and a negation table uses
+   -1 = g^((q-1)/2) (Huber, IEEE Trans. IT 1990).  Other odd-p fields add
+   digit by digit; p == 2 adds by XOR on every backend.
 *  ``bits``  (p == 2, q > 65536): carry-less arithmetic on bit-packed ints.
 *  ``poly``  (otherwise): coordinate convolution plus reduction, with cached
    Frobenius basis images so that applying sigma costs about one mul.
@@ -78,18 +82,55 @@ def _is_prime(n):
 
 
 def _prime_factors(n):
-    """Distinct prime factors of n by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    """Distinct prime factors of n >= 1 in increasing order: the primes up to
+    37 by trial division, the cofactor split by Pollard-Brent rho until
+    `_is_prime` accepts every part."""
+    out = set()
+    for b in _MR_BASES:
+        if n % b == 0:
+            out.add(b)
+            while n % b == 0:
+                n //= b
+    parts = [n] if n > 1 else []
+    while parts:
+        k = parts.pop()
+        if _is_prime(k):
+            out.add(k)
+        else:
+            d = _rho_factor(k)
+            parts += [d, k // d]
+    return sorted(out)
+
+
+def _rho_factor(n):
+    """A proper factor of the composite n, which has no prime factor below
+    41: Pollard's rho with Brent's cycle search and batched gcds (Brent,
+    BIT 1980), trying x^2 + c for c = 1, 2, ... until one splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +250,8 @@ class FieldCtx:
         "backend",
         "_exp",
         "_log",
+        "_zech",
+        "_neg",
         "_pe",
         "_generator",
         "_modbits",
@@ -249,6 +292,8 @@ class FieldCtx:
         self.backend = backend
         self._exp = None
         self._log = None
+        self._zech = None
+        self._neg = None
         self._pe = [pow(p, e, q - 1) for e in range(m)] if q > 2 else [0] * m
         self._generator = None
         self._modbits = None
@@ -355,6 +400,16 @@ class FieldCtx:
         p = self.p
         if p == 2:
             return u ^ v
+        zech = self._zech
+        if zech is not None:
+            if not u:
+                return v
+            if not v:
+                return u
+            log = self._log
+            lu = log[u]
+            z = zech[log[v] - lu]  # a negative index wraps mod q - 1
+            return self._exp[lu + z] if z >= 0 else 0
         out = 0
         mult = 1
         for _ in range(self.m):
@@ -368,6 +423,8 @@ class FieldCtx:
         p = self.p
         if p == 2:
             return u
+        if self._neg is not None:
+            return self._neg[u]
         out = 0
         mult = 1
         for _ in range(self.m):
@@ -379,13 +436,14 @@ class FieldCtx:
     def sub(self, u, v):
         if self.p == 2:
             return u ^ v
-        return self.add(u, self.neg(v))
+        neg = self._neg
+        return self.add(u, neg[v] if neg is not None else self.neg(v))
 
     def mul(self, u, v):
         if self.backend == "table":
             if u == 0 or v == 0:
                 return 0
-            return self._exp[(self._log[u] + self._log[v]) % (self.q - 1)]
+            return self._exp[self._log[u] + self._log[v]]
         if self.backend == "bits":
             return self._mul_bits(u, v)
         return self._mul_raw(u, v)
@@ -394,7 +452,7 @@ class FieldCtx:
         if u == 0:
             raise DivisionByZero("inverse of zero field element")
         if self.backend == "table":
-            return self._exp[(self.q - 1 - self._log[u]) % (self.q - 1)]
+            return self._exp[self.q - 1 - self._log[u]]
         if self.backend == "bits":
             return self._inv_bits(u)
         return self._inv_poly(u)
@@ -608,8 +666,21 @@ class FieldCtx:
         log = [0] * q
         for k, v in enumerate(exp):
             log[v] = k
-        self._exp = exp
+        # exp stored twice over: a sum of two logs indexes it without a modulo
+        self._exp = exp2 = exp + exp
         self._log = log
+        p = self.p
+        if p != 2:
+            # 1 + g^k changes only digit 0 of g^k; it is 0 exactly when
+            # g^k = -1 = g^((q-1)/2)
+            last = p - 1
+            zech = []
+            for w in exp:
+                w1 = w + 1 if w % p != last else w - last
+                zech.append(log[w1] if w1 else -1)
+            half = (q - 1) // 2
+            self._zech = zech
+            self._neg = [0] + [exp2[log[u] + half] for u in range(1, q)]
 
 
 class FieldElem:
@@ -753,6 +824,8 @@ class Automorphism:
         return self.e == 0
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Automorphism)
             and self.ctx == other.ctx

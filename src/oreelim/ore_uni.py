@@ -38,6 +38,8 @@ class OreRing:
         self.sigma = sigma
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, OreRing)
             and self.ctx == other.ctx
@@ -163,7 +165,7 @@ class OrePoly:
 
     def __neg__(self):
         neg = self.ring.ctx.neg
-        return OrePoly(self.ring, tuple(neg(c) for c in self.coeffs))
+        return OrePoly(self.ring, tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other):
         g = self._coerce(other)
@@ -181,30 +183,42 @@ class OrePoly:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        a, b = self.coeffs, g.coeffs
-        if not a or not b:
-            return OrePoly(self.ring, ())
-        ctx = self.ring.ctx
-        e = self.ring.sigma.e
-        add, mul, frob = ctx.add, ctx.mul, ctx.frob
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            if e and i:
-                tb = [frob(bj, i * e) for bj in b]
-            else:
-                tb = b
-            for j, bj in enumerate(tb):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-        return OrePoly(self.ring, _normalize(out))
+        return OrePoly(self.ring, ()).addmul(self, g)
 
     def __rmul__(self, other):
         g = self._coerce(other)
         if g is None:
             return NotImplemented
         return g * self
+
+    def addmul(self, q, a):
+        """self + q*a in one pass over the packed coefficients: each product
+        term is added into a copy of self's coefficients in place."""
+        ring = self.ring
+        for g in (q, a):
+            if not isinstance(g, OrePoly) or g.ring != ring:
+                raise RingMismatch(f"addmul operands must live in {ring!r}")
+        qc, ac = q.coeffs, a.coeffs
+        if not qc or not ac:
+            return self
+        ctx = ring.ctx
+        e = ring.sigma.e
+        add, mul, frob = ctx.add, ctx.mul, ctx.frob
+        out = list(self.coeffs)
+        n = len(qc) + len(ac) - 1
+        if len(out) < n:
+            out += [0] * (n - len(out))
+        for i, qi in enumerate(qc):
+            if not qi:
+                continue
+            if e and i:
+                ta = [frob(aj, i * e) for aj in ac]
+            else:
+                ta = ac
+            for j, aj in enumerate(ta):
+                if aj:
+                    out[i + j] = add(out[i + j], mul(qi, aj))
+        return OrePoly(ring, _normalize(out))
 
     def __pow__(self, k):
         if k < 0:

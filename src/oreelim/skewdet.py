@@ -108,7 +108,7 @@ class OreMatrix:
         if not isinstance(q, OrePoly) or q.ring != self.ring:
             raise RingMismatch("multiplier must live in the matrix ring")
         rows = list(self.rows)
-        rows[j] = tuple(b + q * a for a, b in zip(self.rows[i], self.rows[j]))
+        rows[j] = tuple(b.addmul(q, a) for a, b in zip(self.rows[i], self.rows[j]))
         return OreMatrix(self.ring, rows)
 
     def row_swap_signed(self, i, j):
@@ -222,7 +222,7 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
                 continue
             nq = -q
             row_c = work[col]
-            work[k] = [b + nq * a for a, b in zip(row_c, work[k])]
+            work[k] = [b.addmul(nq, a) for a, b in zip(row_c, work[k])]
             ops.append(AddMulOp(src=col, dst=k, q=nq))
             progressed = True
         return progressed

@@ -3,8 +3,9 @@
 These deliberately avoid the package's polynomial and matrix code paths:
 commutative polynomial arithmetic is done on plain int lists, determinants by
 cofactor expansion, Ore products by moving x past one coefficient at a time,
-and conjugacy by enumerating every conjugator, primality by trial division.  Only
-the validated base-field scalar operations are shared.  The one exception is
+conjugacy by enumerating every conjugator, primality and factoring by trial
+division.  Only the validated base-field scalar operations are shared.  The
+one exception is
 `working_field_triangularization`, the modular route's former pipeline kept
 as the reference for the base-field diagonal that replaced it.
 """
@@ -29,6 +30,23 @@ def is_prime_trial(n):
             return False
         d += 2
     return True
+
+
+def prime_factors_trial(n):
+    """Distinct prime factors of n in increasing order by trial division: the
+    field layer's former factorization, kept as the reference for its
+    Pollard-Brent replacement.  Slow when n has a large prime factor."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # -- commutative GF(p)[x] on little-endian int lists -------------------------

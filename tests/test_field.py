@@ -17,8 +17,8 @@ from oreelim import (
     field_new,
     sigma_norm,
 )
-from oreelim.field import _is_prime
-from oracles import brute_conjugacy, is_prime_trial
+from oreelim.field import _is_prime, _prime_factors
+from oracles import brute_conjugacy, is_prime_trial, prime_factors_trial
 
 
 def test_field_new_gf4():
@@ -62,6 +62,42 @@ def test_is_prime_hard_cases(n, prime):
     assert _is_prime(n) is prime
     if not prime:  # each composite has a factor below 2^18
         assert is_prime_trial(n) is False
+
+
+def test_prime_factors_match_trial_division():
+    assert [n for n in range(1, 10**5) if _prime_factors(n) != prime_factors_trial(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        # two ~2^30 primes: rho has to split them
+        (998244353 * 1000000007, [998244353, 1000000007]),
+        (1000003**2, [1000003]),
+        (2**61 - 2, [2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321]),
+        (3825123056546413051, [149491, 747451, 34233211]),
+    ],
+)
+def test_prime_factors_large(n, factors):
+    assert all(is_prime_trial(ell) for ell in factors)
+    rest = n
+    for ell in factors:
+        while rest % ell == 0:
+            rest //= ell
+    assert rest == 1
+    assert _prime_factors(n) == factors
+
+
+def test_generator_of_safe_prime_field():
+    """q - 1 = 2r with r prime near 2^61: trial division would run ~2^30
+    steps before reaching r."""
+    p = 2**62 - 10565
+    r = (p - 1) // 2
+    assert _is_prime(p) and _is_prime(r)
+    assert _prime_factors(p - 1) == [2, r]
+    g = field_new(p, 1).generator.val
+    assert 1 < g < p
+    assert pow(g, (p - 1) // 2, p) != 1 and pow(g, (p - 1) // r, p) != 1
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, 2**63 - 25])
@@ -321,6 +357,7 @@ def _field_ops(ctx, u, v, k):
         ctx.mul(u, v),
         ctx.add(u, v),
         ctx.sub(u, v),
+        ctx.neg(u),
         ctx.inv(u) if u else None,
         [ctx.frob(u, e) for e in range(ctx.m)],
         ctx.pow_packed(u, k) if u else None,
@@ -343,6 +380,38 @@ def test_backends_agree():
             want = _field_ops(ref, u, v, k)
             for ctx in others:
                 assert _field_ops(ctx, u, v, k) == want, (ctx.backend, u, v, k)
+
+
+def _table_and_digit_loop(p, m):
+    table, poly = FieldCtx(p, m, backend="table"), FieldCtx(p, m, backend="poly")
+    assert table._zech is not None and poly._zech is None
+    return table, poly
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 4), (5, 2), (7, 1), (11, 2)])
+def test_zech_add_exhaustive(p, m):
+    table, poly = _table_and_digit_loop(p, m)
+    for u in range(table.q):
+        assert table.neg(u) == poly.neg(u), u
+        assert [table.add(u, v) for v in range(table.q)] == [
+            poly.add(u, v) for v in range(table.q)
+        ], u
+        assert [table.sub(u, v) for v in range(table.q)] == [
+            poly.sub(u, v) for v in range(table.q)
+        ], u
+
+
+@pytest.mark.parametrize("p, m", [(3, 10), (65521, 1)])
+def test_zech_add_largest_tables(p, m):
+    table, poly = _table_and_digit_loop(p, m)
+    assert field_new(p, m).backend == "table"
+    rng = random.Random(6)
+    for _ in range(3000):
+        u, v = rng.randrange(table.q), rng.randrange(table.q)
+        v = rng.choice([v, 0, poly.neg(u), poly.sub(1, u)])  # zero and cancelling sums
+        assert table.add(u, v) == poly.add(u, v), (u, v)
+        assert table.sub(u, v) == poly.sub(u, v), (u, v)
+        assert table.neg(u) == poly.neg(u), u
 
 
 def test_generator_order():

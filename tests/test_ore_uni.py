@@ -141,6 +141,37 @@ def test_naive_oracle_matches_op_mul():
     assert naive_ore_mul(ring.one(), ring.one()) == ring.one()
 
 
+@pytest.mark.parametrize("p, m", [(3, 4), (2, 8), (7, 1)])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_addmul_matches_add_of_product(p, m, e):
+    ring = ring_for(p, m, e)
+    rng = random.Random(7 + e)
+    zero = ring.zero()
+    for _ in range(300):
+        b = rand_orepoly(ring, rng, 6)
+        q = rand_orepoly(ring, rng, 3)
+        a = rand_orepoly(ring, rng, 3)
+        qa = naive_ore_mul(q, a)
+        assert b.addmul(q, a) == b + qa == b + q * a
+        # zero operands, and b cancelling q*a in full or above degree 1
+        assert b.addmul(zero, a) == b == b.addmul(q, zero)
+        assert zero.addmul(q, a) == qa
+        low = rand_orepoly(ring, rng, 1)
+        assert (-qa).addmul(q, a) == zero
+        assert (low - qa).addmul(q, a) == low
+
+
+def test_addmul_ring_mismatch():
+    r1 = ring_for(2, 2, 1)
+    r2 = ring_for(2, 2, 0)
+    with pytest.raises(RingMismatch):
+        r1.x().addmul(r2.x(), r1.x())
+    with pytest.raises(RingMismatch):
+        r1.x().addmul(r1.x(), r2.x())
+    with pytest.raises(RingMismatch):
+        r1.x().addmul(1, r1.x())
+
+
 def test_monic_examples():
     ctx, ring = gf4_ring()
     w = ctx.from_coords([0, 1])

@@ -14,6 +14,7 @@ from oreelim import (
     surrogates_equal,
     triangularize_with_log,
 )
+from oreelim.skewdet import PIVOT_RULES
 from oracles import det_poly_matrix, uni_to_list
 from support import rand_orepoly, ring_for
 
@@ -150,11 +151,12 @@ def test_replay_op_log():
     rng = random.Random(2)
     for _ in range(40):
         m = rand_matrix(ring, rng, rng.randrange(1, 5))
-        tri, ops = triangularize_with_log(m)
-        assert apply_op_log(m, ops) == tri
-        for i in range(m.n):
-            for j in range(i):
-                assert tri.rows[i][j].is_zero
+        for rule in PIVOT_RULES:
+            tri, ops = triangularize_with_log(m, rule=rule, seed=3)
+            assert apply_op_log(m, ops) == tri
+            for i in range(m.n):
+                for j in range(i):
+                    assert tri.rows[i][j].is_zero
 
 
 def test_pivot_rule_invariance():
