@@ -134,8 +134,8 @@ def _rho_factor(n):
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[t] on little-endian coefficient lists (internal; used for modulus
-# validation and the default-modulus search).
+# GF(p)[t] on little-endian coefficient lists (internal; used by Ben-Or's
+# irreducibility test and the Frobenius powers of the embedding-root search).
 
 
 def _gfp_trim(a):
@@ -188,30 +188,24 @@ def _gfp_powmod(base, e, f, p):
     while e:
         if e & 1:
             result = _gfp_mod(_gfp_mul(result, b, p), f, p)
-        b = _gfp_mod(_gfp_mul(b, b, p), f, p)
         e >>= 1
+        if e:
+            b = _gfp_mod(_gfp_mul(b, b, p), f, p)
     return result
 
 
 def _is_irreducible(f, p):
-    """Rabin's test for a monic polynomial f over GF(p)."""
-    m = len(f) - 1
-    if m == 1:
-        return True
+    """Ben-Or's test for a monic polynomial f of degree m over GF(p) (FOCS
+    1981): f is irreducible exactly when gcd(f, x^(p^i) - x) = 1 for
+    i = 1 .. m/2, since a reducible f has an irreducible factor of degree at
+    most m/2.  Most reducible candidates have a small factor and are rejected
+    after a step or two."""
     x = [0, 1]
-    # x^(p^m) == x mod f
     h = x
-    for _ in range(m):
+    for _ in range((len(f) - 1) // 2):
         h = _gfp_powmod(h, p, f, p)
-    if _gfp_trim([(a - b) % p for a, b in _zip_pad(h, x)]) != []:
-        return False
-    for ell in _prime_factors(m):
-        h = x
-        for _ in range(m // ell):
-            h = _gfp_powmod(h, p, f, p)
         diff = _gfp_trim([(a - b) % p for a, b in _zip_pad(h, x)])
-        g = _gfp_gcd(list(f), diff, p)
-        if len(g) - 1 != 0:
+        if len(_gfp_gcd(f, diff, p)) != 1:
             return False
     return True
 
@@ -223,7 +217,7 @@ def _zip_pad(a, b):
 
 def _default_modulus(p, m):
     """Least monic irreducible of degree m: the lower coefficients are the
-    base-p digits of the smallest counter giving irreducibility."""
+    base-p digits of the smallest counter that passes Ben-Or's test."""
     for counter in range(p**m):
         low = []
         c = counter
@@ -992,7 +986,8 @@ def extend_field(ctx, M):
     """GF(p^M) together with the deterministic embedding from ctx = GF(p^m).
 
     Requires m | M.  The root of ctx's modulus inside GF(p^M) is chosen as the
-    least packed value among all roots, so the embedding is reproducible.
+    least packed value among all roots, so the embedding is reproducible; it
+    is found by trace splitting in time polynomial in m, M and p.
     """
     if M % ctx.m != 0:
         raise NotAnExtension(f"GF({ctx.p}^{M}) does not contain GF({ctx.p}^{ctx.m})")
@@ -1012,24 +1007,73 @@ def extend_field(ctx, M):
 
 
 def _least_modulus_root(ctx, big):
-    """Least packed root in `big` of ctx's modulus, found by enumerating the
-    unique subfield of order p^m (kernel of x^(p^m) - x)."""
+    """Least packed root in `big` of ctx's modulus h, by trace splitting
+    (Cantor-Zassenhaus, Math. Comp. 1981).
+
+    The roots of h lie in the subfield S of order p^m (the kernel of
+    x^(p^m) - x).  For delta in S, T = sum_i delta^(p^i) * (x^(p^i) mod h)
+    takes the value Tr(delta * r) in GF(p) at every root r of h, so
+    gcd(g, T - c) collects the roots of a factor g with trace value c.  The
+    trace form is nondegenerate and the kernel basis spans S, so refining g
+    by each basis element in turn leaves a single root r after at most m
+    rounds of at most p gcds.  The roots of h are the Frobenius orbit of r,
+    and the least of them is returned."""
     p, m, M = ctx.p, ctx.m, big.m
+    g = h = [c % p for c in ctx.modulus]
+    if m == 1:
+        return big.neg(h[0])
     # columns of the map x -> x^(p^m) - x; kernel = subfield GF(p^m)
     images = (big.coords(big.sub(big.frob(p**i, m % M), p**i)) for i in range(M))
     kern = kernel_basis_mod_p(list(zip(*images)), p)
     if len(kern) != m:  # pragma: no cover
         raise AssertionError("subfield has wrong dimension")
-    cols = big._columns([big.pack(v) for v in kern])
-    roots = []
-    for counter in range(p**m):
-        acc = big._combine(cols, counter)
-        # evaluate modulus at acc
-        val = 0
-        for coeff in reversed(ctx.modulus):
-            val = big.add(big.mul(val, acc), coeff % p)
-        if val == 0:
-            roots.append(acc)
-    if len(roots) != m:  # pragma: no cover
+    powers = [[0, 1]]  # x^(p^i) mod h, coefficients in GF(p)
+    for _ in range(m - 1):
+        powers.append(_gfp_powmod(powers[-1], p, h, p))
+    for v in kern:
+        if len(g) == 2:
+            break
+        delta = big.pack(v)
+        trace = [0] * m
+        for i, xi in enumerate(powers):
+            if i:
+                delta = big.frob(delta, 1)
+            for j, s in enumerate(xi):
+                if s:
+                    trace[j] = big.add(trace[j], big.mul(s, delta))
+        for c in range(p):
+            if c:
+                trace[0] = big.sub(trace[0], 1)  # trace holds T - c
+            d = _monic_gcd(big, g, trace)
+            if len(d) > 1:
+                g = d
+                break
+    if len(g) != 2:  # pragma: no cover
         raise AssertionError("modulus does not split in the extension")
-    return min(roots)
+    root = least = big.neg(g[0])
+    for _ in range(m - 1):
+        root = big.frob(root, 1)
+        least = min(least, root)
+    return least
+
+
+def _monic_gcd(ctx, a, b):
+    """Monic gcd over ctx of two polynomials given as little-endian lists of
+    packed values, the first of them nonzero."""
+    a, b = list(a), list(b)
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        lead_inv = ctx.inv(b[-1])
+        db = len(b) - 1
+        while len(a) > db:
+            c = ctx.mul(a.pop(), lead_inv)
+            if c:
+                k = len(a) - db
+                for i in range(db):
+                    a[k + i] = ctx.sub(a[k + i], ctx.mul(c, b[i]))
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    lead_inv = ctx.inv(a[-1])
+    return [ctx.mul(c, lead_inv) for c in a]

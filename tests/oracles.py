@@ -4,10 +4,12 @@ These deliberately avoid the package's polynomial and matrix code paths:
 commutative polynomial arithmetic is done on plain int lists, determinants by
 cofactor expansion, Ore products by moving x past one coefficient at a time,
 conjugacy by enumerating every conjugator, primality and factoring by trial
-division.  Only the validated base-field scalar operations are shared.  The
-one exception is
-`working_field_triangularization`, the modular route's former pipeline kept
-as the reference for the base-field diagonal that replaced it.
+division, irreducibility by Rabin's test.  Only the validated base-field
+scalar operations are shared.  The two exceptions are former package code
+paths kept as references for their replacements:
+`working_field_triangularization`, the modular route's former pipeline, and
+`least_modulus_root_enum`, the embedding-root search by subfield
+enumeration.
 """
 
 
@@ -70,6 +72,47 @@ def padd(a, b, p):
 
 def psub(a, b, p):
     return padd(a, [(-c) % p for c in b], p)
+
+
+def pmod(a, f, p):
+    """Remainder of a modulo the monic f."""
+    a = [c % p for c in a]
+    df = len(f) - 1
+    while len(a) > df:
+        c = a.pop()
+        for i in range(df):
+            a[len(a) - df + i] = (a[len(a) - df + i] - c * f[i]) % p
+    return ptrim(a)
+
+
+def pgcd(a, b, p):
+    """Monic gcd of a and b (not both zero)."""
+    a, b = ptrim([c % p for c in a]), ptrim([c % p for c in b])
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        a, b = b, pmod(a, [c * inv % p for c in b], p)
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def is_irreducible_rabin(f, p):
+    """Rabin's test for a monic f of degree m over GF(p): f divides
+    x^(p^m) - x and is coprime to x^(p^(m/l)) - x for every prime l | m.  The
+    field layer's former test, kept as the reference for Ben-Or's."""
+    m = len(f) - 1
+
+    def frob_power(k):  # x^(p^k) - x mod f
+        h = [0, 1]
+        for _ in range(k):
+            out = [1]
+            for _ in range(p):
+                out = pmod(pmul(out, h, p), f, p)
+            h = out
+        return psub(h, [0, 1], p)
+
+    if pmod(frob_power(m), f, p):
+        return False
+    return all(pgcd(f, frob_power(m // ell), p) == [1] for ell in prime_factors_trial(m))
 
 
 def pmul(a, b, p):
@@ -210,6 +253,30 @@ def brute_conjugacy(ctx, sigma):
         classes.append(frozenset(orbit))
         seen |= orbit
     return frozenset(classes)
+
+
+def least_modulus_root_enum(ctx, big):
+    """Least packed root in `big` of ctx's modulus, found by enumerating the
+    unique subfield of order p^m (kernel of x^(p^m) - x): the field layer's
+    former search, kept as the reference for trace splitting.  It costs p^m
+    Horner evaluations."""
+    from oreelim.field import kernel_basis_mod_p
+
+    p, m, M = ctx.p, ctx.m, big.m
+    images = (big.coords(big.sub(big.frob(p**i, m % M), p**i)) for i in range(M))
+    kern = kernel_basis_mod_p(list(zip(*images)), p)
+    assert len(kern) == m, "subfield has wrong dimension"
+    cols = big._columns([big.pack(v) for v in kern])
+    roots = []
+    for counter in range(p**m):
+        acc = big._combine(cols, counter)
+        val = 0
+        for coeff in reversed(ctx.modulus):
+            val = big.add(big.mul(val, acc), coeff % p)
+        if val == 0:
+            roots.append(acc)
+    assert len(roots) == m, "modulus does not split in the extension"
+    return min(roots)
 
 
 # -- the modular route's former working-field pipeline -------------------------

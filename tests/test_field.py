@@ -1,8 +1,12 @@
 """Field contexts, Frobenius automorphisms, norms, and extensions."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from oreelim import (
     Automorphism,
@@ -17,8 +21,15 @@ from oreelim import (
     field_new,
     sigma_norm,
 )
-from oreelim.field import _is_prime, _prime_factors
-from oracles import brute_conjugacy, is_prime_trial, prime_factors_trial
+from oreelim.field import _is_irreducible, _is_prime, _least_modulus_root, _prime_factors
+from oracles import (
+    brute_conjugacy,
+    is_irreducible_rabin,
+    is_prime_trial,
+    least_modulus_root_enum,
+    pmul,
+    prime_factors_trial,
+)
 
 
 def test_field_new_gf4():
@@ -115,6 +126,95 @@ def test_field_new_large_prime(p):
 def test_field_new_reducible_modulus():
     with pytest.raises(ReducibleModulus):
         field_new(2, 2, [1, 0, 1])  # t^2 + 1 = (t+1)^2
+
+
+def _monic_polys(p, d):
+    """Every monic polynomial of degree d over GF(p), in counter order."""
+    for counter in range(p**d):
+        low = [(counter // p**i) % p for i in range(d)]
+        yield low + [1]
+
+
+def _irreducibles(p, d):
+    return (f for f in _monic_polys(p, d) if is_irreducible_rabin(f, p))
+
+
+@pytest.mark.parametrize("p, max_deg", [(2, 8), (3, 5), (5, 3), (7, 3)])
+def test_ben_or_matches_rabin_exhaustive(p, max_deg):
+    for d in range(1, max_deg + 1):
+        for f in _monic_polys(p, d):
+            assert _is_irreducible(f, p) == is_irreducible_rabin(f, p), f
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 65521]).flatmap(
+        lambda p: st.tuples(
+            st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=40)
+        )
+    )
+)
+def test_ben_or_matches_sympy(case):
+    p, low = case
+    f = low + [1]
+    assert _is_irreducible(f, p) == gf_irreducible_p(f[::-1], p, ZZ)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 8), (3, 4), (3, 6), (5, 2), (7, 4)])
+def test_reducible_modulus_at_half_degree(p, m):
+    """Products with no factor of degree below m/2: Ben-Or's last step
+    (i = m/2) is the only one that rejects them."""
+    a, b = itertools.islice(_irreducibles(p, m // 2), 2)
+    for mod in (pmul(a, b, p), pmul(a, a, p)):
+        assert len(mod) == m + 1 and not is_irreducible_rabin(mod, p)
+        assert not _is_irreducible(mod, p)
+        with pytest.raises(ReducibleModulus):
+            field_new(p, m, modulus=mod)
+
+
+@pytest.mark.parametrize(
+    "p, m, terms",
+    [
+        (2, 32, {0: 1, 2: 1, 3: 1, 7: 1}),
+        (2, 40, {0: 1, 3: 1, 4: 1, 5: 1}),
+        (3, 16, {0: 1, 2: 1, 3: 1}),
+        (3, 27, {0: 2, 1: 2, 2: 1, 3: 1, 5: 1}),
+        (5, 27, {0: 1, 1: 1}),
+    ],
+)
+def test_default_modulus_is_rabins_choice(p, m, terms):
+    """The least irreducible by counter, as Rabin's test found it: t^m plus
+    the listed lower terms."""
+    want = tuple(terms.get(i, 0) for i in range(m)) + (1,)
+    assert field_new(p, m).modulus == want
+    assert is_irreducible_rabin(list(want), p)
+
+
+def _root_grid():
+    cases = [
+        (p, m, k * m)
+        for p in (2, 3, 5, 7)
+        for m in (1, 2, 3, 4, 8)
+        for k in (1, 2, 3)
+        if p**m <= 4096 and p ** (k * m) < 2**40
+    ]
+    return cases + [(2, 8, 32), (3, 4, 16)]
+
+
+@pytest.mark.parametrize("p, m, M", _root_grid())
+def test_trace_split_root_matches_enumeration(p, m, M):
+    ctx, big = field_new(p, m), field_new(p, M)
+    assert _least_modulus_root(ctx, big) == least_modulus_root_enum(ctx, big)
+
+
+@pytest.mark.parametrize("p, m, M", [(2, 8, 8), (2, 8, 16), (3, 4, 4), (3, 4, 12), (5, 2, 6)])
+def test_trace_split_root_other_modulus(p, m, M):
+    """A non-default small modulus: the search runs even when M == m."""
+    *_, mod = _irreducibles(p, m)  # the greatest one by counter
+    ctx = field_new(p, m, modulus=mod)
+    assert ctx.modulus != field_new(p, m).modulus
+    big = field_new(p, M)
+    assert _least_modulus_root(ctx, big) == least_modulus_root_enum(ctx, big)
 
 
 def test_field_new_modulus_degree_mismatch():

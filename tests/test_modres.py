@@ -368,3 +368,21 @@ def test_recovered_coefficient_outside_base_field_raises(monkeypatch):
         res_x2_modular(f, g, plan=plan)
     assert info.value.code == "coefficient-outside-base-field"
     assert info.value.exit_code == 5
+
+
+def test_plan_gf5_9_sigma2_finishes():
+    """sigma1 = Frobenius^2 on GF(5^9) with D = 10 needs the working field
+    GF(5^27); the root of the GF(5^9) modulus in it is found by trace
+    splitting rather than by enumerating the 5^9 subfield elements."""
+    ring = bivar_for(5, 9, 2, 1)
+    f, g = full_pair(ring, random.Random(13), 1, 5)
+    plan = plan_modular(f, g)
+    work = plan.work_ctx
+    assert plan.degree_bound == 10 and (work.p, work.m) == (5, 27)
+    root = plan.embedding.root
+    value = 0
+    for c in reversed(ring.ctx.modulus):
+        value = work.add(work.mul(value, root), c)
+    assert value == 0
+    assert all(root <= work.frob(root, i) for i in range(9))  # least of its orbit
+    assert res_x2_modular(f, g, plan=plan).rep == res_x2_direct(f, g).rep
