@@ -3,9 +3,9 @@
 Exit codes: 0 ok, 2 usage, 3 parse error, 4 math-domain error, 5 internal
 assertion.  Errors are printed to stderr as ``error[<code>]: message`` with
 the machine-readable code in brackets.  The ``--seed`` flag (or the
-ORE_ELIM_SEED environment variable) makes randomized benchmark inputs
-reproducible; ``--threads N`` is accepted for compatibility and has no
-effect on output (the modular method evaluates its chain in one thread).
+ORE_ELIM_SEED environment variable) makes the random inputs of ``bench``
+reproducible; ``eliminate`` accepts it and ignores it.  ``--threads N`` is
+accepted for compatibility and ignored: both methods run in one thread.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ def _resolve_seed(args):
     return int(os.environ.get("ORE_ELIM_SEED", "0"))
 
 
-def _run_method(name, f, g, threads):
+def _run_method(name, f, g):
     t0 = _now_us()
     if name == "direct":
         det = res_x2_direct(f, g)
     else:
-        det = res_x2_modular(f, g, threads=threads)
+        det = res_x2_modular(f, g)
     micros = _now_us() - t0
     return det, micros
 
@@ -62,7 +62,7 @@ def cmd_eliminate(args):
     results = {}
     dets = {}
     for name in methods:
-        det, micros = _run_method(name, f, g, args.threads)
+        det, micros = _run_method(name, f, g)
         dets[name] = det
         results[name] = _result_dict(det, micros)
     agree = None
@@ -127,7 +127,7 @@ def cmd_bench(args):
         dets = {}
         micros = {}
         for name in ("direct", "modular"):
-            det, us = _run_method(name, f, g, args.threads)
+            det, us = _run_method(name, f, g)
             dets[name] = det
             micros[name] = us
         verdict = "ok" if dets["direct"].rep == dets["modular"].rep else "mismatch"
@@ -189,9 +189,10 @@ def _build_parser():
             p.add_argument("--f", required=True, help="first polynomial, e.g. 'x2 - x1'")
             p.add_argument("--g", required=True, help="second polynomial")
         p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (fallback: ORE_ELIM_SEED, then 0)")
+                       help="RNG seed for bench's random inputs (fallback: "
+                       "ORE_ELIM_SEED, then 0); eliminate ignores it")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; no effect on output")
+                       help="accepted for compatibility and ignored")
 
     pe = sub.add_parser("eliminate", help="compute the eliminant of f and g")
     add_common(pe, need_fg=True)

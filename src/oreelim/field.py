@@ -25,6 +25,12 @@ multiplication-by-generator step of the table build, the embedding
 GF(p^m) -> GF(p^M) and its inverse -- is stored as the images of the power
 basis (`FieldCtx._columns`) and applied by one kernel, `FieldCtx._combine`.
 
+The package's one Gauss-Jordan elimination lives here too: `_eliminate`
+records the elimination of a matrix over any field context and `_replay`
+applies it to a vector.  Moore recovery runs it over the working field, and
+`FieldEmbedding` runs it over GF(p) to build the inverse of the embedding.
+`extend_field` needs no extension when M = m: it returns the field itself.
+
 Contexts are immutable after construction and cached by (p, m, modulus), so
 repeated `field_new` calls are cheap and all values of one field share state.
 Fields are restricted to p^m < 2^63 (machine-word residue packing).
@@ -42,6 +48,7 @@ from .errors import (
     NotAnExtension,
     NotPrime,
     ReducibleModulus,
+    SingularMooreSystem,
     ZeroElement,
 )
 
@@ -283,6 +290,12 @@ class FieldCtx:
                 backend = "bits"
             else:
                 backend = "poly"
+        elif backend not in ("table", "bits", "poly"):
+            raise DegreeMismatch(f"unknown backend {backend!r}")
+        elif backend == "bits" and p != 2:
+            raise DegreeMismatch(f"the bits backend needs p = 2, got p = {p}")
+        elif backend == "table" and q > _TABLE_MAX:
+            raise DegreeMismatch(f"the table backend needs q <= 2^16, got {p}^{m}")
         self.backend = backend
         self._exp = None
         self._log = None
@@ -880,56 +893,51 @@ def sigma_norm(sigma, a):
 
 
 # ---------------------------------------------------------------------------
-# GF(p) linear algebra (prime-subfield helpers)
+# Recorded Gauss-Jordan elimination over a field context
 
 
-def rref_with_transform_mod_p(rows, p):
-    """Row-reduce ``rows`` over GF(p); returns (R, T, pivot_cols) with
-    T * rows == R and R in reduced row-echelon form."""
-    n = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = [list(row) for row in rows]
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pivots = []
-    cur = 0
+def _eliminate(ctx, rows, ncols):
+    """Gauss-Jordan elimination over ctx of a matrix of full column rank,
+    recorded per column as (pivot row swapped into place, pivot inverse,
+    (row, multiplier) pairs cleared against it)."""
+    mul, sub = ctx.mul, ctx.sub
+    a = [list(row) for row in rows]
+    steps = []
     for col in range(ncols):
-        pivot = None
-        for k in range(cur, n):
-            if r[k][col] % p:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        r[cur], r[pivot] = r[pivot], r[cur]
-        t[cur], t[pivot] = t[pivot], t[cur]
-        lead_inv = pow(r[cur][col], p - 2, p)
-        r[cur] = [(x * lead_inv) % p for x in r[cur]]
-        t[cur] = [(x * lead_inv) % p for x in t[cur]]
-        for k in range(n):
-            if k != cur and r[k][col]:
-                c = r[k][col]
-                r[k] = [(x - c * y) % p for x, y in zip(r[k], r[cur])]
-                t[k] = [(x - c * y) % p for x, y in zip(t[k], t[cur])]
-        pivots.append(col)
-        cur += 1
-        if cur == n:
-            break
-    return r, t, pivots
+        sel = next((k for k in range(col, len(a)) if a[k][col]), None)
+        if sel is None:
+            raise SingularMooreSystem(
+                "evaluation points do not determine the coefficients"
+            )
+        a[col], a[sel] = a[sel], a[col]
+        inv = ctx.inv(a[col][col])
+        prow = [mul(inv, x) for x in a[col][col + 1 :]]
+        a[col][col + 1 :] = prow
+        elim = []
+        for k, row in enumerate(a):
+            c = row[col]
+            if k != col and c:
+                tail = zip(row[col + 1 :], prow)
+                row[col + 1 :] = [sub(x, mul(c, y)) for x, y in tail]
+                elim.append((k, c))
+        steps.append((sel, inv, tuple(elim)))
+    return tuple(steps)
 
 
-def kernel_basis_mod_p(rows, p):
-    """Basis of the right kernel {v : rows * v = 0} over GF(p)."""
-    ncols = len(rows[0])
-    r, _, pivots = rref_with_transform_mod_p(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-r[i][f]) % p
-        basis.append(v)
-    return basis
+def _replay(ctx, steps, rhs):
+    """T * rhs in O(rows * cols), for the T with T * rows = [I; 0] that the
+    recorded elimination applied.  The first ncols entries solve
+    rows * x = rhs, and the system is consistent exactly when the leftover
+    entries are all zero."""
+    mul, sub = ctx.mul, ctx.sub
+    v = list(rhs)
+    for col, (sel, inv, elim) in enumerate(steps):
+        v[col], v[sel] = v[sel], v[col]
+        pv = v[col] = mul(inv, v[col])
+        if pv:
+            for k, c in elim:
+                v[k] = sub(v[k], mul(c, pv))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -952,12 +960,17 @@ class FieldEmbedding:
             powers.append(big.mul(powers[-1], root))
         self._cols = big._columns(powers)
         # T * A = [I; 0] for A the big.m x small.m matrix of root powers, so
-        # T * v has zero coordinates past small.m exactly when v is an image.
-        rows = list(zip(*(big.coords(v) for v in powers)))
-        _, t, pivots = rref_with_transform_mod_p(rows, big.p)
-        if len(pivots) != small.m:  # pragma: no cover - root powers independent
-            raise AssertionError("embedding matrix is rank deficient")
-        self._inv_cols = big._columns([big.pack(col) for col in zip(*t)])
+        # T * v has zero coordinates past small.m exactly when v is an image;
+        # replaying the elimination of A on the unit vectors gives T's columns.
+        gfp = field_new(big.p, 1)
+        steps = _eliminate(gfp, zip(*(big.coords(v) for v in powers)), small.m)
+        unit = [0] * big.m
+        t_cols = []
+        for j in range(big.m):
+            unit[j] = 1
+            t_cols.append(big.pack(_replay(gfp, steps, unit)))
+            unit[j] = 0
+        self._inv_cols = big._columns(t_cols)
 
     def map_packed(self, u):
         return self.big._combine(self._cols, u)
@@ -985,62 +998,60 @@ _EXT_CACHE = {}
 def extend_field(ctx, M):
     """GF(p^M) together with the deterministic embedding from ctx = GF(p^m).
 
-    Requires m | M.  The root of ctx's modulus inside GF(p^M) is chosen as the
-    least packed value among all roots, so the embedding is reproducible; it
-    is found by trace splitting in time polynomial in m, M and p.
+    Requires m | M.  For M = m it returns ctx itself, whatever its modulus,
+    with the identity embedding (t goes to t).  Otherwise GF(p^M) has its
+    default modulus and t goes to the least packed root of ctx's modulus
+    there, so the embedding is reproducible; that root is found by trace
+    splitting in time polynomial in m, M and p.
     """
     if M % ctx.m != 0:
         raise NotAnExtension(f"GF({ctx.p}^{M}) does not contain GF({ctx.p}^{ctx.m})")
     key = (ctx.p, ctx.m, ctx.modulus, M)
     cached = _EXT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    big = field_new(ctx.p, M)
-    if M == ctx.m and big.modulus == ctx.modulus:
-        emb = FieldEmbedding(ctx, big, big.p if M > 1 else 1)
-        # identity: root is t itself (or 1 in a prime field)
-    else:
-        root = _least_modulus_root(ctx, big)
-        emb = FieldEmbedding(ctx, big, root)
-    _EXT_CACHE[key] = (big, emb)
-    return big, emb
+    if cached is None:
+        if M == ctx.m:
+            # t itself, reduced: in a prime field t = -c_0 for modulus t + c_0
+            big, root = ctx, ctx.p if ctx.m > 1 else ctx.neg(ctx.modulus[0])
+        else:
+            big = field_new(ctx.p, M)
+            root = _least_modulus_root(ctx, big)
+        cached = _EXT_CACHE[key] = (big, FieldEmbedding(ctx, big, root))
+    return cached
 
 
 def _least_modulus_root(ctx, big):
     """Least packed root in `big` of ctx's modulus h, by trace splitting
     (Cantor-Zassenhaus, Math. Comp. 1981).
 
-    The roots of h lie in the subfield S of order p^m (the kernel of
-    x^(p^m) - x).  For delta in S, T = sum_i delta^(p^i) * (x^(p^i) mod h)
-    takes the value Tr(delta * r) in GF(p) at every root r of h, so
-    gcd(g, T - c) collects the roots of a factor g with trace value c.  The
-    trace form is nondegenerate and the kernel basis spans S, so refining g
-    by each basis element in turn leaves a single root r after at most m
-    rounds of at most p gcds.  The roots of h are the Frobenius orbit of r,
-    and the least of them is returned."""
+    The roots of h lie in the subfield S of order p^m, and the relative traces
+    delta_j = Tr_{M/m}(t^j) = sum_k (t^j)^(p^(k m)) span S over GF(p).  For
+    delta in S, T = sum_i delta^(p^i) * (x^(p^i) mod h) takes the value
+    Tr(delta * r) in GF(p) at every root r of h, so gcd(g, T - c) collects
+    the roots of a factor g with trace value c.  The trace form is
+    nondegenerate, so refining g by each nonzero delta_j in turn leaves a
+    single root r after at most M rounds of at most p gcds.  The roots of h
+    are the Frobenius orbit of r, and the least of them is returned."""
     p, m, M = ctx.p, ctx.m, big.m
     g = h = [c % p for c in ctx.modulus]
-    if m == 1:
-        return big.neg(h[0])
-    # columns of the map x -> x^(p^m) - x; kernel = subfield GF(p^m)
-    images = (big.coords(big.sub(big.frob(p**i, m % M), p**i)) for i in range(M))
-    kern = kernel_basis_mod_p(list(zip(*images)), p)
-    if len(kern) != m:  # pragma: no cover
-        raise AssertionError("subfield has wrong dimension")
     powers = [[0, 1]]  # x^(p^i) mod h, coefficients in GF(p)
     for _ in range(m - 1):
         powers.append(_gfp_powmod(powers[-1], p, h, p))
-    for v in kern:
+    for j in range(M):
         if len(g) == 2:
             break
-        delta = big.pack(v)
+        delta = conj = p**j  # t^j and its conjugates over S
+        for _ in range(M // m - 1):
+            conj = big.frob(conj, m)
+            delta = big.add(delta, conj)
+        if not delta:
+            continue
         trace = [0] * m
         for i, xi in enumerate(powers):
             if i:
                 delta = big.frob(delta, 1)
-            for j, s in enumerate(xi):
+            for k, s in enumerate(xi):
                 if s:
-                    trace[j] = big.add(trace[j], big.mul(s, delta))
+                    trace[k] = big.add(trace[k], big.mul(s, delta))
         for c in range(p):
             if c:
                 trace[0] = big.sub(trace[0], 1)  # trace holds T - c

@@ -50,7 +50,14 @@ from .errors import (
     SingularMooreSystem,
     ZeroPolynomial,
 )
-from .field import NEG_INF, Automorphism, FieldElem, extend_field
+from .field import (
+    NEG_INF,
+    Automorphism,
+    FieldElem,
+    _eliminate,
+    _replay,
+    extend_field,
+)
 from .ore_bivar import BivarOrePoly, BivarRing
 from .opeval import apply_formal, eval_uni
 from .resultant import sylvester_degree_bound, sylvester_matrix
@@ -202,45 +209,10 @@ def chain_evaluate(diag, plan):
     return tuple(out)
 
 
-def _eliminate(ctx, rows, ncols):
-    """Gauss-Jordan elimination of a system matrix of full column rank,
-    recorded per column as (pivot row swapped into place, pivot inverse,
-    (row, multiplier) pairs cleared against it)."""
-    mul, sub = ctx.mul, ctx.sub
-    a = [list(row) for row in rows]
-    steps = []
-    for col in range(ncols):
-        sel = next((k for k in range(col, len(a)) if a[k][col]), None)
-        if sel is None:
-            raise SingularMooreSystem(
-                "evaluation points do not determine the coefficients"
-            )
-        a[col], a[sel] = a[sel], a[col]
-        inv = ctx.inv(a[col][col])
-        prow = [mul(inv, x) for x in a[col][col + 1 :]]
-        a[col][col + 1 :] = prow
-        elim = []
-        for k, row in enumerate(a):
-            c = row[col]
-            if k != col and c:
-                tail = zip(row[col + 1 :], prow)
-                row[col + 1 :] = [sub(x, mul(c, y)) for x, y in tail]
-                elim.append((k, c))
-        steps.append((sel, inv, tuple(elim)))
-    return tuple(steps)
-
-
-def _replay(ctx, steps, rhs):
-    """Replay a recorded elimination on a right-hand side in O(rows * cols);
-    the leftover equations must reduce to zero."""
-    mul, sub = ctx.mul, ctx.sub
-    v = list(rhs)
-    for col, (sel, inv, elim) in enumerate(steps):
-        v[col], v[sel] = v[sel], v[col]
-        pv = v[col] = mul(inv, v[col])
-        if pv:
-            for k, c in elim:
-                v[k] = sub(v[k], mul(c, pv))
+def _solve(ctx, steps, rhs):
+    """Replay a recorded elimination on a right-hand side; the leftover
+    equations must reduce to zero."""
+    v = _replay(ctx, steps, rhs)
     if any(v[len(steps) :]):
         raise SingularMooreSystem("chain values are inconsistent")
     return v[: len(steps)]
@@ -249,7 +221,7 @@ def _replay(ctx, steps, rhs):
 def _solve_exact(ctx, rows, rhs, ncols):
     """Gauss-Jordan over the working field; rows may exceed ncols, in which
     case the leftover equations are checked for consistency."""
-    return _replay(ctx, _eliminate(ctx, rows, ncols), rhs)
+    return _solve(ctx, _eliminate(ctx, rows, ncols), rhs)
 
 
 def _system_rows(plan):
@@ -281,7 +253,7 @@ def _recover_coefficients(plan, evals):
     if steps is None:
         steps = _eliminate(ctx, _system_rows(plan), plan.degree_bound + 1)
         _MOORE_CACHE[key] = steps
-    return _replay(ctx, steps, [pe.value.val for pe in evals])
+    return _solve(ctx, steps, [pe.value.val for pe in evals])
 
 
 def _pipeline(f, g, plan, rule, seed):
@@ -309,14 +281,13 @@ def partial_evaluations(f, g, plan=None, rule="min_degree", seed=0):
     return plan, chain_evaluate(diag, plan)
 
 
-def res_x2_modular(f, g, rule="min_degree", seed=0, threads=1, plan=None) -> DetResult:
+def res_x2_modular(f, g, rule="min_degree", seed=0, plan=None) -> DetResult:
     """res_{x2}(f, g) by evaluation and interpolation.
 
     Equals the direct representative coefficient-for-coefficient when both
     use the same pivot rule: the diagonal is the direct route's, embedded,
     and Moore recovery is exact for degree bound < working degree.  The op
-    log is the direct route's too.  `threads` is accepted for compatibility
-    and has no effect."""
+    log is the direct route's too."""
     plan = _plan_for(f, g, plan)
     if check_bad_eval(f, plan):
         raise BadEvaluation("leading coefficient of f acts as the zero map")

@@ -255,13 +255,40 @@ def brute_conjugacy(ctx, sigma):
     return frozenset(classes)
 
 
+def kernel_basis_mod_p(rows, p):
+    """Basis of the right kernel {v : rows * v = 0} over GF(p), read off the
+    reduced row-echelon form: one vector per free column."""
+    r = [[x % p for x in row] for row in rows]
+    ncols = len(r[0])
+    pivots = []
+    for col in range(ncols):
+        cur = len(pivots)
+        sel = next((k for k in range(cur, len(r)) if r[k][col]), None)
+        if sel is None:
+            continue
+        r[cur], r[sel] = r[sel], r[cur]
+        lead_inv = pow(r[cur][col], p - 2, p)
+        r[cur] = [x * lead_inv % p for x in r[cur]]
+        for k, row in enumerate(r):
+            if k != cur and row[col]:
+                c = row[col]
+                r[k] = [(x - c * y) % p for x, y in zip(row, r[cur])]
+        pivots.append(col)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = -r[i][f] % p
+        basis.append(v)
+    return basis
+
+
 def least_modulus_root_enum(ctx, big):
     """Least packed root in `big` of ctx's modulus, found by enumerating the
     unique subfield of order p^m (kernel of x^(p^m) - x): the field layer's
     former search, kept as the reference for trace splitting.  It costs p^m
     Horner evaluations."""
-    from oreelim.field import kernel_basis_mod_p
-
     p, m, M = ctx.p, ctx.m, big.m
     images = (big.coords(big.sub(big.frob(p**i, m % M), p**i)) for i in range(M))
     kern = kernel_basis_mod_p(list(zip(*images)), p)

@@ -389,15 +389,37 @@ def test_embedding_is_ring_homomorphism():
 
 
 def test_embedding_membership_test():
-    ctx = field_new(2, 2)
-    big, emb = extend_field(ctx, 4)
-    image = {emb(a).val for a in ctx.elements()}
-    for v in range(big.q):
-        pre = emb.inverse_packed(v)
-        if v in image:
-            assert pre is not None and emb.map_packed(pre) == v
-        else:
-            assert pre is None
+    other = field_new(3, 2, modulus=[2, 2, 1])  # not the default 2 + t + t^2
+    assert other.modulus != field_new(3, 2).modulus
+    for ctx, M in [
+        (field_new(2, 2), 4),
+        (field_new(2, 3), 6),
+        (field_new(3, 2), 4),
+        (field_new(5, 1), 2),
+        (other, 4),
+    ]:
+        big, emb = extend_field(ctx, M)
+        image = {emb(a).val: a.val for a in ctx.elements()}
+        assert len(image) == ctx.q
+        for v in range(big.q):
+            assert emb.inverse_packed(v) == image.get(v), (ctx, v)
+
+
+def test_extend_field_same_degree_is_identity():
+    """M = m needs no search, whatever the modulus: the field itself, with t
+    sent to t."""
+    rng = random.Random(7)
+    *_, mod = _irreducibles(2, 8)  # the greatest one by counter
+    for ctx in (
+        field_new(2, 8, modulus=mod),
+        field_new(1000003, 2, modulus=[833821, 723986, 1]),
+    ):
+        assert ctx.modulus != field_new(ctx.p, ctx.m).modulus
+        big, emb = extend_field(ctx, ctx.m)
+        assert big is ctx
+        for u in range(256) if ctx.q == 256 else rng.sample(range(ctx.q), 500):
+            a = ctx.elem(u)
+            assert emb(a) == a and emb.inverse(a) == a
 
 
 @pytest.mark.parametrize(
@@ -480,6 +502,15 @@ def test_backends_agree():
             want = _field_ops(ref, u, v, k)
             for ctx in others:
                 assert _field_ops(ctx, u, v, k) == want, (ctx.backend, u, v, k)
+
+
+@pytest.mark.parametrize(
+    "p, m, backend",
+    [(3, 2, "nope"), (3, 2, "bits"), (2, 17, "table"), (3, 11, "table")],
+)
+def test_unusable_backend_rejected(p, m, backend):
+    with pytest.raises(DegreeMismatch):
+        FieldCtx(p, m, backend=backend)
 
 
 def _table_and_digit_loop(p, m):

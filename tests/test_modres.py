@@ -236,14 +236,6 @@ def test_degree_preserved_by_evaluation():
         assert eval_bivar(f).degree == f.degree
 
 
-def test_threads_do_not_change_output():
-    ring = bivar_for(2, 8, 1, 1)
-    rng = random.Random(7)
-    f = rand_bivar(ring, rng, 2, 2, min_d2=1)
-    g = rand_bivar(ring, rng, 2, 2, min_d2=1)
-    assert res_x2_modular(f, g, threads=1).rep == res_x2_modular(f, g, threads=4).rep
-
-
 def test_plan_serializes_to_json():
     ring = bivar_for(2, 2, 1, 1)
     f = ring.poly([ring.inner.poly([0, 1]), ring.inner.one()])
@@ -368,6 +360,17 @@ def test_recovered_coefficient_outside_base_field_raises(monkeypatch):
         res_x2_modular(f, g, plan=plan)
     assert info.value.code == "coefficient-outside-base-field"
     assert info.value.exit_code == 5
+
+
+def test_plugin_plan_keeps_large_prime_modulus():
+    """Plug-in regime with M = m over a large prime and a non-default
+    modulus: the working field is the input field itself."""
+    ctx = field_new(1000003, 2, modulus=[833821, 723986, 1])
+    ring = make_rings(ctx, 0, 0)
+    f, g = full_pair(ring, random.Random(14), 1, 2)
+    plan = plan_modular(f, g)
+    assert plan.work_ctx is ctx
+    assert res_x2_modular(f, g, plan=plan).rep == res_x2_direct(f, g).rep
 
 
 def test_plan_gf5_9_sigma2_finishes():
