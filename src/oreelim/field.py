@@ -31,6 +31,10 @@ applies it to a vector.  Moore recovery runs it over the working field, and
 `FieldEmbedding` runs it over GF(p) to build the inverse of the embedding.
 `extend_field` needs no extension when M = m: it returns the field itself.
 
+The package's one square-and-multiply loop, `_pow` (field, GF(p)[t] and
+skew-polynomial powers), and its one term printer, `_format_terms` (field
+specs, field elements and both polynomial types), live here as well.
+
 Contexts are immutable after construction and cached by (p, m, modulus), so
 repeated `field_new` calls are cheap and all values of one field share state.
 Fields are restricted to p^m < 2^63 (machine-word residue packing).
@@ -140,6 +144,39 @@ def _rho_factor(n):
             return g
 
 
+def _pow(mul, one, base, k):
+    """base^k for an integer k >= 0 by square-and-multiply under `mul`, with
+    `one` its identity; the square past the top bit of k is skipped."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
+
+
+def _format_terms(terms, var):
+    """The printed sum of the terms c*var^i for the (i, c) pairs in `terms`,
+    in their order, with c a nonzero coefficient already printed.  A term is
+    c when i = 0, var^i when c is 1, (c)*var^i when c is itself a sum and
+    c*var^i otherwise, with var^1 written var; an empty sum prints as 0."""
+    out = []
+    for i, c in terms:
+        if i == 0:
+            out.append(c)
+            continue
+        power = var if i == 1 else f"{var}^{i}"
+        if c == "1":
+            out.append(power)
+        elif "+" in c:
+            out.append(f"({c})*{power}")
+        else:
+            out.append(f"{c}*{power}")
+    return " + ".join(out) if out else "0"
+
+
 # ---------------------------------------------------------------------------
 # GF(p)[t] on little-endian coefficient lists (internal; used by Ben-Or's
 # irreducibility test and the Frobenius powers of the embedding-root search).
@@ -190,15 +227,7 @@ def _gfp_gcd(a, b, p):
 
 
 def _gfp_powmod(base, e, f, p):
-    result = [1]
-    b = _gfp_mod(list(base), f, p)
-    while e:
-        if e & 1:
-            result = _gfp_mod(_gfp_mul(result, b, p), f, p)
-        e >>= 1
-        if e:
-            b = _gfp_mod(_gfp_mul(b, b, p), f, p)
-    return result
+    return _pow(lambda a, b: _gfp_mod(_gfp_mul(a, b, p), f, p), [1], base, e)
 
 
 def _is_irreducible(f, p):
@@ -332,17 +361,8 @@ class FieldCtx:
 
     def spec_string(self):
         """Canonical field-spec text, e.g. ``GF(2^2; modulus = 1 + t + t^2)``."""
-        terms = []
-        for i, c in enumerate(self.modulus):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("t" if c == 1 else f"{c}*t")
-            else:
-                terms.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
-        mod_text = " + ".join(terms)
+        terms = [(i, str(c)) for i, c in enumerate(self.modulus) if c]
+        mod_text = _format_terms(terms, "t")
         if self.m == 1:
             return f"GF({self.p}; modulus = {mod_text})"
         return f"GF({self.p}^{self.m}; modulus = {mod_text})"
@@ -624,8 +644,8 @@ class FieldCtx:
 
         Lazily memoized; concurrent builds compute identical values, so the
         benign race keeps contexts shareable across threads."""
-        tau = self._pow_raw(self.p, self.p**e)  # t^(p^e)
         mul = self._mul_bits if self.backend == "bits" else self._mul_raw
+        tau = _pow(mul, 1, self.p, self.p**e)  # t^(p^e)
         images = [1]
         for _ in range(self.m - 1):
             images.append(mul(images[-1], tau))
@@ -634,14 +654,7 @@ class FieldCtx:
 
     def _pow_raw(self, u, k):
         mul = self._mul_bits if self.backend == "bits" else self._mul_raw
-        result = 1
-        b = u
-        while k:
-            if k & 1:
-                result = mul(result, b)
-            b = mul(b, b)
-            k >>= 1
-        return result
+        return _pow(mul, 1, u, k)
 
     @property
     def generator(self):
@@ -781,17 +794,8 @@ class FieldElem:
         return self.val != 0
 
     def __str__(self):
-        terms = []
-        for i, c in reversed(list(enumerate(self.coords))):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("t" if c == 1 else f"{c}*t")
-            else:
-                terms.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
-        return " + ".join(terms) if terms else "0"
+        terms = [(i, str(c)) for i, c in enumerate(self.coords) if c]
+        return _format_terms(terms[::-1], "t")
 
     __repr__ = __str__
 

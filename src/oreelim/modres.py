@@ -34,7 +34,13 @@ evaluation and no singular Moore system (both remain asserted).
 With sigma1 the identity the operator reading collapses (every sigma-power is
 the same map), and the pipeline degenerates to its commutative special case:
 plug-in evaluation of the diagonal at D+1 distinct points and Vandermonde
-recovery.  `ModularPlan.mode` records which regime a plan uses.
+recovery.  `ModularPlan.mode` names the regime, which sigma1 decides.
+
+In the Frobenius regime the route is the direct triangularization plus an
+independent chain-and-recovery check: the diagonal's product is not
+multiplied out but recovered from the chain values, and the leftover Moore
+equations and the map back to the base field must be consistent.  It costs
+more than the direct route, never less.
 """
 
 from __future__ import annotations
@@ -73,7 +79,11 @@ class ModularPlan:
     embedding: object  # FieldEmbedding
     points: tuple  # FieldElem values in the working field
     degree_bound: int
-    mode: str  # "frobenius" | "plugin"
+
+    @property
+    def mode(self):
+        """The regime: plug-in exactly when sigma1 is the identity."""
+        return "plugin" if self.work_ring.sigma1.e == 0 else "frobenius"
 
     @property
     def work_ctx(self):
@@ -122,12 +132,10 @@ def plan_modular(f, g):
     e1 = ring.sigma1.e
     bound = sylvester_degree_bound(f, g)
     if e1 == 0:
-        mode = "plugin"
         big_m = m
         while ctx.p**big_m < bound + 1:
             big_m += m
     else:
-        mode = "frobenius"
         big_m = m
         while not (bound < big_m and big_m // gcd(e1, big_m) > bound):
             big_m += m
@@ -135,7 +143,7 @@ def plan_modular(f, g):
     work_ring = BivarRing(
         work_ctx, Automorphism(work_ctx, e1), Automorphism(work_ctx, ring.sigma2.e)
     )
-    if mode == "frobenius":
+    if e1:
         points = tuple(work_ctx.prime_basis())
     else:
         points = tuple(work_ctx.elem(v) for v in range(bound + 1))
@@ -145,7 +153,6 @@ def plan_modular(f, g):
         embedding=emb,
         points=points,
         degree_bound=bound,
-        mode=mode,
     )
 
 
@@ -241,14 +248,15 @@ def _system_rows(plan):
     return rows
 
 
-# (working field, e1, D, mode, points) -> recorded elimination; the system
-# depends on nothing else, so every pair of one plan shape shares it.
+# (working field, e1, D) -> recorded elimination.  `plan_modular` derives
+# the mode from e1 and the points from the working field and D, so the system
+# depends on nothing else and every pair of one plan shape shares it.
 _MOORE_CACHE = {}
 
 
 def _recover_coefficients(plan, evals):
     ctx = plan.work_ctx
-    key = (ctx, plan.work_ring.sigma1.e, plan.degree_bound, plan.mode, plan.points)
+    key = (ctx, plan.work_ring.sigma1.e, plan.degree_bound)
     steps = _MOORE_CACHE.get(key)
     if steps is None:
         steps = _eliminate(ctx, _system_rows(plan), plan.degree_bound + 1)
@@ -265,30 +273,25 @@ def _pipeline(f, g, plan, rule, seed):
     return [embed_uni(tri.rows[i][i], plan) for i in range(tri.n)], ops
 
 
-def _plan_for(f, g, plan):
-    """The given plan, checked against the inputs' ring, or a fresh one."""
-    if plan is None:
-        return plan_modular(f, g)
-    if f.ring != plan.base_ring or g.ring != plan.base_ring:
-        raise RingMismatch("the plan was built for another Ore algebra")
-    return plan
-
-
-def partial_evaluations(f, g, plan=None, rule="min_degree", seed=0):
+def partial_evaluations(f, g, rule="min_degree", seed=0):
     """Run the pipeline through step 4 and return (plan, partial evals)."""
-    plan = _plan_for(f, g, plan)
+    plan = plan_modular(f, g)
     diag, _ = _pipeline(f, g, plan, rule, seed)
     return plan, chain_evaluate(diag, plan)
 
 
-def res_x2_modular(f, g, rule="min_degree", seed=0, plan=None) -> DetResult:
+def res_x2_modular(f, g, rule="min_degree", seed=0) -> DetResult:
     """res_{x2}(f, g) by evaluation and interpolation.
 
     Equals the direct representative coefficient-for-coefficient when both
     use the same pivot rule: the diagonal is the direct route's, embedded,
     and Moore recovery is exact for degree bound < working degree.  The op
-    log is the direct route's too."""
-    plan = _plan_for(f, g, plan)
+    log is the direct route's too.
+
+    In the Frobenius regime (sigma1 not the identity) this is the direct
+    triangularization plus an independent chain-and-recovery check of its
+    diagonal, so it costs more than `res_x2_direct`, never less."""
+    plan = plan_modular(f, g)
     if check_bad_eval(f, plan):
         raise BadEvaluation("leading coefficient of f acts as the zero map")
     if check_bad_eval(g, plan):

@@ -10,8 +10,10 @@ sigma2 fixes x1.  Both automorphisms are Frobenius powers, hence commute.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import RingMismatch
-from .field import NEG_INF, Automorphism, FieldElem
+from .field import NEG_INF, Automorphism, FieldElem, _format_terms, _pow
 from .ore_uni import OrePoly, OreRing
 
 
@@ -211,14 +213,7 @@ class BivarOrePoly:
     def __pow__(self, k):
         if k < 0:
             raise RingMismatch("negative powers are not polynomials")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _pow(operator.mul, self.ring.one(), self, k)
 
     def shift_left(self, k):
         """x2^k * self: coefficient of x2^(i+k) is sigma2^k applied to the
@@ -235,23 +230,8 @@ class BivarOrePoly:
     # -- presentation ---------------------------------------------------------------
 
     def text(self):
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero:
-                continue
-            if i == 0:
-                terms.append(c.text("x1"))
-                continue
-            xpow = "x2" if i == 1 else f"x2^{i}"
-            if c.degree == 0 and c.coeffs[0] == 1:
-                terms.append(xpow)
-            else:
-                ct = c.text("x1")
-                terms.append(f"({ct})*{xpow}" if " + " in ct else f"{ct}*{xpow}")
-        return " + ".join(terms)
+        terms = [(i, c.text("x1")) for i, c in enumerate(self.coeffs) if c]
+        return _format_terms(terms[::-1], "x2")
 
     def __str__(self):
         return self.text()

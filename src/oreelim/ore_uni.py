@@ -20,8 +20,10 @@ multiplication.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import BothZero, DivisionByZero, RingMismatch, ZeroPolynomial
-from .field import NEG_INF, Automorphism, FieldCtx, FieldElem
+from .field import NEG_INF, Automorphism, FieldCtx, FieldElem, _format_terms, _pow
 
 
 class OreRing:
@@ -223,14 +225,7 @@ class OrePoly:
     def __pow__(self, k):
         if k < 0:
             raise DivisionByZero("negative powers are not polynomials")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _pow(operator.mul, self.ring.one(), self, k)
 
     # -- Euclidean structure ------------------------------------------------------
 
@@ -250,9 +245,10 @@ class OrePoly:
         if len(r) - 1 < db:
             return OrePoly(self.ring, ()), self
         q = [0] * (len(r) - db)
+        lead_inv = inv(bc[-1])  # twisted per term: sigma^k(b_lead)^-1
         while len(r) - 1 >= db and r:
             k = len(r) - 1 - db
-            qk = mul(r[-1], inv(frob(bc[-1], k * e)))
+            qk = mul(r[-1], frob(lead_inv, k * e))
             q[k] = qk
             for j in range(db + 1):
                 r[k + j] = sub(r[k + j], mul(qk, frob(bc[j], k * e)))
@@ -281,27 +277,9 @@ class OrePoly:
     # -- presentation -----------------------------------------------------------
 
     def text(self, var="x"):
-        if self.is_zero:
-            return "0"
         ctx = self.ring.ctx
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            ce = FieldElem(ctx, c)
-            cs = str(ce)
-            if i == 0:
-                terms.append(cs)
-                continue
-            xpow = var if i == 1 else f"{var}^{i}"
-            if c == 1:
-                terms.append(xpow)
-            elif "+" in cs:
-                terms.append(f"({cs})*{xpow}")
-            else:
-                terms.append(f"{cs}*{xpow}")
-        return " + ".join(terms)
+        terms = [(i, str(FieldElem(ctx, c))) for i, c in enumerate(self.coeffs) if c]
+        return _format_terms(terms[::-1], var)
 
     def __str__(self):
         return self.text()

@@ -15,7 +15,9 @@ modulus may be omitted to pick the deterministic default.  Errors carry the
 1-based column of the offending token.
 
 Printing is handled by the value types themselves (`FieldElem.__str__`,
-`OrePoly.text`, `BivarOrePoly.text`); parse(print(v)) == v on canonical forms.
+`OrePoly.text`, `BivarOrePoly.text`, all on `field._format_terms`);
+parse(print(v)) == v on canonical forms.  Field specs are walked by the same
+`_Parser`, so errors inside a modulus report columns of the whole spec.
 """
 
 from __future__ import annotations
@@ -160,60 +162,30 @@ def parse_bivar_poly(text, ring):
 
 def parse_field_spec(text):
     """``GF(p)``, ``GF(p^m)`` or ``GF(p^m; modulus = c0 + c1*t + ... + t^m)``."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def take(kind):
-        nonlocal pos
-        tok = tokens[pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r} in field spec", column=tok[2] + 1)
-        pos += 1
-        return tok
-
-    name = take("NAME")
+    parser = _Parser(text, {}, None)
+    name = parser.expect("NAME")
     if name[1] != "GF":
         raise ParseError("field spec must start with GF", column=name[2] + 1)
-    take("(")
-    p = take("INT")[1]
+    parser.expect("(")
+    p = parser.expect("INT")[1]
     m = 1
-    if tokens[pos][0] == "^":
-        pos += 1
-        m = take("INT")[1]
+    if parser.peek()[0] == "^":
+        parser.next()
+        m = parser.expect("INT")[1]
     modulus = None
-    if tokens[pos][0] == ";":
-        pos += 1
-        key = take("NAME")
+    if parser.peek()[0] == ";":
+        parser.next()
+        key = parser.expect("NAME")
         if key[1] != "modulus":
             raise ParseError("expected 'modulus' after ';'", column=key[2] + 1)
-        take("=")
+        parser.expect("=")
         # the modulus is an ordinary polynomial over GF(p) in t
-        depth = 0
-        start = pos
-        while tokens[pos][0] != "END" and not (tokens[pos][0] == ")" and depth == 0):
-            if tokens[pos][0] == "(":
-                depth += 1
-            elif tokens[pos][0] == ")":
-                depth -= 1
-            pos += 1
-        body = " ".join(_token_text(t) for t in tokens[start:pos])
         prime = field_new(p, 1)
         ring = OreRing(prime, Automorphism(prime, 0))
-        parser = _Parser(body, {"t": ring.x()}, ring.constant)
-        poly = parser.finish(parser.parse_expr())
-        modulus = [c for c in poly.coeffs]
-    take(")")
-    tok = tokens[pos]
-    if tok[0] != "END":
-        raise ParseError(f"trailing input {tok[1]!r}", column=tok[2] + 1)
-    return field_new(p, m, modulus=modulus)
-
-
-def _token_text(tok):
-    kind, val, _ = tok
-    if kind in ("INT", "NAME"):
-        return str(val)
-    return kind
+        parser.names, parser.const = {"t": ring.x()}, ring.constant
+        modulus = list(parser.parse_expr().coeffs)
+    parser.expect(")")
+    return field_new(p, m, modulus=parser.finish(modulus))
 
 
 def make_rings(ctx, e1, e2):

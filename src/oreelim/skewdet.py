@@ -210,19 +210,22 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
 
     def reduce_below(col):
         """One full division pass of every below-diagonal entry against the
-        diagonal; returns True if any row changed."""
+        diagonal; returns True if any row changed.  Row k becomes
+        row_k - q*row_col: its entry in column col is the division's
+        remainder, and the columns left of col are zero in both rows."""
         pivot = work[col][col]
         progressed = False
         for k in range(col + 1, n):
             ent = work[k][col]
             if ent.is_zero or ent.degree < pivot.degree:
                 continue
-            q, _ = ent.right_divmod(pivot)
+            q, r = ent.right_divmod(pivot)
             if q.is_zero:
                 continue
             nq = -q
-            row_c = work[col]
-            work[k] = [b.addmul(nq, a) for a, b in zip(row_c, work[k])]
+            row = work[k]
+            tail = zip(work[col][col + 1 :], row[col + 1 :])
+            work[k] = row[:col] + [r] + [b.addmul(nq, a) for a, b in tail]
             ops.append(AddMulOp(src=col, dst=k, q=nq))
             progressed = True
         return progressed

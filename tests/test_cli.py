@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 from oreelim import field_new, make_rings, modres, parse_ore_poly
 from oreelim.cli import _find_acceptance_tests, main
@@ -12,6 +15,42 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_eliminate_example():
+    """The README's first `ore-elim eliminate` command line and the output
+    lines commented under it."""
+    lines = README.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("ore-elim eliminate"))
+    shown = []
+    for line in lines[at + 1 :]:
+        if not line.startswith("# "):
+            break
+        shown.append(line[2:])
+    return shlex.split(lines[at])[1:], shown
+
+
+def test_readme_eliminate_example_prints_what_it_shows(capsys):
+    argv, shown = readme_eliminate_example()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(shown) == 3
+    assert re.sub(r"micros=\d+", "micros=...", out).splitlines() == shown
+
+
+def test_readme_json_example_matches_the_cli(capsys):
+    argv, _ = readme_eliminate_example()
+    shown = json.loads(re.search(r"```json\n(.*?)```", README.read_text(), re.S)[1])
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    for doc in (shown, payload):
+        for result in doc["results"].values():
+            assert isinstance(result.pop("micros"), int)
+    assert payload == shown
 
 
 def test_eliminate_classical_example(capsys):

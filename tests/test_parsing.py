@@ -100,6 +100,22 @@ def test_parse_errors_carry_columns():
         parse_field_spec("GF(6)")
 
 
+@pytest.mark.parametrize(
+    "spec, column",
+    [("GF(5; modulus = t + x)", 21), ("GF(5^2; modulus = t^2 + + 2)", 25)],
+)
+def test_field_spec_modulus_errors_point_into_the_spec(spec, column):
+    with pytest.raises(ParseError) as err:
+        parse_field_spec(spec)
+    assert err.value.column == column
+    assert spec[column - 1] in "x+"
+
+
+def test_field_spec_checks_the_prime_before_its_modulus():
+    with pytest.raises(NotPrime):
+        parse_field_spec("GF(6; modulus = t)")
+
+
 def test_parse_rejects_trailing_garbage():
     ring = make_rings(field_new(2, 2), 1, 1)
     with pytest.raises(ParseError):
