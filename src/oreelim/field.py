@@ -25,6 +25,17 @@ multiplication-by-generator step of the table build, the embedding
 GF(p^m) -> GF(p^M) and its inverse -- is stored as the images of the power
 basis (`FieldCtx._columns`) and applied by one kernel, `FieldCtx._combine`.
 
+The package's one skew-product loop is `FieldCtx.skew_addmul`: it adds
+q*a into a packed coefficient list, for q and a in GF(q)[x; frob^e], and
+both `OrePoly.addmul` and each quotient step of `OrePoly.right_divmod` run
+it.  On the ``table`` backend it works on logarithms: it reads the logs of
+a's coefficients once, twists them as log * p^t mod (q - 1) once per
+distinct exponent t = i*e mod m (a dict the caller keeps memoizes the
+twists across calls), multiplies by adding logs and adds by one XOR (p = 2)
+or one Zech lookup (odd p), with no method call per coefficient.  The
+``bits`` and ``poly`` backends run the same loop over `add`, `mul` and
+`frob`.
+
 The package's one Gauss-Jordan elimination lives here too: `_eliminate`
 records the elimination of a matrix over any field context and `_replay`
 applies it to a vector.  Moore recovery runs it over the working field, and
@@ -417,6 +428,12 @@ class FieldCtx:
         for u in range(self.q):
             yield FieldElem(self, u)
 
+    @property
+    def t_packed(self):
+        """The packed value of the generator t, a root of the modulus: p
+        when m > 1, and -c_0 in a prime field with modulus t + c_0."""
+        return self.p if self.m > 1 else -self.modulus[0] % self.p
+
     def prime_basis(self):
         """The power basis 1, t, ..., t^(m-1): GF(p)-linearly independent."""
         return [FieldElem(self, self.p**i) for i in range(self.m)]
@@ -507,6 +524,66 @@ class FieldCtx:
             return self._exp[(self._log[u] * self._pe[e]) % (self.q - 1)]
         images = self._frob_images.get(e) or self._build_frob_images(e)
         return self._combine(images, u)
+
+    # -- the skew-product kernel ---------------------------------------------------
+
+    def skew_addmul(self, out, qc, ac, e, twists):
+        """Add the skew product q*a into the packed list `out` in place:
+        out[i + j] += qc[i] * frob(ac[j], i*e), the coefficients of
+        (sum qc[i] x^i) * (sum ac[j] x^j) when x*c = frob(c, e)*x.  `out`
+        must have room for index len(qc) + len(ac) - 2.
+
+        `twists` is a dict that memoizes the twisted copies of ac, keyed by
+        the exponent t = i*e mod m; a caller that passes the same dict to
+        every call with the same ac twists it at most m times in all.  On the
+        table backend ac is twisted as logs (frob multiplies a log by p^t),
+        products are sums of logs, and a sum is one XOR (p = 2) or one Zech
+        lookup (odd p); the other backends loop over add, mul and frob."""
+        m = self.m
+        if self.backend != "table":
+            add, mul, frob = self.add, self.mul, self.frob
+            for i, qi in enumerate(qc):
+                if not qi:
+                    continue
+                t = i * e % m
+                ta = twists.get(t)
+                if ta is None:
+                    ta = twists[t] = [frob(a, t) for a in ac] if t else ac
+                for k, a in enumerate(ta, i):
+                    if a:
+                        out[k] = add(out[k], mul(qi, a))
+            return
+        log, exp, zech = self._log, self._exp, self._zech
+        order = self.q - 1
+        la = twists.get(0)
+        if la is None:
+            la = twists[0] = [log[a] if a else -1 for a in ac]  # -1: zero
+        for i, qi in enumerate(qc):
+            if not qi:
+                continue
+            t = i * e % m
+            lt = twists.get(t)
+            if lt is None:
+                pt = self._pe[t]
+                lt = twists[t] = [l * pt % order if l >= 0 else -1 for l in la]
+            lq = log[qi]
+            if zech is None:  # p = 2
+                for k, l in enumerate(lt, i):
+                    if l >= 0:
+                        out[k] ^= exp[lq + l]
+                continue
+            for k, l in enumerate(lt, i):
+                if l < 0:
+                    continue
+                lv = lq + l
+                u = out[k]
+                if u:
+                    lu = log[u]
+                    d = lv - lu
+                    z = zech[d - order if d >= order else d]
+                    out[k] = exp[lu + z] if z >= 0 else 0
+                else:
+                    out[k] = exp[lv]
 
     # -- GF(p)-linear maps given by the images of the power basis ---------------
 
@@ -1014,8 +1091,7 @@ def extend_field(ctx, M):
     cached = _EXT_CACHE.get(key)
     if cached is None:
         if M == ctx.m:
-            # t itself, reduced: in a prime field t = -c_0 for modulus t + c_0
-            big, root = ctx, ctx.p if ctx.m > 1 else ctx.neg(ctx.modulus[0])
+            big, root = ctx, ctx.t_packed
         else:
             big = field_new(ctx.p, M)
             root = _least_modulus_root(ctx, big)

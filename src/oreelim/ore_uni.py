@@ -9,7 +9,8 @@ follows the commutation rule x*a = sigma(a)*x, so
 
 and deg(f*g) = deg(f) + deg(g) because the coefficient field has no zero
 divisors.  With sigma the identity this is ordinary commutative polynomial
-arithmetic.
+arithmetic.  Products, `addmul` and every quotient step of `right_divmod`
+run the field's one skew-product kernel, `FieldCtx.skew_addmul`.
 
 The same type doubles as the ring of formal sigma-polynomials (operator
 composition as multiplication) under the renaming x <-> sigma; `opeval`
@@ -99,11 +100,12 @@ def _normalize(coeffs):
 class OrePoly:
     """A skew polynomial; immutable value type."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "coeffs", "_twists")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
         self.coeffs = coeffs  # normalized tuple of packed values
+        self._twists = None  # filled by the field's skew-product kernel
 
     # -- structure -------------------------------------------------------------
 
@@ -166,8 +168,10 @@ class OrePoly:
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.ring.ctx.neg
-        return OrePoly(self.ring, tuple(map(neg, self.coeffs)))
+        ctx = self.ring.ctx
+        if ctx.p == 2:
+            return self
+        return OrePoly(self.ring, tuple(map(ctx.neg, self.coeffs)))
 
     def __sub__(self, other):
         g = self._coerce(other)
@@ -194,8 +198,8 @@ class OrePoly:
         return g * self
 
     def addmul(self, q, a):
-        """self + q*a in one pass over the packed coefficients: each product
-        term is added into a copy of self's coefficients in place."""
+        """self + q*a in one pass: the field's skew-product kernel adds every
+        product term into a copy of self's coefficients in place."""
         ring = self.ring
         for g in (q, a):
             if not isinstance(g, OrePoly) or g.ring != ring:
@@ -203,24 +207,20 @@ class OrePoly:
         qc, ac = q.coeffs, a.coeffs
         if not qc or not ac:
             return self
-        ctx = ring.ctx
-        e = ring.sigma.e
-        add, mul, frob = ctx.add, ctx.mul, ctx.frob
         out = list(self.coeffs)
         n = len(qc) + len(ac) - 1
         if len(out) < n:
             out += [0] * (n - len(out))
-        for i, qi in enumerate(qc):
-            if not qi:
-                continue
-            if e and i:
-                ta = [frob(aj, i * e) for aj in ac]
-            else:
-                ta = ac
-            for j, aj in enumerate(ta):
-                if aj:
-                    out[i + j] = add(out[i + j], mul(qi, aj))
+        ring.ctx.skew_addmul(out, qc, ac, ring.sigma.e, a._twisted())
         return OrePoly(ring, _normalize(out))
+
+    def _twisted(self):
+        """The memo of twisted coefficients that `FieldCtx.skew_addmul`
+        keeps for this polynomial as its right factor; the value is
+        immutable, so the memo serves every product it enters."""
+        if self._twists is None:
+            self._twists = {}
+        return self._twists
 
     def __pow__(self, k):
         if k < 0:
@@ -238,23 +238,22 @@ class OrePoly:
             raise DivisionByZero("right division by the zero polynomial")
         ctx = self.ring.ctx
         e = self.ring.sigma.e
-        sub, mul, frob, inv = ctx.sub, ctx.mul, ctx.frob, ctx.inv
         bc = b.coeffs
         db = len(bc) - 1
         r = list(self.coeffs)
         if len(r) - 1 < db:
             return OrePoly(self.ring, ()), self
         q = [0] * (len(r) - db)
-        lead_inv = inv(bc[-1])  # twisted per term: sigma^k(b_lead)^-1
-        while len(r) - 1 >= db and r:
-            k = len(r) - 1 - db
-            qk = mul(r[-1], frob(lead_inv, k * e))
-            q[k] = qk
-            for j in range(db + 1):
-                r[k + j] = sub(r[k + j], mul(qk, frob(bc[j], k * e)))
-            while r and r[-1] == 0:
-                r.pop()
-        return OrePoly(self.ring, _normalize(q)), OrePoly(self.ring, tuple(r))
+        lead_inv = ctx.inv(bc[-1])  # twisted per term: sigma^k(b_lead)^-1
+        twists = b._twisted()
+        for k in range(len(r) - 1 - db, -1, -1):
+            top = r[k + db]
+            if top:
+                qk = q[k] = ctx.mul(top, ctx.frob(lead_inv, k * e))
+                # r <- r + (-qk x^k) * b, which clears r[k + db]
+                ctx.skew_addmul(r, (0,) * k + (ctx.neg(qk),), bc, e, twists)
+        ring = self.ring
+        return OrePoly(ring, _normalize(q)), OrePoly(ring, _normalize(r[:db]))
 
     def monic(self):
         """lc(f)^-1 * f: left-multiplication by the inverse leading coefficient."""

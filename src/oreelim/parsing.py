@@ -80,7 +80,8 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", column=tok[2] + 1)
+            found = "end of input" if tok[0] == "END" else repr(tok[1])
+            raise ParseError(f"expected {kind!r}, found {found}", column=tok[2] + 1)
         return tok
 
     def parse_expr(self):
@@ -121,6 +122,8 @@ class _Parser:
             value = self.parse_expr()
             self.expect(")")
             return value
+        if kind == "END":
+            raise ParseError("unexpected end of input", column=pos + 1)
         raise ParseError(f"unexpected token {val!r}", column=pos + 1)
 
     def finish(self, value):
@@ -132,11 +135,7 @@ class _Parser:
 
 def parse_element(text, ctx):
     """A field element written as a polynomial in t, e.g. ``t + 1``."""
-    if ctx.m > 1:
-        t_elem = ctx.elem(ctx.p)
-    else:
-        t_elem = ctx.from_int(-ctx.modulus[0])  # t is a root of the modulus
-    parser = _Parser(text, {"t": t_elem}, ctx.from_int)
+    parser = _Parser(text, {"t": ctx.elem(ctx.t_packed)}, ctx.from_int)
     return parser.finish(parser.parse_expr())
 
 

@@ -212,7 +212,9 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
         """One full division pass of every below-diagonal entry against the
         diagonal; returns True if any row changed.  Row k becomes
         row_k - q*row_col: its entry in column col is the division's
-        remainder, and the columns left of col are zero in both rows."""
+        remainder, and the columns left of col are zero in both rows.  The
+        pivot row's entries memoize their Frobenius twists as right factors,
+        so they are twisted once per pass, not once per row k."""
         pivot = work[col][col]
         progressed = False
         for k in range(col + 1, n):

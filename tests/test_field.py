@@ -1,5 +1,6 @@
 """Field contexts, Frobenius automorphisms, norms, and extensions."""
 
+import functools
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from oreelim import (
     ZeroElement,
     extend_field,
     field_new,
+    parse_element,
     sigma_norm,
 )
 from oreelim.field import _is_irreducible, _is_prime, _least_modulus_root, _prime_factors
@@ -423,6 +425,30 @@ def test_extend_field_same_degree_is_identity():
 
 
 @pytest.mark.parametrize(
+    "p, m, modulus",
+    [
+        (2, 1, None),
+        (7, 1, None),
+        (5, 1, (3, 1)),
+        (65537, 1, (12, 1)),
+        (3, 4, None),
+        (2, 8, None),
+    ],
+)
+def test_generator_t_is_the_modulus_root_everywhere(p, m, modulus):
+    """The one packed value of t serves the parser and the M = m embedding,
+    and it is a root of the modulus."""
+    ctx = field_new(p, m, modulus)
+    t = ctx.elem(ctx.t_packed)
+    value = ctx.zero
+    for c in reversed(ctx.modulus):
+        value = value * t + c
+    assert value == ctx.zero
+    assert parse_element("t", ctx) == t
+    assert extend_field(ctx, m)[1].root == ctx.t_packed
+
+
+@pytest.mark.parametrize(
     "p, m, M, backend", [(2, 8, 32, "bits"), (3, 4, 16, "poly"), (7, 1, 2, "table")]
 )
 def test_embedding_round_trips(p, m, M, backend):
@@ -486,22 +512,46 @@ def _field_ops(ctx, u, v, k):
     )
 
 
-def test_backends_agree():
-    rng = random.Random(3)
-    for p, m, backends, rounds in [
-        (3, 4, ("table", "poly"), 2000),
-        (2, 8, ("table", "bits", "poly"), 2000),
-        (5, 2, ("table", "poly"), 500),
-        (7, 1, ("table", "poly"), 500),
-        (2, 20, ("bits", "poly"), 200),
-    ]:
-        ref, *others = [FieldCtx(p, m, backend=b) for b in backends]
-        for _ in range(rounds):
-            u, v = rng.randrange(ref.q), rng.randrange(ref.q)
-            k = rng.randrange(-2 * ref.q, 2 * ref.q)  # negative k inverts
-            want = _field_ops(ref, u, v, k)
-            for ctx in others:
-                assert _field_ops(ctx, u, v, k) == want, (ctx.backend, u, v, k)
+@functools.lru_cache(maxsize=None)
+def _ctx(p, m, backend):
+    ctx = field_new(p, m)
+    return ctx if ctx.backend == backend else FieldCtx(p, m, backend=backend)
+
+
+def _backend_contexts(p, m):
+    """GF(p^m) on every backend that can run it, the default one first."""
+    default = field_new(p, m).backend
+    names = [default] + [
+        b
+        for b in ("table", "bits", "poly")
+        if b != default
+        and (b != "table" or p**m <= 1 << 16)
+        and (b != "bits" or p == 2)
+    ]
+    return [_ctx(p, m, b) for b in names]
+
+
+def _field_case(pm):
+    """A field (p, m), two packed values u, v of it and an exponent k."""
+    q = pm[0] ** pm[1]
+    values = st.integers(0, q - 1)
+    # negative k inverts
+    return st.tuples(st.just(pm), values, values, st.integers(-2 * q, 2 * q))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    st.sampled_from(
+        [(2, 1), (2, 4), (2, 8), (2, 20), (3, 1), (3, 4), (5, 2), (7, 1), (11, 3)]
+    ).flatmap(_field_case)
+)
+def test_backends_agree(case):
+    (p, m), u, v, k = case
+    ref, *others = _backend_contexts(p, m)
+    assert others
+    want = _field_ops(ref, u, v, k)
+    for ctx in others:
+        assert _field_ops(ctx, u, v, k) == want, ctx.backend
 
 
 @pytest.mark.parametrize(
@@ -514,8 +564,9 @@ def test_unusable_backend_rejected(p, m, backend):
 
 
 def _table_and_digit_loop(p, m):
-    table, poly = FieldCtx(p, m, backend="table"), FieldCtx(p, m, backend="poly")
-    assert table._zech is not None and poly._zech is None
+    # odd p on the table backend adds by Zech logarithms, on poly digit by digit
+    table, poly = _ctx(p, m, "table"), _ctx(p, m, "poly")
+    assert p > 2 and table.backend == "table" and poly.backend == "poly"
     return table, poly
 
 
@@ -532,17 +583,28 @@ def test_zech_add_exhaustive(p, m):
         ], u
 
 
-@pytest.mark.parametrize("p, m", [(3, 10), (65521, 1)])
-def test_zech_add_largest_tables(p, m):
-    table, poly = _table_and_digit_loop(p, m)
+@pytest.mark.parametrize("p, m", [(3, 10), (65521, 1), (2, 16)])
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_zech_add_largest_tables(p, m, data):
     assert field_new(p, m).backend == "table"
-    rng = random.Random(6)
-    for _ in range(3000):
-        u, v = rng.randrange(table.q), rng.randrange(table.q)
-        v = rng.choice([v, 0, poly.neg(u), poly.sub(1, u)])  # zero and cancelling sums
-        assert table.add(u, v) == poly.add(u, v), (u, v)
-        assert table.sub(u, v) == poly.sub(u, v), (u, v)
-        assert table.neg(u) == poly.neg(u), u
+    contexts = _backend_contexts(p, m)
+    if p > 2:
+        _table_and_digit_loop(p, m)
+    q = p**m
+    u = data.draw(st.integers(0, q - 1), label="u")
+    poly = _ctx(p, m, "poly")
+    # zero and cancelling sums besides a free v
+    v = data.draw(
+        st.one_of(
+            st.integers(0, q - 1),
+            st.sampled_from([0, poly.neg(u), poly.sub(1, u)]),
+        ),
+        label="v",
+    )
+    want = (poly.add(u, v), poly.sub(u, v), poly.neg(u))
+    for ctx in contexts:
+        assert (ctx.add(u, v), ctx.sub(u, v), ctx.neg(u)) == want, ctx.backend
 
 
 def test_generator_order():

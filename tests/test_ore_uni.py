@@ -1,13 +1,16 @@
 """Univariate skew polynomial arithmetic, division, and GCRD."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oreelim import (
     Automorphism,
     BothZero,
     DivisionByZero,
+    FieldCtx,
     NEG_INF,
     OreRing,
     RingMismatch,
@@ -159,6 +162,48 @@ def test_addmul_matches_add_of_product(p, m, e):
         low = rand_orepoly(ring, rng, 1)
         assert (-qa).addmul(q, a) == zero
         assert (low - qa).addmul(q, a) == low
+
+
+@functools.lru_cache(maxsize=None)
+def _table_and_poly_rings(p, m, e):
+    """A[x; frob^e] over the table-backend GF(p^m) and over the same field,
+    same modulus, on the poly backend."""
+    table = field_new(p, m)
+    poly = FieldCtx(p, m, modulus=table.modulus, backend="poly")
+    assert table.backend == "table"
+    return tuple(OreRing(ctx, Automorphism(ctx, e)) for ctx in (table, poly))
+
+
+def _kernel_case(pm):
+    p, m = pm
+    q = p**m
+    # zero coefficients are drawn often: the kernel skips them on both sides
+    coeffs = st.lists(st.one_of(st.just(0), st.integers(0, q - 1)), max_size=7)
+    return st.tuples(st.just(pm), st.integers(0, m - 1), coeffs, coeffs, coeffs, coeffs)
+
+
+# GF(2) and GF(3) reach q - 1 = 1 and 2, where every log and twist wraps
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.sampled_from([(2, 1), (2, 4), (2, 8), (3, 1), (3, 4), (5, 2), (7, 1)]).flatmap(
+        _kernel_case
+    )
+)
+def test_skew_kernel_table_matches_poly_backend(case):
+    """addmul, * and right_divmod give the same packed coefficients on the
+    table backend's log-domain kernel as on the poly backend's add/mul/frob
+    loop, for every Frobenius power e."""
+    (p, m), e, bc, qc, ac, dc = case
+    results = []
+    for ring in _table_and_poly_rings(p, m, e):
+        b, q, a, d = (ring.from_packed(c) for c in (bc, qc, ac, dc))
+        got = [b.addmul(q, a), q * a, a * q, b.addmul(q, a)]  # the last reuses a's memo
+        if not d.is_zero:
+            quo, rem = b.right_divmod(d)
+            assert quo * d + rem == b and rem.degree < d.degree
+            got += [quo, rem, d * quo]
+        results.append([f.coeffs for f in got])
+    assert results[0] == results[1]
 
 
 def test_addmul_ring_mismatch():

@@ -120,3 +120,28 @@ def test_parse_rejects_trailing_garbage():
     ring = make_rings(field_new(2, 2), 1, 1)
     with pytest.raises(ParseError):
         parse_bivar_poly("x1 x2", ring)  # juxtaposition needs '*'
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("GF(5", "expected ')', found end of input (column 5)"),
+        ("", "expected 'NAME', found end of input (column 1)"),
+    ],
+)
+def test_field_spec_end_of_input_is_named(spec, message):
+    with pytest.raises(ParseError) as err:
+        parse_field_spec(spec)
+    assert str(err.value) == message
+
+
+def test_polynomial_end_of_input_is_named():
+    ring = make_rings(field_new(5, 1), 0, 0)
+    for text, message in [
+        ("(x1", "expected ')', found end of input (column 4)"),
+        ("x1 +", "unexpected end of input (column 5)"),
+        ("", "unexpected end of input (column 1)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_bivar_poly(text, ring)
+        assert str(err.value) == message
