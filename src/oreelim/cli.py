@@ -114,9 +114,13 @@ def cmd_bench(args):
     if args.deg_x1 < 0 or args.deg_x2 < 0:
         print("error[usage]: --deg-x1 and --deg-x2 must be >= 0", file=sys.stderr)
         return 2
+    try:
+        seed = _resolve_seed(args)
+    except ValueError:
+        print("error[usage]: ORE_ELIM_SEED must be an integer", file=sys.stderr)
+        return 2
     ctx = parse_field_spec(args.field)
     ring = make_rings(ctx, args.sigma1, args.sigma2)
-    seed = _resolve_seed(args)
     rng = random.Random(seed)
     writer = csv.writer(sys.stdout)
     writer.writerow(["trial", "method", "micros", "degree", "is_zero", "verdict"])

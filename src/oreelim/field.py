@@ -190,7 +190,8 @@ def _format_terms(terms, var):
 
 # ---------------------------------------------------------------------------
 # GF(p)[t] on little-endian coefficient lists (internal; used by Ben-Or's
-# irreducibility test and the Frobenius powers of the embedding-root search).
+# irreducibility test, the Frobenius powers of the embedding-root search and
+# the `poly` backend's extended-Euclid inverse).
 
 
 def _gfp_trim(a):
@@ -210,30 +211,37 @@ def _gfp_mul(a, b, p):
     return _gfp_trim([c % p for c in out])
 
 
-def _gfp_mod(a, f, p):
-    # f monic
-    a = [c % p for c in a]
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        c = a[-1]
+def _gfp_sub(a, b, p):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _gfp_trim([c % p for c in out])
+
+
+def _gfp_divmod(a, b, p):
+    """(q, r) with a = q*b + r and deg r < deg b; b trimmed and nonzero."""
+    r = [c % p for c in a]
+    db = len(b) - 1
+    lead_inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        c = (r.pop() * lead_inv) % p
         if c:
-            k = len(a) - 1 - df
-            for i in range(df):
-                a[k + i] = (a[k + i] - c * f[i]) % p
-        a.pop()
-    return _gfp_trim(a)
+            k = len(r) - db
+            q[k] = c
+            for i in range(db):
+                r[k + i] = (r[k + i] - c * b[i]) % p
+    return _gfp_trim(q), _gfp_trim(r)
+
+
+def _gfp_mod(a, f, p):
+    return _gfp_divmod(a, f, p)[1]
 
 
 def _gfp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    _gfp_trim(a)
-    _gfp_trim(b)
+    a, b = _gfp_trim(list(a)), _gfp_trim(list(b))
     while b:
-        if len(a) >= len(b):
-            lead_inv = pow(b[-1], p - 2, p)
-            monic_b = [(c * lead_inv) % p for c in b]
-            a = _gfp_mod(a, monic_b, p)
-        a, b = b, a
+        a, b = b, _gfp_mod(a, b, p)
     return a
 
 
@@ -251,15 +259,9 @@ def _is_irreducible(f, p):
     h = x
     for _ in range((len(f) - 1) // 2):
         h = _gfp_powmod(h, p, f, p)
-        diff = _gfp_trim([(a - b) % p for a, b in _zip_pad(h, x)])
-        if len(_gfp_gcd(f, diff, p)) != 1:
+        if len(_gfp_gcd(f, _gfp_sub(h, x, p), p)) != 1:
             return False
     return True
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
 def _default_modulus(p, m):
@@ -646,22 +648,9 @@ class FieldCtx:
         r1 = _gfp_trim(list(self.coords(u)))
         s0, s1 = [], [1]
         while len(r1) > 1:
-            # one full division step: r0 = q*r1 + r
-            q = [0] * (len(r0) - len(r1) + 1)
-            lead_inv = pow(r1[-1], p - 2, p)
-            r = list(r0)
-            while len(r) >= len(r1) and r:
-                c = (r[-1] * lead_inv) % p
-                k = len(r) - len(r1)
-                q[k] = c
-                if c:
-                    for i in range(len(r1)):
-                        r[k + i] = (r[k + i] - c * r1[i]) % p
-                _gfp_trim(r)
+            q, r = _gfp_divmod(r0, r1, p)
             r0, r1 = r1, r
-            s0, s1 = s1, _gfp_trim(
-                [(a - b) % p for a, b in _zip_pad(s0, _gfp_mul(q, s1, p))]
-            )
+            s0, s1 = s1, _gfp_sub(s0, _gfp_mul(q, s1, p), p)
         c_inv = pow(r1[0], p - 2, p)
         return self.pack([(c * c_inv) % p for c in s1])
 

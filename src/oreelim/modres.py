@@ -1,44 +1,49 @@
 """Elimination by evaluation and interpolation.
 
 Instead of multiplying the triangularized diagonal into one polynomial, the
-pipeline treats the diagonal entries as operators, applies the composition
-chain
+pipeline evaluates it at a deterministic set of points.  Evaluating a
+polynomial in x1 at a point means letting x1 act on the working field by a
+map S, chosen per point by the plan; d(x1) then evaluates to
+sum(c_i * S^i(start)).  The diagonal's chain
 
-    d_1(sigma1)( d_2(sigma1)( ... d_k(sigma1)(a) ... ) )
+    d_1(S)( d_2(S)( ... d_k(S)(start) ... ) )
 
-to a deterministic set of points a, and recovers the eliminant's coefficients
-by coefficient comparison: the chain value at a equals sum(r_i * sigma1^i(a)),
-so values on a GF(p)-basis of the working field pin down r_0..r_D through an
-invertible Moore system.  Steps:
+equals r(S)(start) for the eliminant r = d_1 * ... * d_k, that is
+sum(r_i * S^i(start)), so the chain values at the D + 1 or more points pin
+down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
 
   1. bound the eliminant degree D from the Sylvester shape and, if the input
      field is too small, extend it (Frobenius exponents lift unchanged, and
      the embedding commutes with them);
   2. triangularize the Sylvester matrix once, in the base field, by the
      direct method's own call (same pivot rule, same op log);
-  3. embed the diagonal into the working field and read it under x1 ->
-     sigma1: the embedding is an injective ring map commuting with every
-     Frobenius power, and the pivot rules see only degrees, zero-ness and
-     their seeded rng, so this is exactly the embedded matrix's diagonal;
-  4. evaluate the diagonal chain at every plan point;
-  5. solve the Moore system, whose elimination depends only on the plan
-     shape and is recorded once per shape, and map the coefficients back
-     through the inverse embedding (a coefficient outside the base field is
-     an internal error).
+  3. embed the diagonal into the working field: the embedding is an
+     injective ring map commuting with every Frobenius power, and the pivot
+     rules see only degrees, zero-ness and their seeded rng, so this is
+     exactly the embedded matrix's diagonal;
+  4. evaluate the diagonal chain at every plan point, x1 acting there as
+     the plan says (`ModularPlan.actions`);
+  5. solve the system of rows [S^i(start)], whose elimination depends only
+     on the plan shape and is recorded once per shape, and map the
+     coefficients back through the inverse embedding (a coefficient outside
+     the base field is an internal error).
 
-The working degree M is chosen so that M > D and sigma1's order on GF(p^M)
-exceeds D; distinct powers sigma1^0..sigma1^D are then distinct automorphisms,
-which are linearly independent maps, so a well-formed plan admits no bad
-evaluation and no singular Moore system (both remain asserted).
+The action of x1 has two regimes, and only `plan_modular` and the plan
+itself tell them apart; every later step runs one loop for both.  With
+sigma1 nontrivial, x1 acts as S = sigma1 started at the point, and the points
+are a GF(p)-basis of the working field: the rows are a Moore system.  The
+working degree M is chosen so that M > D and sigma1's order on GF(p^M)
+exceeds D; distinct powers sigma1^0..sigma1^D are then distinct
+automorphisms, which are linearly independent maps, so a well-formed plan
+admits no bad evaluation and no singular Moore system (both remain
+asserted).  With sigma1 the identity, x1 acts as multiplication by the point
+started at 1, and the points are D + 1 distinct field values: the chain is
+plain evaluation of the diagonal's product and the rows are a Vandermonde
+system.  `ModularPlan.mode` names the regime, which sigma1 decides.
 
-With sigma1 the identity the operator reading collapses (every sigma-power is
-the same map), and the pipeline degenerates to its commutative special case:
-plug-in evaluation of the diagonal at D+1 distinct points and Vandermonde
-recovery.  `ModularPlan.mode` names the regime, which sigma1 decides.
-
-In the Frobenius regime the route is the direct triangularization plus an
+In either regime the route is the direct triangularization plus an
 independent chain-and-recovery check: the diagonal's product is not
-multiplied out but recovered from the chain values, and the leftover Moore
+multiplied out but recovered from the chain values, and the leftover
 equations and the map back to the base field must be consistent.  It costs
 more than the direct route, never less.
 """
@@ -65,7 +70,7 @@ from .field import (
     extend_field,
 )
 from .ore_bivar import BivarOrePoly, BivarRing
-from .opeval import apply_formal, eval_uni
+from .opeval import apply_formal
 from .resultant import sylvester_degree_bound, sylvester_matrix
 from .skewdet import DetResult, triangularize_with_log
 
@@ -88,6 +93,17 @@ class ModularPlan:
     @property
     def work_ctx(self):
         return self.work_ring.ctx
+
+    @property
+    def actions(self):
+        """How x1 acts on the working field at each point, as (step, arg,
+        start) with S(v) = step(v, arg): sigma1 started at the point, or
+        multiplication by the point started at 1 when sigma1 is the
+        identity."""
+        ctx, e1 = self.work_ctx, self.work_ring.sigma1.e
+        if e1:
+            return [(ctx.frob, e1, pt.val) for pt in self.points]
+        return [(ctx.mul, pt.val, 1) for pt in self.points]
 
     def to_jsonable(self):
         return {
@@ -171,27 +187,21 @@ def embed_bivar(f, plan):
 
 
 def check_bad_eval(f, plan):
-    """True iff the leading x2-coefficient, read as an operator over the
-    working field, is the zero map.  A well-formed plan keeps sigma1-powers
-    below the field order linearly independent, so a nonzero leading
-    coefficient can never be flagged; the check exists to assert exactly
-    that.  In the plug-in regime the renaming is trivial and only a zero
-    polynomial could degrade the degree, so the flag is structurally false."""
-    lead = embed_uni(f.lead_coeff, plan) if not f.is_zero else None
-    if lead is None or lead.is_zero:
+    """True iff f is zero or its leading x2-coefficient evaluates to zero at
+    every plan point, x1 acting as `plan.actions` says.  In the Frobenius
+    regime the points are a GF(p)-basis, so the coefficient, read as an
+    operator, is the zero map, which the linear independence of sigma1^0..
+    sigma1^D rules out on a well-formed plan.  In the plug-in regime the
+    coefficient vanishes at all D + 1 points, which its degree, at most D,
+    rules out.  The check exists to assert exactly that."""
+    if f.is_zero:
         return True
-    if plan.mode == "plugin":
-        return False
-    return eval_uni(lead).is_zero_map()
-
-
-def _eval_plugin(ctx, coeffs, u):
-    """Ordinary Horner evaluation (commutative regime)."""
-    add, mul = ctx.add, ctx.mul
-    acc = 0
-    for c in reversed(coeffs):
-        acc = add(mul(acc, u), c)
-    return acc
+    coeffs = embed_uni(f.lead_coeff, plan).coeffs
+    ctx = plan.work_ctx
+    return not any(
+        apply_formal(ctx, step, arg, coeffs, start)
+        for step, arg, start in plan.actions
+    )
 
 
 def chain_evaluate(diag, plan):
@@ -199,19 +209,11 @@ def chain_evaluate(diag, plan):
     composition formula: the row-order product d_1 * ... * d_k acts as
     d_1 applied last.  Output is in the plan's point order."""
     ctx = plan.work_ctx
-    e = plan.work_ring.sigma1.e
-    coeff_rows = [d.coeffs for d in diag]
-
+    coeff_rows = [d.coeffs for d in reversed(diag)]
     out = []
-    for pt in plan.points:
-        if plan.mode == "frobenius":
-            u = pt.val
-            for coeffs in reversed(coeff_rows):
-                u = apply_formal(ctx, e, coeffs, u)
-        else:
-            u = 1
-            for coeffs in coeff_rows:
-                u = ctx.mul(u, _eval_plugin(ctx, coeffs, pt.val))
+    for pt, (step, arg, u) in zip(plan.points, plan.actions):
+        for coeffs in coeff_rows:
+            u = apply_formal(ctx, step, arg, coeffs, u)
         out.append(PartialEval(point=pt, value=FieldElem(ctx, u)))
     return tuple(out)
 
@@ -232,24 +234,21 @@ def _solve_exact(ctx, rows, rhs, ncols):
 
 
 def _system_rows(plan):
-    """The Moore (sigma-power) or Vandermonde (power) rows at the plan
-    points, D + 1 columns each."""
-    ctx = plan.work_ctx
-    d = plan.degree_bound
-    e = plan.work_ring.sigma1.e
+    """The row [S^i(start)], i = 0..D, of each point's x1-action: Moore
+    (sigma-power) rows in the Frobenius regime, Vandermonde (power) rows in
+    the plug-in one."""
     rows = []
-    for pt in plan.points:
-        cur = pt.val if plan.mode == "frobenius" else 1
+    for step, arg, cur in plan.actions:
         row = [cur]
-        for _ in range(d):
-            cur = ctx.frob(cur, e) if plan.mode == "frobenius" else ctx.mul(cur, pt.val)
+        for _ in range(plan.degree_bound):
+            cur = step(cur, arg)
             row.append(cur)
         rows.append(row)
     return rows
 
 
-# (working field, e1, D) -> recorded elimination.  `plan_modular` derives
-# the mode from e1 and the points from the working field and D, so the system
+# (working field, e1, D) -> recorded elimination.  The plan derives x1's
+# action from e1 and the points from the working field and D, so the system
 # depends on nothing else and every pair of one plan shape shares it.
 _MOORE_CACHE = {}
 

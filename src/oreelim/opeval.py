@@ -25,14 +25,16 @@ from .ore_bivar import BivarOrePoly
 from .ore_uni import OrePoly
 
 
-def apply_formal(ctx, e, coeffs, u):
-    """sum(c_i * sigma^i(u)) on packed values, sigma the Frobenius power e."""
-    add, mul, frob = ctx.add, ctx.mul, ctx.frob
+def apply_formal(ctx, step, arg, coeffs, u):
+    """sum(c_i * S^i(u)) on packed values, where S(v) = step(v, arg) is how x
+    acts on the field: a Frobenius power (`ctx.frob`, e), or multiplication
+    by a point (`ctx.mul`, a), which makes the sum the plain value f(a) * u."""
+    add, mul = ctx.add, ctx.mul
     acc = 0
     cur = u
     for i, c in enumerate(coeffs):
         if i:
-            cur = frob(cur, e)
+            cur = step(cur, arg)
         if c:
             acc = add(acc, mul(c, cur))
     return acc
@@ -71,7 +73,8 @@ class LinearizedOp:
         return FieldElem(self.ctx, self.apply_packed(a.val))
 
     def apply_packed(self, u):
-        return apply_formal(self.ctx, self.sigma.e, self.formal.coeffs, u)
+        ctx = self.ctx
+        return apply_formal(ctx, ctx.frob, self.sigma.e, self.formal.coeffs, u)
 
     def compose(self, other):
         """self after other; corresponds to multiplying the formal parts."""
@@ -88,10 +91,6 @@ class LinearizedOp:
         if isinstance(other, LinearizedOp):
             return LinearizedOp(self.formal + other.formal)
         return NotImplemented
-
-    def is_zero_map(self):
-        ctx = self.ctx
-        return all(self.apply_packed(ctx.p**j) == 0 for j in range(ctx.m))
 
     def __eq__(self, other):
         if isinstance(other, LinearizedOp):

@@ -176,6 +176,16 @@ def test_bench_respects_env_seed(capsys, monkeypatch):
     assert strip(out1) == strip(out2)
 
 
+def test_bench_rejects_non_integer_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("ORE_ELIM_SEED", "abc")
+    code, out, err = run_cli(
+        capsys, "bench", "--field", "GF(2^2)", "--sigma1", "1", "--trials", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[usage]: ORE_ELIM_SEED")
+
+
 def test_threads_flag_output_identical(capsys):
     base = (
         "eliminate", "--field", "GF(2^8)", "--sigma1", "1", "--sigma2", "1",

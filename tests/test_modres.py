@@ -94,6 +94,14 @@ def test_check_bad_eval_structurally_false():
     assert not check_bad_eval(g, plan)
     const_lead = ring.poly([ring.inner.x(), ring.inner.one()])
     assert not check_bad_eval(const_lead, plan)
+    # a plug-in plan: its D + 1 points outnumber the leading coefficient's roots
+    ring7 = bivar_for(7, 1, 0, 0)
+    f7 = rand_bivar(ring7, rng, 2, 2, min_d2=1)
+    g7 = rand_bivar(ring7, rng, 2, 2, min_d2=1)
+    plan7 = plan_modular(f7, g7)
+    assert plan7.mode == "plugin"
+    assert not check_bad_eval(f7, plan7)
+    assert not check_bad_eval(g7, plan7)
 
 
 def test_check_bad_eval_flags_artificial_collision():
@@ -112,6 +120,26 @@ def test_check_bad_eval_flags_artificial_collision():
     collapsing = ring.inner.x(4) - 1
     f_bad = ring.poly([ring.inner.one(), collapsing])
     assert check_bad_eval(f_bad, plan)
+
+
+def test_check_bad_eval_flags_plugin_roots():
+    # plug-in regime over GF(7): a leading coefficient vanishing at every
+    # plan point evaluates to zero there, so the evaluation is bad
+    ctx = field_new(7, 1)
+    ring = bivar_for(7, 1, 0, 0)
+    _, emb = extend_field(ctx, 1)
+    plan = ModularPlan(
+        base_ring=ring,
+        work_ring=ring,
+        embedding=emb,
+        points=tuple(ctx.elem(v) for v in range(3)),
+        degree_bound=2,
+    )
+    assert plan.mode == "plugin"
+    x1 = ring.inner.x()
+    roots = x1 * (x1 - 1) * (x1 - 2)
+    assert check_bad_eval(ring.poly([ring.inner.one(), roots]), plan)
+    assert not check_bad_eval(ring.poly([ring.inner.one(), roots + 1]), plan)
 
 
 def test_modular_equals_direct_frobenius():
