@@ -44,7 +44,6 @@ from .modres import (
     plan_modular,
     res_x2_modular,
 )
-from .opeval import LinearizedOp, OpBivarPoly, eval_bivar, eval_uni
 from .ore_bivar import BivarOrePoly, BivarRing
 from .ore_uni import OrePoly, OreRing, gcrd
 from .parsing import (
@@ -55,7 +54,6 @@ from .parsing import (
     parse_ore_poly,
 )
 from .resultant import (
-    SylvesterMatrix,
     res_x2_direct,
     sylvester_degree_bound,
     sylvester_matrix,

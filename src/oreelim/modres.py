@@ -22,7 +22,8 @@ down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
      rules see only degrees, zero-ness and their seeded rng, so this is
      exactly the embedded matrix's diagonal;
   4. evaluate the diagonal chain at every plan point, x1 acting there as
-     the plan says (`ModularPlan.actions`);
+     the plan says (`ModularPlan.actions`, applied by `apply_formal`, the
+     package's one evaluation map);
   5. solve the system of rows [S^i(start)], whose elimination depends only
      on the plan shape and is recorded once per shape, and map the
      coefficients back through the inverse embedding (a coefficient outside
@@ -70,9 +71,23 @@ from .field import (
     extend_field,
 )
 from .ore_bivar import BivarOrePoly, BivarRing
-from .opeval import apply_formal
 from .resultant import sylvester_degree_bound, sylvester_matrix
 from .skewdet import DetResult, triangularize_with_log
+
+
+def apply_formal(ctx, step, arg, coeffs, u):
+    """sum(c_i * S^i(u)) on packed values, where S(v) = step(v, arg) is how x
+    acts on the field: a Frobenius power (`ctx.frob`, e), or multiplication
+    by a point (`ctx.mul`, a), which makes the sum the plain value f(a) * u."""
+    add, mul = ctx.add, ctx.mul
+    acc = 0
+    cur = u
+    for i, c in enumerate(coeffs):
+        if i:
+            cur = step(cur, arg)
+        if c:
+            acc = add(acc, mul(c, cur))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -227,12 +242,6 @@ def _solve(ctx, steps, rhs):
     return v[: len(steps)]
 
 
-def _solve_exact(ctx, rows, rhs, ncols):
-    """Gauss-Jordan over the working field; rows may exceed ncols, in which
-    case the leftover equations are checked for consistency."""
-    return _solve(ctx, _eliminate(ctx, rows, ncols), rhs)
-
-
 def _system_rows(plan):
     """The row [S^i(start)], i = 0..D, of each point's x1-action: Moore
     (sigma-power) rows in the Frobenius regime, Vandermonde (power) rows in
@@ -267,8 +276,7 @@ def _pipeline(f, g, plan, rule, seed):
     """Steps 2-3: triangularize the Sylvester matrix in the base field, then
     embed the diagonal.  Returns the diagonal (inner polynomials over the
     working field) and the base-field op log."""
-    syl = sylvester_matrix(f, g)
-    tri, ops = triangularize_with_log(syl.inner, rule=rule, seed=seed)
+    tri, ops = triangularize_with_log(sylvester_matrix(f, g), rule=rule, seed=seed)
     return [embed_uni(tri.rows[i][i], plan) for i in range(tri.n)], ops
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 
-from .errors import RingMismatch
+from .errors import RingMismatch, ZeroPolynomial
 from .field import NEG_INF, Automorphism, FieldElem, _format_terms, _pow
 from .ore_uni import OrePoly, OreRing
 
@@ -122,7 +122,7 @@ class BivarOrePoly:
     @property
     def lead_coeff(self):
         if not self.coeffs:
-            raise RingMismatch("zero polynomial has no leading coefficient")
+            raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def max_inner_degree(self):

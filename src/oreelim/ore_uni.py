@@ -13,10 +13,14 @@ arithmetic.  Products, `addmul` and every quotient step of `right_divmod`
 run the field's one skew-product kernel, `FieldCtx.skew_addmul`.
 
 The same type doubles as the ring of formal sigma-polynomials (operator
-composition as multiplication) under the renaming x <-> sigma; `opeval`
-builds on that reading.  Divisibility conventions are right-sided: quotients
-multiply the divisor from the left, matching row operations that act by left
-multiplication.
+composition as multiplication) under the renaming x <-> sigma;
+`modres.apply_formal` applies one to a field element as the additive map
+a -> sum(c_i * sigma^i(a)).  The ring stays formal, with no quotient by
+sigma^ord - 1 (that quotient has zero divisors and would break the Euclidean
+algorithm), so two polynomials can differ yet act alike on the field once
+their degree reaches the order of sigma.  Divisibility conventions are
+right-sided: quotients multiply the divisor from the left, matching row
+operations that act by left multiplication.
 """
 
 from __future__ import annotations

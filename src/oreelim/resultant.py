@@ -15,23 +15,14 @@ b0-shifts; n = m = 0 is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BothConstant, RingMismatch, ZeroPolynomial
 from .ore_bivar import BivarOrePoly
 from .skewdet import DetResult, OreMatrix, dieudonne_det
 
 
-@dataclass(frozen=True)
-class SylvesterMatrix:
-    inner: OreMatrix
-    n: int  # x2-degree of f
-    m: int  # x2-degree of g
-
-
 def sylvester_matrix(f, g):
     """The elimination matrix built from x2-shifts of a pair of bivariate Ore
-    polynomials; entries are inner polynomials in x1."""
+    polynomials: an OreMatrix whose entries are inner polynomials in x1."""
     if not isinstance(f, BivarOrePoly) or not isinstance(g, BivarOrePoly):
         raise RingMismatch("sylvester_matrix expects bivariate Ore polynomials")
     if f.ring != g.ring:
@@ -49,7 +40,7 @@ def sylvester_matrix(f, g):
     for i in range(1, n + 1):
         shifted = g.shift_left(n - i)
         rows.append([shifted.coeff(size - 1 - j) for j in range(size)])
-    return SylvesterMatrix(inner=OreMatrix(f.ring.inner, rows), n=n, m=m)
+    return OreMatrix(f.ring.inner, rows)
 
 
 def sylvester_degree_bound(f, g):
@@ -64,4 +55,4 @@ def res_x2_direct(f, g, rule="min_degree", seed=0) -> DetResult:
     The representative is reported raw (fixed pivot rule, diagonal product in
     row order, hence bit-reproducible); `DetResult.monic_rep` gives the
     monic-normalized convenience form."""
-    return dieudonne_det(sylvester_matrix(f, g).inner, rule=rule, seed=seed)
+    return dieudonne_det(sylvester_matrix(f, g), rule=rule, seed=seed)

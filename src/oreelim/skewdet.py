@@ -183,9 +183,7 @@ def _pick_pivot(cands, rule, rng):
         return min(cands)[1]
     if rule == "first_nonzero":
         return min(row for _, row in cands)
-    if rule == "random":
-        return rng.choice(sorted(row for _, row in cands))
-    raise RingMismatch(f"unknown pivot rule {rule!r}")
+    return rng.choice(sorted(row for _, row in cands))
 
 
 def triangularize_with_log(matrix, rule="min_degree", seed=0):
@@ -195,6 +193,8 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
     A column whose at-or-below-diagonal entries are all zero simply leaves a
     zero on the diagonal and processing continues (the determinant is then
     zero)."""
+    if rule not in PIVOT_RULES:
+        raise RingMismatch(f"unknown pivot rule {rule!r}")
     ring = matrix.ring
     n = matrix.n
     work = [list(r) for r in matrix.rows]

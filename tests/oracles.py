@@ -4,9 +4,11 @@ These deliberately avoid the package's polynomial and matrix code paths:
 commutative polynomial arithmetic is done on plain int lists, determinants by
 cofactor expansion, Ore products by moving x past one coefficient at a time,
 conjugacy by enumerating every conjugator, primality and factoring by trial
-division, irreducibility by Rabin's test.  Only the validated base-field
-scalar operations are shared.  The two exceptions are former package code
-paths kept as references for their replacements:
+division, irreducibility by Rabin's test, operator evaluation by repeated
+`Automorphism` calls, linear systems by dense Gauss-Jordan on `FieldElem`
+values.  Only the validated base-field scalar operations are shared.  The
+two exceptions are former package code paths kept as references for their
+replacements:
 `working_field_triangularization`, the modular route's former pipeline, and
 `least_modulus_root_enum`, the embedding-root search by subfield
 enumeration.
@@ -237,6 +239,59 @@ def naive_ore_mul(f, g):
     return ring.from_packed(out)
 
 
+def sigma_apply(f, a):
+    """sum(c_i * sigma^i(a)) for an Ore polynomial f and a field element a of
+    its ring, by FieldElem arithmetic and one Automorphism call per power of
+    sigma: the operator evaluation that `modres.apply_formal` computes on
+    packed values."""
+    sigma = f.ring.sigma
+    acc, cur = a.ctx.zero, a
+    for i in range(len(f.coeffs)):
+        if i:
+            cur = sigma(cur)
+        acc = acc + f.coeff(i) * cur
+    return acc
+
+
+def bivar_product_coeff_apply(f, g, k, a):
+    """The x2^k-coefficient of f*g applied to a, without forming f*g: for
+    f = sum(a_i x2^i) and g = sum(b_j x2^j), the sum over i + j = k of a_i
+    applied after b_j twisted by sigma2^i, since x2^i * b_j = sigma2^i(b_j) *
+    x2^i.  The twist maps each coefficient of b_j through the Automorphism
+    sigma2, i times; the operators are applied by `sigma_apply`."""
+    sigma2 = f.ring.sigma2
+    acc = a.ctx.zero
+    for i in range(k + 1):
+        b = g.coeff(k - i)
+        cs = [b.coeff(n) for n in range(len(b.coeffs))]
+        for _ in range(i):
+            cs = [sigma2(c) for c in cs]
+        acc = acc + sigma_apply(f.coeff(i), sigma_apply(b.ring.poly(cs), a))
+    return acc
+
+
+def solve_dense(rows, rhs):
+    """The unique x with rows * x = rhs, by dense Gauss-Jordan on FieldElem
+    values.  Rows may outnumber columns; the leftover equations must reduce
+    to 0 = 0.  Raises ValueError on a singular or inconsistent system."""
+    ncols = len(rows[0])
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(ncols):
+        sel = next((k for k in range(col, len(aug)) if aug[k][col]), None)
+        if sel is None:
+            raise ValueError(f"no pivot in column {col}")
+        aug[col], aug[sel] = aug[sel], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for k, row in enumerate(aug):
+            if k != col and row[col]:
+                c = row[col]
+                aug[k] = [x - c * y for x, y in zip(row, aug[col])]
+    if any(row[-1] for row in aug[ncols:]):
+        raise ValueError("leftover equations are inconsistent")
+    return [row[-1] for row in aug[:ncols]]
+
+
 def brute_conjugacy(ctx, sigma):
     """Partition of the nonzero elements under a ~ sigma(c) * a * c^-1,
     by enumerating every conjugator c."""
@@ -316,5 +371,5 @@ def working_field_triangularization(f, g, plan, rule, seed):
     from oreelim import embed_bivar, sylvester_matrix, triangularize_with_log
 
     syl = sylvester_matrix(embed_bivar(f, plan), embed_bivar(g, plan))
-    tri, ops = triangularize_with_log(syl.inner, rule=rule, seed=seed)
+    tri, ops = triangularize_with_log(syl, rule=rule, seed=seed)
     return [tri.rows[i][i] for i in range(tri.n)], ops

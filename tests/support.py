@@ -1,6 +1,8 @@
-"""Seeded random-instance generators shared across the test modules."""
+"""Seeded random-instance generators shared across the test modules, and the
+package's evaluation map on field elements."""
 
 from oreelim import Automorphism, BivarRing, OreRing, field_new
+from oreelim.modres import apply_formal
 
 
 def ring_for(p, m, e=0):
@@ -46,3 +48,10 @@ def rand_bivar_exact(ring, rng, d2, max_d1):
     coeffs = [rand_orepoly(inner, rng, max_d1) for _ in range(d2)]
     coeffs.append(rand_orepoly(inner, rng, max_d1, nonzero=True))
     return ring.poly(coeffs)
+
+
+def apply_op(f, a):
+    """f's operator applied to the field element a by the package's one
+    evaluation map, x acting as f's sigma."""
+    ctx = f.ring.ctx
+    return ctx.elem(apply_formal(ctx, ctx.frob, f.ring.sigma.e, f.coeffs, a.val))

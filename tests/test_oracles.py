@@ -8,6 +8,8 @@ from oracles import (
     brute_conjugacy,
     classical_resultant,
     naive_ore_mul,
+    sigma_apply,
+    solve_dense,
 )
 from support import ring_for
 
@@ -63,3 +65,25 @@ def test_brute_conjugacy_guards_field_size():
     ctx = field_new(2, 13)
     with pytest.raises(FieldTooLarge):
         brute_conjugacy(ctx, Automorphism(ctx, 1))
+
+
+def test_sigma_apply_examples():
+    ring = ring_for(2, 2, 1)
+    w = ring.ctx.from_coords([0, 1])
+    # x acts as sigma: w -> w^2 = w + 1; (x + w)(1) = 1 + w
+    assert sigma_apply(ring.x(), w) == w + 1
+    assert sigma_apply(ring.poly([w, 1]), ring.ctx.one) == w + 1
+    assert sigma_apply(ring.zero(), w) == ring.ctx.zero
+
+
+def test_solve_dense_hand_checked():
+    # over GF(5): x + y = 3, x + 2y = 4 give x = 2, y = 1, and the leftover
+    # equation 3x + y = 7 = 2 holds
+    ctx = field_new(5, 1)
+    e = ctx.elem
+    rows = [[e(1), e(1)], [e(1), e(2)], [e(3), e(1)]]
+    assert solve_dense(rows, [e(3), e(4), e(2)]) == [e(2), e(1)]
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_dense(rows, [e(3), e(4), e(3)])
+    with pytest.raises(ValueError, match="no pivot"):
+        solve_dense([[e(1), e(2)], [e(2), e(4)]], [e(1), e(2)])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oreelim import Automorphism, NEG_INF, RingMismatch, field_new
+from oreelim import Automorphism, NEG_INF, RingMismatch, ZeroPolynomial, field_new
 from oracles import bivar_mul_commutative, bivar_to_lists
 from support import bivar_for, rand_bivar
 
@@ -72,6 +72,13 @@ def test_degree_and_coefficient_access():
     assert f.lead_coeff == ring.inner.x()
     assert ring.zero().degree == NEG_INF
     assert f.coeff(5).is_zero
+
+
+def test_zero_lead_coeff_raises_zero_polynomial():
+    _, ring = gf4_bivar()
+    with pytest.raises(ZeroPolynomial) as err:
+        ring.zero().lead_coeff
+    assert (err.value.code, err.value.exit_code) == ("zero-polynomial", 4)
 
 
 def test_sigma_automorphisms_commute_on_elements():

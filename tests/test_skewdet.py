@@ -9,14 +9,16 @@ from oreelim import (
     EqualRows,
     IndexOutOfRange,
     OreMatrix,
+    RingMismatch,
     apply_op_log,
     dieudonne_det,
+    res_x2_direct,
     surrogates_equal,
     triangularize_with_log,
 )
 from oreelim.skewdet import PIVOT_RULES
 from oracles import det_poly_matrix, uni_to_list
-from support import rand_orepoly, ring_for
+from support import bivar_for, rand_orepoly, ring_for
 
 
 def rand_matrix(ring, rng, n, max_deg=3):
@@ -171,6 +173,23 @@ def test_pivot_rule_invariance():
         ]
         assert len({d.is_zero for d in dets}) == 1
         assert len({d.degree for d in dets}) == 1
+
+
+def test_unknown_pivot_rule_rejected_on_every_input():
+    # a 1x1 or already-triangular matrix never picks a pivot; the rule is
+    # still checked before any work
+    ring = ring_for(5, 1, 0)
+    matrices = [
+        OreMatrix(ring, [[ring.x()]]),
+        OreMatrix(ring, [[ring.x(), ring.one()], [ring.zero(), ring.x()]]),
+        rand_matrix(ring, random.Random(0), 3),
+    ]
+    for m in matrices:
+        with pytest.raises(RingMismatch, match="unknown pivot rule 'bogus'"):
+            triangularize_with_log(m, rule="bogus")
+    bring = bivar_for(5, 1, 0, 0)
+    with pytest.raises(RingMismatch, match="unknown pivot rule"):
+        res_x2_direct(bring.x2() - bring.x1(), bring.x1() + 1, rule="bogus")
 
 
 def test_commutative_case_matches_classical_determinant():
