@@ -672,8 +672,8 @@ class FieldCtx:
         return r
 
     def _inv_bits(self, u):
-        mb = self._modbits
-        r0, r1 = mb, u
+        # s * u = r mod the modulus throughout, so s can stay reduced
+        r0, r1 = self._modbits, u
         s0, s1 = 0, 1
         while r1 not in (0, 1):
             q = 0
@@ -682,25 +682,10 @@ class FieldCtx:
                 sh = r0.bit_length() - d1
                 q ^= 1 << sh
                 r0 ^= r1 << sh
-            # carry-less q*s1
-            qs = 0
-            qq = q
-            ss = s1
-            while qq:
-                if qq & 1:
-                    qs ^= ss
-                qq >>= 1
-                ss <<= 1
             r0, r1 = r1, r0
-            s0, s1 = s1, s0 ^ qs
+            s0, s1 = s1, s0 ^ self._mul_bits(q, s1)
         if r1 == 0:  # pragma: no cover - modulus irreducible
             raise DivisionByZero("inverse of zero field element")
-        # reduce s1 mod modulus
-        m = self.m
-        top = s1.bit_length()
-        while top > m:
-            s1 ^= mb << (top - m - 1)
-            top = s1.bit_length()
         return s1
 
     # -- cached structure -------------------------------------------------------

@@ -12,11 +12,12 @@ equals r(S)(start) for the eliminant r = d_1 * ... * d_k, that is
 sum(r_i * S^i(start)), so the chain values at the D + 1 or more points pin
 down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
 
-  1. bound the eliminant degree D from the Sylvester shape and, if the input
-     field is too small, extend it (Frobenius exponents lift unchanged, and
-     the embedding commutes with them);
-  2. triangularize the Sylvester matrix once, in the base field, by the
-     direct method's own call (same pivot rule, same op log);
+  1. triangularize the Sylvester matrix once, in the base field, by the
+     direct method's own call (same pivot rule, op log and input errors);
+  2. plan: bound the eliminant degree D from the Sylvester shape and, if
+     the input field is too small, extend it (Frobenius exponents lift
+     unchanged, and the embedding commutes with them); one plan object
+     serves every pair of one ring and one D;
   3. embed the diagonal into the working field: the embedding is an
      injective ring map commuting with every Frobenius power, and the pivot
      rules see only degrees, zero-ness and their seeded rng, so this is
@@ -24,10 +25,10 @@ down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
   4. evaluate the diagonal chain at every plan point, x1 acting there as
      the plan says (`ModularPlan.actions`, applied by `apply_formal`, the
      package's one evaluation map);
-  5. solve the system of rows [S^i(start)], whose elimination depends only
-     on the plan shape and is recorded once per shape, and map the
-     coefficients back through the inverse embedding (a coefficient outside
-     the base field is an internal error).
+  5. recover the coefficients (`ModularPlan.recover` solves the system of
+     rows [S^i(start)] by an elimination the plan records on its first
+     recovery) and map them back through the inverse embedding (a
+     coefficient outside the base field is an internal error).
 
 The action of x1 has two regimes, and only `plan_modular` and the plan
 itself tell them apart; every later step runs one loop for both.  With
@@ -52,6 +53,7 @@ more than the direct route, never less.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from math import gcd
 
 from .errors import (
@@ -92,7 +94,8 @@ def apply_formal(ctx, step, arg, coeffs, u):
 
 @dataclass(frozen=True)
 class ModularPlan:
-    """Working field, embedding, evaluation points, and recovery shape."""
+    """Working field, embedding, evaluation points, and the recovery of the
+    eliminant's coefficients from chain values at those points."""
 
     base_ring: BivarRing
     work_ring: BivarRing
@@ -109,7 +112,7 @@ class ModularPlan:
     def work_ctx(self):
         return self.work_ring.ctx
 
-    @property
+    @cached_property
     def actions(self):
         """How x1 acts on the working field at each point, as (step, arg,
         start) with S(v) = step(v, arg): sigma1 started at the point, or
@@ -117,8 +120,33 @@ class ModularPlan:
         identity."""
         ctx, e1 = self.work_ctx, self.work_ring.sigma1.e
         if e1:
-            return [(ctx.frob, e1, pt.val) for pt in self.points]
-        return [(ctx.mul, pt.val, 1) for pt in self.points]
+            return tuple((ctx.frob, e1, pt.val) for pt in self.points)
+        return tuple((ctx.mul, pt.val, 1) for pt in self.points)
+
+    @cached_property
+    def _elimination(self):
+        """The recorded elimination of the rows [S^i(start)], i = 0..D, one
+        per point: a Moore system in the Frobenius regime, a Vandermonde
+        system in the plug-in one.  Built on the first recovery, so planning
+        stays cheap, and shared by every pair of this plan."""
+        rows = []
+        for step, arg, cur in self.actions:
+            row = [cur]
+            for _ in range(self.degree_bound):
+                cur = step(cur, arg)
+                row.append(cur)
+            rows.append(row)
+        return _eliminate(self.work_ctx, rows, self.degree_bound + 1)
+
+    def recover(self, values):
+        """The coefficients r_0..r_D (packed) with sum(r_i * S^i(start)) equal
+        to the packed chain value at every point; the leftover equations must
+        reduce to zero."""
+        steps = self._elimination
+        v = _replay(self.work_ctx, steps, values)
+        if any(v[len(steps) :]):
+            raise SingularMooreSystem("chain values are inconsistent")
+        return v[: len(steps)]
 
     def to_jsonable(self):
         return {
@@ -145,7 +173,8 @@ def plan_modular(f, g):
     regime the working degree M is the least multiple of the input degree m
     with M > D and order(sigma1 on GF(p^M)) > D, and the points are the power
     basis; in the plug-in regime (sigma1 = id) M is the least multiple of m
-    with p^M >= D + 1 and the points are the first D + 1 field values."""
+    with p^M >= D + 1 and the points are the first D + 1 field values.
+    Pairs of one ring and one D get the same plan object."""
     if not isinstance(f, BivarOrePoly) or not isinstance(g, BivarOrePoly):
         raise RingMismatch("plan_modular expects bivariate Ore polynomials")
     if f.ring != g.ring:
@@ -157,11 +186,16 @@ def plan_modular(f, g):
             "evaluation/interpolation needs x2-degree >= 1 on both inputs "
             "(the direct method handles constant-in-x2 inputs)"
         )
-    ring = f.ring
+    return _plan(f.ring, sylvester_degree_bound(f, g))
+
+
+@cache
+def _plan(ring, bound):
+    """The plan of one ring and one D, which determine it; memoized, so every
+    pair of that shape shares its actions and its recovery."""
     ctx = ring.ctx
     m = ctx.m
     e1 = ring.sigma1.e
-    bound = sylvester_degree_bound(f, g)
     if e1 == 0:
         big_m = m
         while ctx.p**big_m < bound + 1:
@@ -233,57 +267,18 @@ def chain_evaluate(diag, plan):
     return tuple(out)
 
 
-def _solve(ctx, steps, rhs):
-    """Replay a recorded elimination on a right-hand side; the leftover
-    equations must reduce to zero."""
-    v = _replay(ctx, steps, rhs)
-    if any(v[len(steps) :]):
-        raise SingularMooreSystem("chain values are inconsistent")
-    return v[: len(steps)]
-
-
-def _system_rows(plan):
-    """The row [S^i(start)], i = 0..D, of each point's x1-action: Moore
-    (sigma-power) rows in the Frobenius regime, Vandermonde (power) rows in
-    the plug-in one."""
-    rows = []
-    for step, arg, cur in plan.actions:
-        row = [cur]
-        for _ in range(plan.degree_bound):
-            cur = step(cur, arg)
-            row.append(cur)
-        rows.append(row)
-    return rows
-
-
-# (working field, e1, D) -> recorded elimination.  The plan derives x1's
-# action from e1 and the points from the working field and D, so the system
-# depends on nothing else and every pair of one plan shape shares it.
-_MOORE_CACHE = {}
-
-
-def _recover_coefficients(plan, evals):
-    ctx = plan.work_ctx
-    key = (ctx, plan.work_ring.sigma1.e, plan.degree_bound)
-    steps = _MOORE_CACHE.get(key)
-    if steps is None:
-        steps = _eliminate(ctx, _system_rows(plan), plan.degree_bound + 1)
-        _MOORE_CACHE[key] = steps
-    return _solve(ctx, steps, [pe.value.val for pe in evals])
-
-
-def _pipeline(f, g, plan, rule, seed):
-    """Steps 2-3: triangularize the Sylvester matrix in the base field, then
-    embed the diagonal.  Returns the diagonal (inner polynomials over the
-    working field) and the base-field op log."""
+def _pipeline(f, g, rule, seed):
+    """Steps 1-3: triangularize the Sylvester matrix in the base field, plan,
+    then embed the diagonal.  Returns the plan, the diagonal (inner
+    polynomials over the working field) and the base-field op log."""
     tri, ops = triangularize_with_log(sylvester_matrix(f, g), rule=rule, seed=seed)
-    return [embed_uni(tri.rows[i][i], plan) for i in range(tri.n)], ops
+    plan = plan_modular(f, g)
+    return plan, [embed_uni(tri.rows[i][i], plan) for i in range(tri.n)], ops
 
 
 def partial_evaluations(f, g, rule="min_degree", seed=0):
     """Run the pipeline through step 4 and return (plan, partial evals)."""
-    plan = plan_modular(f, g)
-    diag, _ = _pipeline(f, g, plan, rule, seed)
+    plan, diag, _ = _pipeline(f, g, rule, seed)
     return plan, chain_evaluate(diag, plan)
 
 
@@ -298,12 +293,11 @@ def res_x2_modular(f, g, rule="min_degree", seed=0) -> DetResult:
     In the Frobenius regime (sigma1 not the identity) this is the direct
     triangularization plus an independent chain-and-recovery check of its
     diagonal, so it costs more than `res_x2_direct`, never less."""
-    plan = plan_modular(f, g)
+    plan, diag, ops = _pipeline(f, g, rule, seed)
     if check_bad_eval(f, plan):
         raise BadEvaluation("leading coefficient of f acts as the zero map")
     if check_bad_eval(g, plan):
         raise BadEvaluation("leading coefficient of g acts as the zero map")
-    diag, ops = _pipeline(f, g, plan, rule, seed)
     base_inner = plan.base_ring.inner
     if any(d.is_zero for d in diag):
         return DetResult(
@@ -314,7 +308,7 @@ def res_x2_modular(f, g, rule="min_degree", seed=0) -> DetResult:
         raise PlanFailure(
             f"diagonal degree {deg_r} exceeds the planned bound {plan.degree_bound}"
         )
-    coeffs = _recover_coefficients(plan, chain_evaluate(diag, plan))
+    coeffs = plan.recover([pe.value.val for pe in chain_evaluate(diag, plan)])
     back = [plan.embedding.inverse_packed(c) for c in coeffs]
     if any(b is None for b in back):
         raise CoefficientOutsideBaseField(

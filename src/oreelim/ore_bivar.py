@@ -1,7 +1,9 @@
 """The bivariate Ore algebra A[x1;sigma1][x2;sigma2].
 
-Representation is recursive: a polynomial is a sequence of inner OrePoly
-values in x1, indexed by x2-power, highest-index coefficient nonzero.  The
+Representation is recursive, as the algebra is an iterated Ore extension
+(A[x1;sigma1])[x2;sigma2]: a polynomial is a sequence of inner OrePoly
+values in x1, indexed by x2-power, highest-index coefficient nonzero, on the
+same dense core (`ore_uni.DensePoly`) as the inner ring.  The
 indeterminates commute with each other (x1*x2 = x2*x1) and each twists the
 base-field coefficients by its own automorphism; moving x2 past an inner
 polynomial applies sigma2 to its base coefficients and fixes x1, because
@@ -10,11 +12,9 @@ sigma2 fixes x1.  Both automorphisms are Frobenius powers, hence commute.
 
 from __future__ import annotations
 
-import operator
-
 from .errors import RingMismatch, ZeroPolynomial
-from .field import NEG_INF, Automorphism, FieldElem, _format_terms, _pow
-from .ore_uni import OrePoly, OreRing
+from .field import Automorphism, FieldElem, _format_terms
+from .ore_uni import DensePoly, OrePoly, OreRing, _normalize
 
 
 class BivarRing:
@@ -86,32 +86,11 @@ class BivarRing:
         return BivarOrePoly(self, _normalize(inner))
 
 
-def _normalize(coeffs):
-    n = len(coeffs)
-    while n and coeffs[n - 1].is_zero:
-        n -= 1
-    return tuple(coeffs[:n])
+class BivarOrePoly(DensePoly):
+    """Element of A[x1;sigma1][x2;sigma2]; immutable value type.  Its
+    coefficients are inner OrePoly values, and `degree` is the x2-degree."""
 
-
-class BivarOrePoly:
-    """Element of A[x1;sigma1][x2;sigma2]; immutable value type."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = coeffs  # normalized tuple of OrePoly
-
-    # -- structure ----------------------------------------------------------------
-
-    @property
-    def degree(self):
-        """Degree in x2 (-inf for the zero polynomial)."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
+    __slots__ = ()
 
     def coeff(self, i):
         """The x2^i coefficient (zero polynomial when out of range)."""
@@ -129,17 +108,6 @@ class BivarOrePoly:
         """Largest x1-degree among the x2-coefficients (0 for constants)."""
         degs = [c.degree for c in self.coeffs if not c.is_zero]
         return max(degs) if degs else 0
-
-    def __eq__(self, other):
-        if isinstance(other, BivarOrePoly):
-            return self.ring == other.ring and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     # -- arithmetic ------------------------------------------------------------------
 
@@ -168,22 +136,8 @@ class BivarOrePoly:
             out[i] = out[i] + c
         return BivarOrePoly(self.ring, _normalize(out))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return BivarOrePoly(self.ring, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return self + (-g)
-
-    def __rsub__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g + (-self)
 
     def __mul__(self, other):
         g = self._coerce(other)
@@ -204,17 +158,6 @@ class BivarOrePoly:
                 out[i + j] = out[i + j] + ai * bj.coeff_twist(i * e2)
         return BivarOrePoly(self.ring, _normalize(out))
 
-    def __rmul__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g * self
-
-    def __pow__(self, k):
-        if k < 0:
-            raise RingMismatch("negative powers are not polynomials")
-        return _pow(operator.mul, self.ring.one(), self, k)
-
     def shift_left(self, k):
         """x2^k * self: coefficient of x2^(i+k) is sigma2^k applied to the
         x2^i coefficient (coefficient-wise on base-field values)."""
@@ -232,8 +175,3 @@ class BivarOrePoly:
     def text(self):
         terms = [(i, c.text("x1")) for i, c in enumerate(self.coeffs) if c]
         return _format_terms(terms[::-1], "x2")
-
-    def __str__(self):
-        return self.text()
-
-    __repr__ = __str__

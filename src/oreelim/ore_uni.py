@@ -2,7 +2,9 @@
 
 Elements are dense coefficient sequences (packed field values, index i =
 coefficient of x^i) normalized so the highest-index coefficient is nonzero;
-the zero polynomial is the empty sequence with degree -inf.  Multiplication
+the zero polynomial is the empty sequence with degree -inf.  That dense
+core is `DensePoly`, written once for `OrePoly` and for `ore_bivar`'s
+`BivarOrePoly`, whose coefficients are OrePoly values.  Multiplication
 follows the commutation rule x*a = sigma(a)*x, so
 
     (a_i x^i) * (b_j x^j) = a_i * sigma^i(b_j) * x^(i+j),
@@ -95,23 +97,26 @@ class OreRing:
 
 
 def _normalize(coeffs):
+    """Trailing zero coefficients dropped: packed ints and inner polynomials
+    are both falsy exactly when zero."""
     n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
+    while n and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
 
 
-class OrePoly:
-    """A skew polynomial; immutable value type."""
+class DensePoly:
+    """The dense-polynomial core shared by `OrePoly` and
+    `ore_bivar.BivarOrePoly`: a ring and a normalized coefficient tuple (index
+    i = coefficient of the i-th power).  A subclass supplies `_coerce`, which
+    maps an operand into its ring or returns None, `__add__`, `__neg__`,
+    `__mul__` and `text`; everything else is written once here."""
 
-    __slots__ = ("ring", "coeffs", "_twists")
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        self.coeffs = coeffs  # normalized tuple of packed values
-        self._twists = None  # filled by the field's skew-product kernel
-
-    # -- structure -------------------------------------------------------------
+        self.coeffs = coeffs
 
     @property
     def degree(self):
@@ -120,6 +125,61 @@ class OrePoly:
     @property
     def is_zero(self):
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.ring == other.ring and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        g = self._coerce(other)
+        if g is None:
+            return NotImplemented
+        return self + (-g)
+
+    def __rsub__(self, other):
+        g = self._coerce(other)
+        if g is None:
+            return NotImplemented
+        return g + (-self)
+
+    def __rmul__(self, other):
+        g = self._coerce(other)
+        if g is None:
+            return NotImplemented
+        return g * self
+
+    def __pow__(self, k):
+        if k < 0:
+            raise DivisionByZero("negative powers are not polynomials")
+        return _pow(operator.mul, self.ring.one(), self, k)
+
+    def __str__(self):
+        return self.text()
+
+    __repr__ = __str__
+
+
+class OrePoly(DensePoly):
+    """A skew polynomial; immutable value type."""
+
+    __slots__ = ("_twists",)
+
+    def __init__(self, ring, coeffs):
+        # every product, sum and quotient step builds one, so all three slots
+        # are set here rather than through DensePoly.__init__
+        self.ring = ring
+        self.coeffs = coeffs
+        self._twists = None  # filled by the field's skew-product kernel
 
     def coeff(self, i):
         if 0 <= i < len(self.coeffs):
@@ -131,17 +191,6 @@ class OrePoly:
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return FieldElem(self.ring.ctx, self.coeffs[-1])
-
-    def __eq__(self, other):
-        if isinstance(other, OrePoly):
-            return self.ring == other.ring and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -169,37 +218,17 @@ class OrePoly:
             out[i] = add(out[i], c)
         return OrePoly(self.ring, _normalize(out))
 
-    __radd__ = __add__
-
     def __neg__(self):
         ctx = self.ring.ctx
         if ctx.p == 2:
             return self
         return OrePoly(self.ring, tuple(map(ctx.neg, self.coeffs)))
 
-    def __sub__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return self + (-g)
-
-    def __rsub__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g + (-self)
-
     def __mul__(self, other):
         g = self._coerce(other)
         if g is None:
             return NotImplemented
         return OrePoly(self.ring, ()).addmul(self, g)
-
-    def __rmul__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g * self
 
     def addmul(self, q, a):
         """self + q*a in one pass: the field's skew-product kernel adds every
@@ -225,11 +254,6 @@ class OrePoly:
         if self._twists is None:
             self._twists = {}
         return self._twists
-
-    def __pow__(self, k):
-        if k < 0:
-            raise DivisionByZero("negative powers are not polynomials")
-        return _pow(operator.mul, self.ring.one(), self, k)
 
     # -- Euclidean structure ------------------------------------------------------
 
@@ -283,11 +307,6 @@ class OrePoly:
         ctx = self.ring.ctx
         terms = [(i, str(FieldElem(ctx, c))) for i, c in enumerate(self.coeffs) if c]
         return _format_terms(terms[::-1], var)
-
-    def __str__(self):
-        return self.text()
-
-    __repr__ = __str__
 
 
 def gcrd(f, g):

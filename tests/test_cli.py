@@ -130,6 +130,25 @@ def test_math_domain_exit_code(capsys):
     assert "error[both-constant]" in err
 
 
+def test_modular_both_constant_exit_code(capsys):
+    # the modular route triangularizes before it plans, so it reports the
+    # direct route's error
+    code, _, err = run_cli(
+        capsys, "eliminate", "--field", "GF(5)", "--f", "3", "--g", "4",
+        "--method", "modular",
+    )
+    assert code == 4
+    assert err.startswith("error[both-constant]")
+
+
+def test_field_order_cap_exit_code(capsys):
+    code, _, err = run_cli(
+        capsys, "eliminate", "--field", "GF(2^63)", "--f", "x2", "--g", "x2 + 1",
+    )
+    assert code == 4
+    assert err.startswith("error[degree-mismatch]")
+
+
 def test_usage_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "eliminate", "--field", "GF(5)")
     assert code == 2
@@ -206,11 +225,11 @@ def test_verify_locates_acceptance_suite():
 
 
 def test_coefficient_outside_base_field_is_internal_error(capsys, monkeypatch):
-    def outside(plan, evals):
+    def outside(plan, values):
         inverse = plan.embedding.inverse_packed
         return [next(v for v in range(plan.work_ctx.q) if inverse(v) is None)]
 
-    monkeypatch.setattr(modres, "_recover_coefficients", outside)
+    monkeypatch.setattr(modres.ModularPlan, "recover", outside)
     code, _, err = run_cli(
         capsys,
         "eliminate", "--field", "GF(2^2)", "--sigma1", "1", "--sigma2", "1",

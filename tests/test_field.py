@@ -52,6 +52,14 @@ def test_field_new_degenerate_degree():
         field_new(7, 0)
 
 
+def test_field_order_cap():
+    # field_new keeps the input domain p^m < 2^63
+    assert field_new(2, 62).backend == "bits"
+    for p, m in ((2, 63), (3, 40)):
+        with pytest.raises(DegreeMismatch, match="exceeds 2"):
+            field_new(p, m)
+
+
 def test_field_new_not_prime():
     with pytest.raises(NotPrime):
         field_new(6, 1)

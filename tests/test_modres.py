@@ -1,5 +1,7 @@
 """The evaluation/interpolation pipeline and its plan machinery."""
 
+import dataclasses
+import functools
 import json
 import random
 
@@ -7,10 +9,12 @@ import pytest
 
 from oreelim import (
     AddMulOp,
+    Automorphism,
+    BothConstant,
     CoefficientOutsideBaseField,
     ModularPlan,
-    PartialEval,
     PlanFailure,
+    RingMismatch,
     SingularMooreSystem,
     check_bad_eval,
     embed_uni,
@@ -231,7 +235,8 @@ def test_partial_evaluations_vanish_on_common_right_factor(p, m, e1):
         if f.is_zero or g.is_zero or f.degree < 1 or g.degree < 1:
             continue
         plan, evals = partial_evaluations(f, g)
-        diag, _ = modres._pipeline(f, g, plan, "min_degree", 0)
+        got, diag, _ = modres._pipeline(f, g, "min_degree", 0)
+        assert got is plan
         assert any(d.is_zero for d in diag)
         assert [pe.point for pe in evals] == list(plan.points)
         assert all(pe.value == plan.work_ctx.zero for pe in evals)
@@ -281,8 +286,8 @@ def test_base_diagonal_equals_working_field_triangularization(p, m, e1, e2):
             rng = random.Random(f"{p}^{m}/{rule}/{seed}")
             f = rand_bivar(ring, rng, 2, 2, min_d2=1)
             g = rand_bivar(ring, rng, 2, 2, min_d2=1)
-            plan = plan_modular(f, g)
-            diag, ops = modres._pipeline(f, g, plan, rule, seed)
+            plan, diag, ops = modres._pipeline(f, g, rule, seed)
+            assert plan is plan_modular(f, g)
             want_diag, want_ops = working_field_triangularization(
                 f, g, plan, rule, seed
             )
@@ -307,23 +312,56 @@ def test_modular_op_log_equals_direct():
         assert modular.op_log == res_x2_direct(f, g, rule=rule, seed=5).op_log
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """A fresh plan memo, and a list that grows by one per recovery
+    elimination built."""
+    monkeypatch.setattr(modres, "_plan", functools.cache(modres._plan.__wrapped__))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return eliminate(*args)
+
+    eliminate = modres._eliminate
+    monkeypatch.setattr(modres, "_eliminate", counting)
+    return built
+
+
+def system_rows(plan):
+    """The row [S^i(start)], i = 0..D, at each plan point, by FieldElem
+    arithmetic: sigma1-powers of the point, or powers of the point."""
+    ctx, e1 = plan.work_ctx, plan.work_ring.sigma1.e
+    rows = []
+    for pt in plan.points:
+        if e1:
+            sigma, cur = Automorphism(ctx, e1), pt
+            row = [cur]
+            for _ in range(plan.degree_bound):
+                cur = sigma(cur)
+                row.append(cur)
+        else:
+            row = [pt**i for i in range(plan.degree_bound + 1)]
+        rows.append(row)
+    return rows
+
+
 @pytest.mark.parametrize("p, m, e1", [(2, 8, 1), (7, 1, 0)])
-def test_cached_recovery_equals_solve_exact(p, m, e1, monkeypatch):
-    monkeypatch.setattr(modres, "_MOORE_CACHE", {})
+def test_cached_recovery_equals_solve_exact(p, m, e1, builds):
     ring = bivar_for(p, m, e1, e1)
     rng = random.Random(9)
     for _ in range(3):
         f, g = full_pair(ring, rng, 2, 2)
         plan, evals = partial_evaluations(f, g)
         ctx = plan.work_ctx
-        rows = [[ctx.elem(v) for v in row] for row in modres._system_rows(plan)]
+        rows = system_rows(plan)
         rhs = [pe.value for pe in evals]
         want = solve_dense(rows, rhs)
         # the first call builds the shape's elimination, later ones replay it
-        assert modres._recover_coefficients(plan, evals) == [x.val for x in want]
+        assert plan.recover([b.val for b in rhs]) == [x.val for x in want]
         for row, b in zip(rows, rhs):
             assert sum((a * x for a, x in zip(row, want)), ctx.zero) == b
-    assert len(modres._MOORE_CACHE) == 1
+    assert len(builds) == 1
 
 
 def test_perturbed_chain_value_is_inconsistent():
@@ -335,27 +373,33 @@ def test_perturbed_chain_value_is_inconsistent():
     assert len(evals) > plan.degree_bound + 1
     one = plan.work_ctx.one
     for k, pe in enumerate(evals):
-        bad = list(evals)
-        bad[k] = PartialEval(point=pe.point, value=pe.value + one)
+        bad = [e.value for e in evals]
+        bad[k] = pe.value + one
         with pytest.raises(SingularMooreSystem):
-            modres._recover_coefficients(plan, bad)
+            plan.recover([b.val for b in bad])
 
 
-def test_recovery_cache_key_separates_plan_shapes(monkeypatch):
+def test_recovery_cache_key_separates_plan_shapes(builds):
     # D = 10 and D = 12 over GF(2^8) with sigma1 = Frobenius share the working
     # field GF(2^16) and its power basis; only the degree bound tells the
-    # two Moore systems apart.  A hand-built plan with the basis reversed
-    # differs from the first shape in its points alone.
-    monkeypatch.setattr(modres, "_MOORE_CACHE", {})
+    # two Moore systems apart, so they are two plans with one elimination
+    # each.  A hand-built plan with the basis reversed differs from the first
+    # shape in its points alone and builds its own.
     ring = bivar_for(2, 8, 1, 1)
     rng = random.Random(11)
     pairs = [full_pair(ring, rng, 1, d1) for d1 in (5, 5, 6)]
     plans = [plan_modular(f, g) for f, g in pairs]
     assert [pl.degree_bound for pl in plans] == [10, 10, 12]
+    assert plans[0] is plans[1] and plans[2] is not plans[0]
     assert len({(pl.work_ctx, pl.points) for pl in plans}) == 1
     for f, g in pairs:
         assert res_x2_modular(f, g).rep == res_x2_direct(f, g).rep
-    assert len(modres._MOORE_CACHE) == 2
+    assert len(builds) == 2
+    _, evals = partial_evaluations(*pairs[0])
+    values = [pe.value.val for pe in evals]
+    flipped = dataclasses.replace(plans[0], points=plans[0].points[::-1])
+    assert flipped.recover(values[::-1]) == plans[0].recover(values)
+    assert len(builds) == 3
 
 
 def test_recovered_coefficient_outside_base_field_raises(monkeypatch):
@@ -364,11 +408,36 @@ def test_recovered_coefficient_outside_base_field_raises(monkeypatch):
     plan = plan_modular(f, g)
     emb = plan.embedding
     outside = next(v for v in range(plan.work_ctx.q) if emb.inverse_packed(v) is None)
-    monkeypatch.setattr(modres, "_recover_coefficients", lambda plan, evals: [outside])
+    monkeypatch.setattr(ModularPlan, "recover", lambda plan, values: [outside])
     with pytest.raises(CoefficientOutsideBaseField) as info:
         res_x2_modular(f, g)
     assert info.value.code == "coefficient-outside-base-field"
     assert info.value.exit_code == 5
+
+
+@pytest.mark.parametrize("route", [res_x2_modular, partial_evaluations])
+def test_unknown_rule_fails_before_planning(route, monkeypatch):
+    # the pivot rule is checked by the triangularization, which runs before
+    # any working field is built
+    def no_plan(f, g):
+        raise AssertionError("plan_modular called")
+
+    monkeypatch.setattr(modres, "plan_modular", no_plan)
+    ring = bivar_for(2, 8, 1, 1)
+    f, g = full_pair(ring, random.Random(16), 3, 3)
+    with pytest.raises(RingMismatch, match="unknown pivot rule"):
+        route(f, g, rule="bogus")
+
+
+def test_constant_pair_is_both_constant_on_both_routes():
+    ring = bivar_for(5, 1)
+    f, g = ring.constant(3), ring.constant(4)
+    for route in (res_x2_direct, res_x2_modular, partial_evaluations):
+        with pytest.raises(BothConstant):
+            route(f, g)
+    # one side constant in x2 still has no modular plan
+    with pytest.raises(PlanFailure):
+        res_x2_modular(f, ring.x2() + ring.x1())
 
 
 def test_plugin_plan_keeps_large_prime_modulus():

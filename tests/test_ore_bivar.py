@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from oreelim import Automorphism, NEG_INF, RingMismatch, ZeroPolynomial, field_new
+from oreelim import (
+    Automorphism,
+    DivisionByZero,
+    NEG_INF,
+    RingMismatch,
+    ZeroPolynomial,
+    field_new,
+)
 from oracles import bivar_mul_commutative, bivar_to_lists
 from support import bivar_for, rand_bivar
 
@@ -116,3 +123,48 @@ def test_ring_mismatch():
     r2 = bivar_for(2, 2, 1, 0)
     with pytest.raises(RingMismatch):
         r1.x2() * r2.x2()
+
+
+# -- the dense-polynomial core shared with OrePoly ------------------------------
+
+
+def twisted_bivar():
+    ring = bivar_for(5, 2, 1, 1)
+    c = ring.ctx.elem(7)  # t + 2, moved by both sigmas
+    f = ring.poly([[1, c], [2], [0, 1]])  # x1*x2^2 + 2*x2 + c*x1 + 1
+    return ring, c, f
+
+
+def test_reflected_operators_with_scalars_and_inner_polynomials():
+    ring, c, f = twisted_bivar()
+    u = ring.inner.poly([c, 0, 1])
+    assert u * f != f * u  # the inner polynomial multiplies from the left
+    for s in (3, c, u):
+        k = ring.from_uni(u) if s is u else ring.constant(s)
+        assert s + f == k + f
+        assert s - f == k - f
+        assert s * f == k * f
+
+
+def test_pow_is_repeated_multiplication():
+    ring, _, f = twisted_bivar()
+    assert f**0 == ring.one()
+    assert f**1 == f
+    assert f**3 == f * f * f
+    with pytest.raises(DivisionByZero):
+        f**-1
+
+
+def test_never_equal_to_a_univariate_polynomial():
+    ring = bivar_for(5, 2, 1, 1)
+    for u in (ring.inner.zero(), ring.inner.one(), ring.inner.x()):
+        assert ring.from_uni(u) != u and u != ring.from_uni(u)
+        assert not ring.from_uni(u) == u
+
+
+def test_equal_values_hash_equal():
+    ring, c, f = twisted_bivar()
+    g = ring.poly([[1, c], [2], [0, 1]])
+    assert g == f and g is not f
+    assert hash(g) == hash(f)
+    assert len({f, g, f + 1}) == 2

@@ -266,3 +266,39 @@ def test_text_rendering():
     f = ring.poly([1, w, w + 1])
     assert f.text() == "(t + 1)*x^2 + t*x + 1"
     assert ring.zero().text() == "0"
+
+
+# -- the dense-polynomial core shared with BivarOrePoly -----------------------
+
+
+def twisted_ring():
+    ring = ring_for(5, 2, 1)
+    c = ring.ctx.elem(7)  # t + 2, moved by sigma
+    return ring, c, ring.x(2) + ring.constant(c) * ring.x() + 3
+
+
+def test_reflected_operators_with_scalars():
+    ring, c, f = twisted_ring()
+    assert c * f != f * c  # the scalar multiplies from the left
+    for s in (3, c):
+        k = ring.constant(s)
+        assert s + f == k + f
+        assert s - f == k - f
+        assert s * f == k * f
+
+
+def test_pow_is_repeated_multiplication():
+    ring, _, f = twisted_ring()
+    assert f**0 == ring.one()
+    assert f**1 == f
+    assert f**3 == f * f * f
+    with pytest.raises(DivisionByZero):
+        f**-1
+
+
+def test_equal_values_hash_equal():
+    ring, c, f = twisted_ring()
+    g = ring.poly([3, c, 1])
+    assert g == f and g is not f
+    assert hash(g) == hash(f)
+    assert len({f, g, ring.poly([3, c])}) == 2

@@ -1,8 +1,11 @@
-"""The README's library example runs as shown, and its module list is
-complete."""
+"""The README's library example runs as shown, and its module list and its
+list of command-line flags are complete."""
 
+import argparse
 import re
 from pathlib import Path
+
+from oreelim.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -35,3 +38,23 @@ def test_module_list_names_every_module():
         p.stem for p in (ROOT / "src" / "oreelim").glob("*.py") if p.stem != "__init__"
     }
     assert listed == on_disk
+
+
+def test_flags_paragraph_names_every_option():
+    # the paragraph from "Flags:" up to the next blank line
+    text = README.read_text()
+    at = text.index("Flags:")
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", text[at : text.index("\n\n", at)]))
+    commands = next(
+        action.choices
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        opt
+        for sub in commands.values()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
+    assert named == options - {"--help"}
