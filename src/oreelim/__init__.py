@@ -29,7 +29,6 @@ from .field import (
     FieldCtx,
     FieldElem,
     FieldEmbedding,
-    extend_field,
     field_new,
     sigma_norm,
 )
@@ -40,6 +39,7 @@ from .modres import (
     check_bad_eval,
     embed_bivar,
     embed_uni,
+    extend_field,
     partial_evaluations,
     plan_modular,
     res_x2_modular,

@@ -40,7 +40,8 @@ The package's one Gauss-Jordan elimination lives here too: `_eliminate`
 records the elimination of a matrix over any field context and `_replay`
 applies it to a vector.  Moore recovery runs it over the working field, and
 `FieldEmbedding` runs it over GF(p) to build the inverse of the embedding.
-`extend_field` needs no extension when M = m: it returns the field itself.
+Which working field to embed into, and the root t goes to, are chosen in
+`modres`.
 
 The package's one square-and-multiply loop, `_pow` (field, GF(p)[t] and
 skew-polynomial powers), and its one term printer, `_format_terms` (field
@@ -60,7 +61,6 @@ from .errors import (
     ContextMismatch,
     DegreeMismatch,
     DivisionByZero,
-    NotAnExtension,
     NotPrime,
     ReducibleModulus,
     SingularMooreSystem,
@@ -996,12 +996,12 @@ def _replay(ctx, steps, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Field extension with compatible embedding
+# The embedding of a subfield
 
 
 class FieldEmbedding:
     """Injective ring homomorphism GF(p^m) -> GF(p^M) determined by sending t
-    to a deterministically chosen root of the small modulus (commutes with
+    to `root`, a root of the small modulus in the big field (commutes with
     Frobenius, as any field embedding does)."""
 
     __slots__ = ("small", "big", "root", "_cols", "_inv_cols")
@@ -1045,100 +1045,3 @@ class FieldEmbedding:
             raise ContextMismatch("inverse embedding applied to foreign element")
         u = self.inverse_packed(b.val)
         return None if u is None else FieldElem(self.small, u)
-
-
-_EXT_CACHE = {}
-
-
-def extend_field(ctx, M):
-    """GF(p^M) together with the deterministic embedding from ctx = GF(p^m).
-
-    Requires m | M.  For M = m it returns ctx itself, whatever its modulus,
-    with the identity embedding (t goes to t).  Otherwise GF(p^M) has its
-    default modulus and t goes to the least packed root of ctx's modulus
-    there, so the embedding is reproducible; that root is found by trace
-    splitting in time polynomial in m, M and p.
-    """
-    if M % ctx.m != 0:
-        raise NotAnExtension(f"GF({ctx.p}^{M}) does not contain GF({ctx.p}^{ctx.m})")
-    key = (ctx.p, ctx.m, ctx.modulus, M)
-    cached = _EXT_CACHE.get(key)
-    if cached is None:
-        if M == ctx.m:
-            big, root = ctx, ctx.t_packed
-        else:
-            big = field_new(ctx.p, M)
-            root = _least_modulus_root(ctx, big)
-        cached = _EXT_CACHE[key] = (big, FieldEmbedding(ctx, big, root))
-    return cached
-
-
-def _least_modulus_root(ctx, big):
-    """Least packed root in `big` of ctx's modulus h, by trace splitting
-    (Cantor-Zassenhaus, Math. Comp. 1981).
-
-    The roots of h lie in the subfield S of order p^m, and the relative traces
-    delta_j = Tr_{M/m}(t^j) = sum_k (t^j)^(p^(k m)) span S over GF(p).  For
-    delta in S, T = sum_i delta^(p^i) * (x^(p^i) mod h) takes the value
-    Tr(delta * r) in GF(p) at every root r of h, so gcd(g, T - c) collects
-    the roots of a factor g with trace value c.  The trace form is
-    nondegenerate, so refining g by each nonzero delta_j in turn leaves a
-    single root r after at most M rounds of at most p gcds.  The roots of h
-    are the Frobenius orbit of r, and the least of them is returned."""
-    p, m, M = ctx.p, ctx.m, big.m
-    g = h = [c % p for c in ctx.modulus]
-    powers = [[0, 1]]  # x^(p^i) mod h, coefficients in GF(p)
-    for _ in range(m - 1):
-        powers.append(_gfp_powmod(powers[-1], p, h, p))
-    for j in range(M):
-        if len(g) == 2:
-            break
-        delta = conj = p**j  # t^j and its conjugates over S
-        for _ in range(M // m - 1):
-            conj = big.frob(conj, m)
-            delta = big.add(delta, conj)
-        if not delta:
-            continue
-        trace = [0] * m
-        for i, xi in enumerate(powers):
-            if i:
-                delta = big.frob(delta, 1)
-            for k, s in enumerate(xi):
-                if s:
-                    trace[k] = big.add(trace[k], big.mul(s, delta))
-        for c in range(p):
-            if c:
-                trace[0] = big.sub(trace[0], 1)  # trace holds T - c
-            d = _monic_gcd(big, g, trace)
-            if len(d) > 1:
-                g = d
-                break
-    if len(g) != 2:  # pragma: no cover
-        raise AssertionError("modulus does not split in the extension")
-    root = least = big.neg(g[0])
-    for _ in range(m - 1):
-        root = big.frob(root, 1)
-        least = min(least, root)
-    return least
-
-
-def _monic_gcd(ctx, a, b):
-    """Monic gcd over ctx of two polynomials given as little-endian lists of
-    packed values, the first of them nonzero."""
-    a, b = list(a), list(b)
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        lead_inv = ctx.inv(b[-1])
-        db = len(b) - 1
-        while len(a) > db:
-            c = ctx.mul(a.pop(), lead_inv)
-            if c:
-                k = len(a) - db
-                for i in range(db):
-                    a[k + i] = ctx.sub(a[k + i], ctx.mul(c, b[i]))
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    lead_inv = ctx.inv(a[-1])
-    return [ctx.mul(c, lead_inv) for c in a]

@@ -17,7 +17,9 @@ down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
   2. plan: bound the eliminant degree D from the Sylvester shape and, if
      the input field is too small, extend it (Frobenius exponents lift
      unchanged, and the embedding commutes with them); one plan object
-     serves every pair of one ring and one D;
+     serves every pair of one ring and one D.  This module alone chooses
+     the working field: `_plan` its degree M, `extend_field` its modulus
+     and the root that the embedding sends t to;
   3. embed the diagonal into the working field: the embedding is an
      injective ring map commuting with every Frobenius power, and the pivot
      rules see only degrees, zero-ness and their seeded rng, so this is
@@ -59,6 +61,7 @@ from math import gcd
 from .errors import (
     BadEvaluation,
     CoefficientOutsideBaseField,
+    NotAnExtension,
     PlanFailure,
     RingMismatch,
     SingularMooreSystem,
@@ -68,11 +71,14 @@ from .field import (
     NEG_INF,
     Automorphism,
     FieldElem,
+    FieldEmbedding,
     _eliminate,
+    _gfp_powmod,
     _replay,
-    extend_field,
+    field_new,
 )
 from .ore_bivar import BivarOrePoly, BivarRing
+from .ore_uni import OreRing, gcrd
 from .resultant import sylvester_degree_bound, sylvester_matrix
 from .skewdet import DetResult, triangularize_with_log
 
@@ -219,6 +225,74 @@ def _plan(ring, bound):
         points=points,
         degree_bound=bound,
     )
+
+
+@cache
+def extend_field(ctx, M):
+    """GF(p^M) together with the deterministic embedding from ctx = GF(p^m).
+
+    Requires m | M.  For M = m it returns ctx itself, whatever its modulus,
+    with the identity embedding (t goes to t).  Otherwise GF(p^M) has its
+    default modulus and t goes to the least packed root of ctx's modulus
+    there, so the embedding is reproducible; that root is found by trace
+    splitting in time polynomial in m, M and p.  Memoized per (ctx, M)."""
+    if M % ctx.m != 0:
+        raise NotAnExtension(f"GF({ctx.p}^{M}) does not contain GF({ctx.p}^{ctx.m})")
+    if M == ctx.m:
+        return ctx, FieldEmbedding(ctx, ctx, ctx.t_packed)
+    big = field_new(ctx.p, M)
+    return big, FieldEmbedding(ctx, big, _least_modulus_root(ctx, big))
+
+
+def _least_modulus_root(ctx, big):
+    """Least packed root in `big` of ctx's modulus h, by trace splitting
+    (Cantor-Zassenhaus, Math. Comp. 1981).
+
+    The roots of h lie in the subfield S of order p^m, and the relative traces
+    delta_j = Tr_{M/m}(t^j) = sum_k (t^j)^(p^(k m)) span S over GF(p).  For
+    delta in S, T = sum_i delta^(p^i) * (x^(p^i) mod h) takes the value
+    Tr(delta * r) in GF(p) at every root r of h, so gcd(g, T - c) collects
+    the roots of a factor g with trace value c.  The trace form is
+    nondegenerate, so refining g by each nonzero delta_j in turn leaves a
+    single root r after at most M rounds of at most p gcds, each `gcrd` in
+    big[x] with sigma the identity.  The roots of h are the Frobenius orbit
+    of r, and the least of them is returned."""
+    p, m, M = ctx.p, ctx.m, big.m
+    ring = OreRing(big, Automorphism(big, 0))
+    h = ctx.modulus
+    g = ring.from_packed(h)
+    powers = [[0, 1]]  # x^(p^i) mod h, coefficients in GF(p)
+    for _ in range(m - 1):
+        powers.append(_gfp_powmod(powers[-1], p, h, p))
+    for j in range(M):
+        if g.degree == 1:
+            break
+        delta = conj = p**j  # t^j and its conjugates over S
+        for _ in range(M // m - 1):
+            conj = big.frob(conj, m)
+            delta = big.add(delta, conj)
+        if not delta:
+            continue
+        trace = [0] * m
+        for i, xi in enumerate(powers):
+            if i:
+                delta = big.frob(delta, 1)
+            for k, s in enumerate(xi):
+                if s:
+                    trace[k] = big.add(trace[k], big.mul(s, delta))
+        trace = ring.from_packed(trace)
+        for c in range(p):
+            d = gcrd(g, trace - c)
+            if d.degree > 0:
+                g = d
+                break
+    if g.degree != 1:  # pragma: no cover
+        raise AssertionError("modulus does not split in the extension")
+    root = least = big.neg(g.coeffs[0])
+    for _ in range(m - 1):
+        root = big.frob(root, 1)
+        least = min(least, root)
+    return least
 
 
 def embed_uni(f, plan):

@@ -7,6 +7,7 @@ Grammar (shared by all polynomial inputs; whitespace is insignificant):
     factor  := "-" factor | atom ["^" INT]
     atom    := INT | NAME | "(" expr ")"
 
+Tokens are ASCII: INT is [0-9]+ and NAME is [A-Za-z_][A-Za-z0-9_]*.
 Multiplication must be written with "*"; the factor order is preserved, which
 matters because the indeterminates do not commute with coefficients.
 Reserved names: ``t`` (field generator), ``x`` (univariate), ``x1``/``x2``
@@ -22,12 +23,16 @@ parse(print(v)) == v on canonical forms.  Field specs are walked by the same
 
 from __future__ import annotations
 
+from string import ascii_letters, digits
+
 from .errors import ParseError
 from .field import Automorphism, field_new
 from .ore_bivar import BivarRing
 from .ore_uni import OreRing
 
 _SYMBOLS = "+-*^();="
+# ASCII only: str.isdigit also accepts characters such as '²' that int() rejects
+_NAME_CHARS = ascii_letters + digits + "_"  # a leading digit starts an INT
 
 
 def _tokenize(text):
@@ -43,16 +48,16 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in digits:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in digits:
                 j += 1
             tokens.append(("INT", int(text[i:j]), i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_CHARS:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(("NAME", text[i:j], i))
             i = j

@@ -222,8 +222,6 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
             if ent.is_zero or ent.degree < pivot.degree:
                 continue
             q, r = ent.right_divmod(pivot)
-            if q.is_zero:
-                continue
             nq = -q
             row = work[k]
             tail = zip(work[col][col + 1 :], row[col + 1 :])

@@ -7,6 +7,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from oreelim import field_new, make_rings, modres, parse_ore_poly
 from oreelim.cli import _find_acceptance_tests, main
 
@@ -120,6 +122,16 @@ def test_parse_error_exit_code(capsys):
     )
     assert code == 3
     assert "error[parse-error]" in err
+
+
+@pytest.mark.parametrize(
+    "field, f",
+    [("GF(5)", "x2 - x1^\u00b2"), ("GF(5^\u00b2)", "x2 - x1"), ("GF(5)", "x2 - \u0663")],
+)
+def test_non_ascii_digit_is_a_parse_error(capsys, field, f):
+    code, out, err = run_cli(capsys, "eliminate", "--field", field, "--f", f, "--g", "x2 - 2")
+    assert (code, out) == (3, "")
+    assert err.startswith("error[parse-error]: unexpected character")
 
 
 def test_math_domain_exit_code(capsys):

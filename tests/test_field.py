@@ -23,7 +23,8 @@ from oreelim import (
     parse_element,
     sigma_norm,
 )
-from oreelim.field import _is_irreducible, _is_prime, _least_modulus_root, _prime_factors
+from oreelim.field import _is_irreducible, _is_prime, _prime_factors
+from oreelim.modres import _least_modulus_root
 from oracles import (
     brute_conjugacy,
     is_irreducible_rabin,
@@ -506,6 +507,16 @@ def test_field_axioms_random():
             assert (a + b) * c == a * c + b * c
             assert (a * b) * c == a * (b * c)
             assert a - a == ctx.zero
+
+
+def test_field_elem_int_operands():
+    ctx = field_new(5, 2)
+    a = ctx.elem(7)  # t + 2
+    three = ctx.from_int(3)
+    assert 3 - a == three - a == -(a - 3)
+    assert 1 / a == a.inverse()
+    assert three == 3 and three == 8
+    assert a != 3 and a != 2
 
 
 def _field_ops(ctx, u, v, k):

@@ -1,0 +1,69 @@
+"""The package's import structure, read from its source with `ast`: the
+runtime needs only the standard library, and each module imports only from
+the modules below it in one fixed order."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "oreelim"
+
+# bottom to top: a module may import from the modules before it
+ORDER = (
+    "errors",
+    "field",
+    "ore_uni",
+    "ore_bivar",
+    "skewdet",
+    "resultant",
+    "modres",
+    "parsing",
+    "cli",
+)
+
+
+def _tree(name):
+    return ast.parse((SRC / f"{name}.py").read_text(), filename=f"{name}.py")
+
+
+def _relative_targets(node):
+    """The package modules a relative `from` import names."""
+    if node.module is not None:
+        return [node.module.split(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+def test_every_module_is_in_the_order():
+    names = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    assert names == sorted(ORDER)
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_module_level_imports_are_stdlib_or_package(name):
+    for node in _tree(name).body:
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        for top in tops:
+            assert top in sys.stdlib_module_names, (
+                f"{name}.py line {node.lineno} imports {top!r} at module level"
+            )
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_package_imports_point_down_the_order(name):
+    below = set(ORDER[: ORDER.index(name)])
+    for node in ast.walk(_tree(name)):
+        if not isinstance(node, ast.ImportFrom) or node.level == 0:
+            continue
+        assert node.level == 1, f"{name}.py line {node.lineno} leaves the package"
+        for target in _relative_targets(node):
+            assert target in below, (
+                f"{name}.py line {node.lineno} imports {target!r}, "
+                f"which is not below {name!r}"
+            )

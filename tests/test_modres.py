@@ -16,6 +16,7 @@ from oreelim import (
     PlanFailure,
     RingMismatch,
     SingularMooreSystem,
+    ZeroPolynomial,
     check_bad_eval,
     embed_uni,
     extend_field,
@@ -76,6 +77,16 @@ def test_plan_rejects_constant_inputs():
         plan_modular(ring.constant(1), ring.x2())
 
 
+def test_plan_rejects_malformed_inputs():
+    ring = bivar_for(2, 2, 1, 1)
+    with pytest.raises(RingMismatch):
+        plan_modular(ring.inner.x(), ring.x2())
+    with pytest.raises(RingMismatch):
+        plan_modular(ring.x2(), bivar_for(2, 2, 1, 0).x2())
+    with pytest.raises(ZeroPolynomial):
+        plan_modular(ring.zero(), ring.x2())
+
+
 def test_plan_respects_sigma_order():
     # sigma1 = Frobenius(2) on GF(2^4) has order 2; a bound of 2 needs a
     # working field whose sigma1-order exceeds it, not just M > D
@@ -125,6 +136,7 @@ def test_check_bad_eval_flags_artificial_collision():
     collapsing = ring.inner.x(4) - 1
     f_bad = ring.poly([ring.inner.one(), collapsing])
     assert check_bad_eval(f_bad, plan)
+    assert check_bad_eval(ring.zero(), plan)
 
 
 def test_check_bad_eval_flags_plugin_roots():

@@ -101,6 +101,24 @@ def test_parse_errors_carry_columns():
 
 
 @pytest.mark.parametrize(
+    "text, column",
+    [("x2 - x1^\u00b2", 9), ("x2 - \u0663", 6), ("x2 - \u00e9", 6), ("x\u00b2", 2)],
+)
+def test_non_ascii_digits_and_letters_are_unexpected(text, column):
+    # str.isdigit accepts the superscript two and the Arabic-Indic three
+    ring = make_rings(field_new(5, 1), 0, 0)
+    with pytest.raises(ParseError) as err:
+        parse_bivar_poly(text, ring)
+    assert str(err.value) == f"unexpected character {text[column - 1]!r} (column {column})"
+
+
+def test_field_spec_non_ascii_degree_is_unexpected():
+    with pytest.raises(ParseError) as err:
+        parse_field_spec("GF(5^\u00b2)")
+    assert str(err.value) == "unexpected character '\u00b2' (column 6)"
+
+
+@pytest.mark.parametrize(
     "spec, column",
     [("GF(5; modulus = t + x)", 21), ("GF(5^2; modulus = t^2 + + 2)", 25)],
 )
