@@ -22,8 +22,14 @@ q = p^m:
 
 Every GF(p)-linear map between packed values -- a Frobenius power, the
 multiplication-by-generator step of the table build, the embedding
-GF(p^m) -> GF(p^M) and its inverse -- is stored as the images of the power
-basis (`FieldCtx._columns`) and applied by one kernel, `FieldCtx._combine`.
+GF(p^m) -> GF(p^M) and its inverse, and the modular route's recovery map
+from all chain values at once to all coefficients -- is stored as the images
+of the power basis (`FieldCtx._columns`, or `FieldCtx._matrix_columns` for a
+matrix over the field) and applied by one kernel, `FieldCtx._combine`, to
+packed values of any width.  For p = 2 a column is a packed value and the
+kernel XORs one column per set bit; for odd p a column holds one digit per
+slot of a few bits, the kernel does one integer multiply-add per nonzero
+digit and reduces each slot mod p once, at the end.
 
 The package's one skew-product loop is `FieldCtx.skew_addmul`: it adds
 q*a into a packed coefficient list, for q and a in GF(q)[x; frob^e], and
@@ -38,10 +44,10 @@ or one Zech lookup (odd p), with no method call per coefficient.  The
 
 The package's one Gauss-Jordan elimination lives here too: `_eliminate`
 records the elimination of a matrix over any field context and `_replay`
-applies it to a vector.  Moore recovery runs it over the working field, and
-`FieldEmbedding` runs it over GF(p) to build the inverse of the embedding.
-Which working field to embed into, and the root t goes to, are chosen in
-`modres`.
+applies it to a vector.  Only `FieldEmbedding` runs it, over GF(p), to build
+the inverse of the embedding; recovery in `modres` has closed-form
+inverses.  Which working field to embed into, and the root t goes to, are
+chosen in `modres`.
 
 The package's one square-and-multiply loop, `_pow` (field, GF(p)[t] and
 skew-polynomial powers), and its one term printer, `_format_terms` (field
@@ -55,6 +61,7 @@ Fields are restricted to p^m < 2^63 (machine-word residue packing).
 from __future__ import annotations
 
 import threading
+from functools import cache
 from math import gcd
 
 from .errors import (
@@ -153,6 +160,17 @@ def _rho_factor(n):
                 g = gcd(x - ys, n)
         if g != n:
             return g
+
+
+@cache
+def _slot_bits(p, n):
+    """Slot width in bits of the columns of an n-column GF(p)-linear map: 1
+    for p = 2, where a column is a packed value; for odd p wide enough that
+    a sum of n products of two digits fits in a slot, and so does the
+    Barrett step of `_matrix_columns` (under 2 * p^4)."""
+    if p == 2:
+        return 1
+    return max(n * (p - 1) ** 2, 2 * p**4).bit_length()
 
 
 def _pow(mul, one, base, k):
@@ -592,33 +610,91 @@ class FieldCtx:
     def _columns(self, values):
         """Column list of the GF(p)-linear map sending the i-th power basis
         element of its source to the packed value values[i] of this field."""
-        if self.p == 2:
-            return list(values)
-        return [self.coords(v) for v in values]
+        w = _slot_bits(self.p, len(values))
+        return [self._spread(v, w) for v in values]
+
+    def _spread(self, u, w):
+        """The base-p digits of packed u, one per w-bit slot, lowest first."""
+        p = self.p
+        if p == 2:
+            return u
+        out = shift = 0
+        while u:
+            u, c = divmod(u, p)
+            out |= c << shift
+            shift += w
+        return out
 
     def _combine(self, cols, u):
         """The map with columns `cols` applied to packed u: the sum of
-        c_i * cols[i] over the base-p digits c_i of u, packed in this field."""
-        if self.p == 2:
-            out = 0
-            i = 0
-            while u:
-                if u & 1:
-                    out ^= cols[i]
-                u >>= 1
-                i += 1
-            return out
+        c_i * cols[i] over the base-p digits c_i of u, packed in this field.
+
+        u and the result may be of any width.  For p = 2 a column is a packed
+        value and the sum is an XOR per set bit; for odd p a column holds one
+        digit per slot of `_slot_bits(p, len(cols))` bits, the sum is one
+        integer multiply-add per nonzero digit, and each slot of the sum is
+        reduced mod p once, at the end."""
         p = self.p
-        acc = [0] * self.m
+        if p == 2:
+            out = 0
+            for i, c in enumerate(f"{u:b}"[::-1]):
+                if c == "1":
+                    out ^= cols[i]
+            return out
+        acc = 0
         i = 0
         while u:
             u, c = divmod(u, p)
             if c:
-                col = cols[i]
-                for j in range(self.m):
-                    acc[j] += c * col[j]
+                acc += c * cols[i]
             i += 1
-        return self.pack(acc)
+        w = _slot_bits(p, len(cols))
+        mask = (1 << w) - 1
+        out = 0
+        for k in range((acc.bit_length() - 1) // w * w, -1, -w):
+            out = out * p + (acc >> k & mask) % p
+        return out
+
+    def _matrix_columns(self, rows):
+        """Columns of the GF(p)-linear map sending the values v_0, v_1, ...,
+        packed as sum(v_j * q^j), to the values sum_j rows[j][i] * v_j,
+        packed likewise, for a matrix of packed values with one row per
+        input; `_combine` applies it.  Column j*m + k is the image of v_j =
+        t^k, the row j times t^k.
+
+        Each row is spread once, and times t is a step on the whole wide
+        integer: every digit moves up one slot, each value's top digit c
+        moves out, and c times the negated low part of the modulus comes
+        back in.  For odd p every slot is then reduced mod p in place by one
+        Barrett step: s and mu make floor(x * mu / 2^s) = floor(x / p) for
+        every slot value x <= (p - 1) + (p - 1)^2."""
+        p, m = self.p, self.m
+        width = len(rows[0])
+        w = _slot_bits(p, len(rows) * m)
+        elem = m * w
+        ones = ((1 << (width * elem)) - 1) // ((1 << elem) - 1)  # 1 per value
+        top = ones * (((1 << w) - 1) << (elem - w))
+        negf = self._spread(self.pack(-c for c in self.modulus[:m]), w)
+        if p != 2:
+            s = (p * (p - 1) ** 2).bit_length()
+            mu = -(-(1 << s) // p)
+            slots = ((1 << (width * elem)) - 1) // ((1 << w) - 1)  # 1 per slot
+            qmask = slots * ((1 << (w - s)) - 1)
+        cols = []
+        for row in rows:
+            x = 0
+            for v in reversed(row):
+                x = (x << elem) | self._spread(v, w)
+            cols.append(x)
+            for _ in range(m - 1):
+                c = x & top
+                if p == 2:
+                    x = ((x ^ c) << 1) ^ (c >> (elem - 1)) * negf
+                else:
+                    x = ((x - c) << w) + (c >> (elem - w)) * negf
+                    x -= p * ((x * mu >> s) & qmask)
+                cols.append(x)
+        return cols
 
     # -- raw coordinate arithmetic (backend-independent bootstrap) -------------
 

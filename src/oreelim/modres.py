@@ -27,10 +27,15 @@ down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
   4. evaluate the diagonal chain at every plan point, x1 acting there as
      the plan says (`ModularPlan.actions`, applied by `apply_formal`, the
      package's one evaluation map);
-  5. recover the coefficients (`ModularPlan.recover` solves the system of
-     rows [S^i(start)] by an elimination the plan records on its first
-     recovery) and map them back through the inverse embedding (a
-     coefficient outside the base field is an internal error).
+  5. recover the coefficients and map them back through the inverse
+     embedding (a coefficient outside the base field is an internal error).
+     The system of rows [S^i(start)] has a closed-form inverse, the
+     trace-dual basis for a Moore system and the Lagrange basis for a
+     Vandermonde one, so no elimination runs.  Recovery is GF(p)-linear in
+     the chain values, and the plan builds its map once, on its first
+     recovery, as the images of the unit inputs (`FieldCtx._matrix_columns`);
+     each `ModularPlan.recover` is then one pass of `FieldCtx._combine` over
+     all chain values at once.
 
 The action of x1 has two regimes, and only `plan_modular` and the plan
 itself tell them apart; every later step runs one loop for both.  With
@@ -72,9 +77,7 @@ from .field import (
     Automorphism,
     FieldElem,
     FieldEmbedding,
-    _eliminate,
     _gfp_powmod,
-    _replay,
     field_new,
 )
 from .ore_bivar import BivarOrePoly, BivarRing
@@ -130,29 +133,38 @@ class ModularPlan:
         return tuple((ctx.mul, pt.val, 1) for pt in self.points)
 
     @cached_property
-    def _elimination(self):
-        """The recorded elimination of the rows [S^i(start)], i = 0..D, one
-        per point: a Moore system in the Frobenius regime, a Vandermonde
-        system in the plug-in one.  Built on the first recovery, so planning
-        stays cheap, and shared by every pair of this plan."""
-        rows = []
-        for step, arg, cur in self.actions:
-            row = [cur]
-            for _ in range(self.degree_bound):
-                cur = step(cur, arg)
-                row.append(cur)
-            rows.append(row)
-        return _eliminate(self.work_ctx, rows, self.degree_bound + 1)
+    def _recovery(self):
+        """The columns of the recovery map, a GF(p)-linear map from the chain
+        values to the coefficients followed by the leftovers, whose matrix
+        over the working field is the closed-form inverse of the system:
+        `_moore_rows` or `_lagrange_rows`.  Built on the first recovery, so
+        planning stays cheap, and shared by every pair of this plan."""
+        ctx, e1 = self.work_ctx, self.work_ring.sigma1.e
+        if e1:
+            rows = _moore_rows(ctx, e1, self.degree_bound, self.points)
+        else:
+            rows = _lagrange_rows(ctx, self.degree_bound, self.points)
+        return ctx._matrix_columns(rows)
 
     def recover(self, values):
         """The coefficients r_0..r_D (packed) with sum(r_i * S^i(start)) equal
-        to the packed chain value at every point; the leftover equations must
-        reduce to zero."""
-        steps = self._elimination
-        v = _replay(self.work_ctx, steps, values)
-        if any(v[len(steps) :]):
+        to the packed chain value at every point.  One pass of the recovery
+        map over the values, packed as sum(v_j * q^j), gives
+        sum(r_i * q^i) plus the leftovers times q^(D + 1); the system is
+        consistent exactly when the leftovers are all zero."""
+        ctx = self.work_ctx
+        q = ctx.q
+        packed = 0
+        for v in reversed(values):
+            packed = packed * q + v
+        out = ctx._combine(self._recovery, packed)
+        if out >= q ** (self.degree_bound + 1):
             raise SingularMooreSystem("chain values are inconsistent")
-        return v[: len(steps)]
+        coeffs = []
+        for _ in range(self.degree_bound + 1):
+            out, r = divmod(out, q)
+            coeffs.append(r)
+        return coeffs
 
     def to_jsonable(self):
         return {
@@ -162,6 +174,77 @@ class ModularPlan:
             "degree_bound": self.degree_bound,
             "points": [str(pt) for pt in self.points],
         }
+
+
+def _deflate(ctx, poly, a):
+    """The quotient of a monic polynomial (packed coefficients, lowest
+    first) by x - a, for a root a, by synthetic division."""
+    add, mul = ctx.add, ctx.mul
+    quo = [1]
+    for c in poly[-2:0:-1]:
+        quo.append(add(c, mul(a, quo[-1])))
+    return quo[::-1]
+
+
+def _trace_dual_basis(ctx):
+    """The trace-dual basis b_0*, ..., b_{m-1}* of the power basis t^j, with
+    Tr(b_j* * t^k) = delta_jk.  If the modulus is f(x) = (x - t) * g(x), g =
+    beta_0 + ... + beta_{m-1} x^{m-1}, then b_j* = beta_j / f'(t) and
+    f'(t) = g(t) (Lidl-Niederreiter, Finite Fields, ch. 2)."""
+    t = ctx.t_packed
+    beta = _deflate(ctx, ctx.modulus, t)
+    scale = ctx.inv(apply_formal(ctx, ctx.mul, t, beta, 1))
+    return [ctx.mul(b, scale) for b in beta]
+
+
+def _moore_rows(ctx, e1, bound, points):
+    """The inverse of the Moore system, one row per point t^j: its entries
+    are phi(b_j*) for the automorphisms phi = sigma1^0..sigma1^D, then for
+    the other Frobenius powers in increasing order (the leftovers).  Since
+    sum_j phi(t^j) * psi(b_j*) = delta_{phi, psi}, the values v_j =
+    sum_i r_i * sigma1^i(t^j) give r_i = sum_j sigma1^i(b_j*) * v_j and a
+    zero leftover for every other phi, and they are of that form exactly
+    when every leftover is zero."""
+    p, m = ctx.p, ctx.m
+    exps = [i * e1 % m for i in range(bound + 1)]
+    if len(set(exps)) <= bound:
+        raise SingularMooreSystem(
+            "evaluation points do not determine the coefficients"
+        )
+    exps += sorted(set(range(m)) - set(exps))
+    basis = {p**j: j for j in range(m)}
+    index = [basis.get(pt.val) for pt in points]
+    if len(index) != m or set(index) != set(range(m)):
+        raise PlanFailure("Frobenius-mode points must be the power basis")
+    conj = [_trace_dual_basis(ctx)]  # conj[e][j] = frob(b_j*, e)
+    for _ in range(m - 1):
+        conj.append([ctx.frob(b, 1) for b in conj[-1]])
+    return [[conj[e][j] for e in exps] for j in index]
+
+
+def _lagrange_rows(ctx, bound, points):
+    """The inverse of the Vandermonde system, one row per point a_k: the
+    coefficients of L_k(x) = P(x) / ((x - a_k) * P'(a_k)) for P the product
+    of all (x - a_l), so that r = sum_k v_k * L_k.  Coefficients past D are
+    leftovers, present only when a plan has more than D + 1 points."""
+    mul, sub = ctx.mul, ctx.sub
+    pts = [pt.val for pt in points]
+    if len(pts) <= bound:
+        raise SingularMooreSystem(
+            "evaluation points do not determine the coefficients"
+        )
+    prod = [1]
+    for a in pts:
+        prod = [sub(x, mul(a, y)) for x, y in zip([0] + prod, prod + [0])]
+    rows = []
+    for a in pts:
+        quo = _deflate(ctx, prod, a)
+        deriv = apply_formal(ctx, mul, a, quo, 1)  # P'(a)
+        if not deriv:
+            raise SingularMooreSystem("evaluation points are not distinct")
+        scale = ctx.inv(deriv)
+        rows.append([mul(scale, c) for c in quo])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -192,13 +275,15 @@ def plan_modular(f, g):
             "evaluation/interpolation needs x2-degree >= 1 on both inputs "
             "(the direct method handles constant-in-x2 inputs)"
         )
-    return _plan(f.ring, sylvester_degree_bound(f, g))
+    return _plan(f.ring, f.ring.ctx.backend, sylvester_degree_bound(f, g))
 
 
 @cache
-def _plan(ring, bound):
+def _plan(ring, backend, bound):
     """The plan of one ring and one D, which determine it; memoized, so every
-    pair of that shape shares its actions and its recovery."""
+    pair of that shape shares its actions and its recovery.  Rings compare
+    by their contexts, which ignore the backend, so it is part of the key:
+    a ring over a hand-built context gets a plan on its own backend."""
     ctx = ring.ctx
     m = ctx.m
     e1 = ring.sigma1.e
@@ -227,19 +312,24 @@ def _plan(ring, bound):
     )
 
 
-@cache
 def extend_field(ctx, M):
     """GF(p^M) together with the deterministic embedding from ctx = GF(p^m).
 
-    Requires m | M.  For M = m it returns ctx itself, whatever its modulus,
-    with the identity embedding (t goes to t).  Otherwise GF(p^M) has its
-    default modulus and t goes to the least packed root of ctx's modulus
-    there, so the embedding is reproducible; that root is found by trace
-    splitting in time polynomial in m, M and p.  Memoized per (ctx, M)."""
+    Requires m | M.  For M = m it returns ctx itself, whatever its modulus
+    and backend, with the identity embedding (t goes to t).  Otherwise
+    GF(p^M) has its default modulus and t goes to the least packed root of
+    ctx's modulus there, so the embedding is reproducible; that root is
+    found by trace splitting in time polynomial in m, M and p, and memoized
+    per (ctx, M)."""
     if M % ctx.m != 0:
         raise NotAnExtension(f"GF({ctx.p}^{M}) does not contain GF({ctx.p}^{ctx.m})")
     if M == ctx.m:
         return ctx, FieldEmbedding(ctx, ctx, ctx.t_packed)
+    return _extension(ctx, M)
+
+
+@cache
+def _extension(ctx, M):
     big = field_new(ctx.p, M)
     return big, FieldEmbedding(ctx, big, _least_modulus_root(ctx, big))
 

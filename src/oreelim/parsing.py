@@ -1,6 +1,6 @@
 """Text formats for fields, field elements, and Ore polynomials.
 
-Grammar (shared by all polynomial inputs; whitespace is insignificant):
+Grammar (shared by all polynomial inputs; ASCII whitespace is insignificant):
 
     expr    := term (("+" | "-") term)*
     term    := factor ("*" factor)*
@@ -23,7 +23,7 @@ parse(print(v)) == v on canonical forms.  Field specs are walked by the same
 
 from __future__ import annotations
 
-from string import ascii_letters, digits
+from string import ascii_letters, digits, whitespace
 
 from .errors import ParseError
 from .field import Automorphism, field_new
@@ -41,7 +41,7 @@ def _tokenize(text):
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in whitespace:  # ASCII only, like the tokens
             i += 1
             continue
         if ch in _SYMBOLS:

@@ -9,9 +9,10 @@ division, irreducibility by Rabin's test, operator evaluation by repeated
 values.  Only the validated base-field scalar operations are shared.  The
 two exceptions are former package code paths kept as references for their
 replacements:
-`working_field_triangularization`, the modular route's former pipeline, and
+`working_field_triangularization`, the modular route's former pipeline,
 `least_modulus_root_enum`, the embedding-root search by subfield
-enumeration.
+enumeration, and `recorded_elimination_recover`, recovery by a recorded
+Gauss-Jordan elimination.
 """
 
 
@@ -373,3 +374,27 @@ def working_field_triangularization(f, g, plan, rule, seed):
     syl = sylvester_matrix(embed_bivar(f, plan), embed_bivar(g, plan))
     tri, ops = triangularize_with_log(syl, rule=rule, seed=seed)
     return [tri.rows[i][i] for i in range(tri.n)], ops
+
+
+def recorded_elimination_recover(plan, values):
+    """The coefficients r_0..r_D (packed) with sum(r_i * S^i(start)) equal to
+    the packed chain value at every plan point, by the recorded Gauss-Jordan
+    elimination of the rows [S^i(start)], i = 0..D, replayed on the values:
+    the modular route's former recovery, kept as the reference for its
+    closed-form inverses.  Raises SingularMooreSystem when the leftover
+    equations do not reduce to zero."""
+    from oreelim import SingularMooreSystem
+    from oreelim.field import _eliminate, _replay
+
+    rows = []
+    for step, arg, cur in plan.actions:
+        row = [cur]
+        for _ in range(plan.degree_bound):
+            cur = step(cur, arg)
+            row.append(cur)
+        rows.append(row)
+    steps = _eliminate(plan.work_ctx, rows, plan.degree_bound + 1)
+    v = _replay(plan.work_ctx, steps, values)
+    if any(v[len(steps) :]):
+        raise SingularMooreSystem("chain values are inconsistent")
+    return v[: len(steps)]

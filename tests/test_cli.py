@@ -134,6 +134,13 @@ def test_non_ascii_digit_is_a_parse_error(capsys, field, f):
     assert err.startswith("error[parse-error]: unexpected character")
 
 
+@pytest.mark.parametrize("f", ["x2\x1c+ 1", "x2\u3000+ 1"])
+def test_non_ascii_space_is_a_parse_error(capsys, f):
+    code, out, err = run_cli(capsys, "eliminate", "--field", "GF(5)", "--f", f, "--g", "x2 - 2")
+    assert (code, out) == (3, "")
+    assert err.startswith("error[parse-error]: unexpected character")
+
+
 def test_math_domain_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "eliminate", "--field", "GF(5)", "--f", "3", "--g", "4",

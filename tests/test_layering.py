@@ -1,6 +1,6 @@
 """The package's import structure, read from its source with `ast`: the
-runtime needs only the standard library, and each module imports only from
-the modules below it in one fixed order."""
+runtime needs only the standard library, each module imports only from the
+modules below it in one fixed order, and `modres` runs no Gauss-Jordan."""
 
 import ast
 import sys
@@ -67,3 +67,20 @@ def test_package_imports_point_down_the_order(name):
                 f"{name}.py line {node.lineno} imports {target!r}, "
                 f"which is not below {name!r}"
             )
+
+
+def test_modres_runs_no_gauss_jordan():
+    # recovery applies closed-form inverses; the recorded elimination serves
+    # only the embedding's inverse in `field`
+    for node in ast.walk(_tree("modres")):
+        if isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        assert name not in ("_eliminate", "_replay"), (
+            f"modres.py line {node.lineno} names {name!r}"
+        )

@@ -10,6 +10,7 @@ import pytest
 from oreelim import (
     AddMulOp,
     Automorphism,
+    BivarRing,
     BothConstant,
     CoefficientOutsideBaseField,
     ModularPlan,
@@ -28,10 +29,12 @@ from oreelim import (
     res_x2_modular,
 )
 from oreelim import modres
+from oreelim.field import FieldCtx
 from oreelim.skewdet import PIVOT_RULES
 from oracles import (
     bivar_to_lists,
     classical_resultant,
+    recorded_elimination_recover,
     sigma_apply,
     solve_dense,
     uni_to_list,
@@ -326,17 +329,17 @@ def test_modular_op_log_equals_direct():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """A fresh plan memo, and a list that grows by one per recovery
-    elimination built."""
+    """A fresh plan memo, and a list that grows by one per recovery map
+    built."""
     monkeypatch.setattr(modres, "_plan", functools.cache(modres._plan.__wrapped__))
     built = []
 
-    def counting(*args):
-        built.append(args)
-        return eliminate(*args)
+    def counting(ctx, rows):
+        built.append(rows)
+        return matrix_columns(ctx, rows)
 
-    eliminate = modres._eliminate
-    monkeypatch.setattr(modres, "_eliminate", counting)
+    matrix_columns = FieldCtx._matrix_columns
+    monkeypatch.setattr(FieldCtx, "_matrix_columns", counting)
     return built
 
 
@@ -369,7 +372,7 @@ def test_cached_recovery_equals_solve_exact(p, m, e1, builds):
         rows = system_rows(plan)
         rhs = [pe.value for pe in evals]
         want = solve_dense(rows, rhs)
-        # the first call builds the shape's elimination, later ones replay it
+        # the first call builds the plan's recovery map, later ones apply it
         assert plan.recover([b.val for b in rhs]) == [x.val for x in want]
         for row, b in zip(rows, rhs):
             assert sum((a * x for a, x in zip(row, want)), ctx.zero) == b
@@ -394,7 +397,7 @@ def test_perturbed_chain_value_is_inconsistent():
 def test_recovery_cache_key_separates_plan_shapes(builds):
     # D = 10 and D = 12 over GF(2^8) with sigma1 = Frobenius share the working
     # field GF(2^16) and its power basis; only the degree bound tells the
-    # two Moore systems apart, so they are two plans with one elimination
+    # two Moore systems apart, so they are two plans with one recovery map
     # each.  A hand-built plan with the basis reversed differs from the first
     # shape in its points alone and builds its own.
     ring = bivar_for(2, 8, 1, 1)
@@ -412,6 +415,145 @@ def test_recovery_cache_key_separates_plan_shapes(builds):
     flipped = dataclasses.replace(plans[0], points=plans[0].points[::-1])
     assert flipped.recover(values[::-1]) == plans[0].recover(values)
     assert len(builds) == 3
+
+
+# (p, m, e1, D): input field GF(p^m), sigma1 = Frobenius^e1, degree bound D
+RECOVERY_SHAPES = [
+    (2, 8, 1, 24),  # GF(2^8) -> GF(2^32), the modular-char2 shape
+    (3, 4, 1, 12),  # GF(3^4) -> GF(3^16), the modular-odd shape
+    (5, 9, 2, 10),  # GF(5^9) -> GF(5^27), sigma1 = Frobenius^2
+    (7, 1, 0, 40),  # GF(7) -> GF(7^2), plug-in, the modular-plugin shape
+    (2, 4, 0, 20),  # GF(2^4) -> GF(2^8), plug-in
+    (1000003, 2, 0, 6),  # GF(1000003^2), plug-in: slots wider than 40 bits
+]
+
+
+def plan_and_values(p, m, e1, bound):
+    """The plan of one shape, random working-field coefficients r_0..r_D and
+    the chain values sum(r_i * S^i(start)) at its points."""
+    ring = bivar_for(p, m, e1, e1)
+    plan = modres._plan(ring, ring.ctx.backend, bound)
+    ctx = plan.work_ctx
+    rng = random.Random(f"{p}^{m}/{e1}/{bound}")
+    coeffs = [rng.randrange(ctx.q) for _ in range(bound + 1)]
+    values = [
+        modres.apply_formal(ctx, step, arg, coeffs, start)
+        for step, arg, start in plan.actions
+    ]
+    return plan, coeffs, values
+
+
+@pytest.mark.parametrize("p, m, e1, bound", RECOVERY_SHAPES)
+def test_recovery_equals_recorded_elimination_and_dense_solve(p, m, e1, bound):
+    plan, coeffs, values = plan_and_values(p, m, e1, bound)
+    ctx = plan.work_ctx
+    assert plan.mode == ("frobenius" if e1 else "plugin")
+    assert plan.recover(values) == coeffs
+    assert recorded_elimination_recover(plan, values) == coeffs
+    dense = solve_dense(system_rows(plan), [ctx.elem(v) for v in values])
+    assert [x.val for x in dense] == coeffs
+
+
+@pytest.mark.parametrize("p, m, e1, bound", [s for s in RECOVERY_SHAPES if s[2]])
+def test_one_digit_perturbation_is_inconsistent(p, m, e1, bound):
+    # sigma1 = Frobenius^e1 with g = gcd(e1, M): a linearized polynomial of
+    # sigma1-degree <= D has a kernel of GF(p)-dimension at most g * D < M - 1,
+    # so it cannot vanish on M - 1 basis elements and take a nonzero value
+    # on the last: a change of any one digit of any one chain value leaves
+    # the Moore system inconsistent
+    plan, _, values = plan_and_values(p, m, e1, bound)
+    ctx = plan.work_ctx
+    for k in range(len(values)):
+        bad = list(values)
+        bad[k] = ctx.add(bad[k], (1 + k % (p - 1)) * p ** (k * 7 % ctx.m))
+        with pytest.raises(SingularMooreSystem):
+            plan.recover(bad)
+        if k == 0:
+            with pytest.raises(SingularMooreSystem):
+                recorded_elimination_recover(plan, bad)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        field_new(2, 4),
+        field_new(2, 32),
+        field_new(3, 16),
+        FieldCtx(3, 4, modulus=(1, 1, 1, 1, 1)),
+        field_new(7, 1),
+        field_new(7, 2),
+        field_new(1000003, 2),
+    ],
+    ids=str,
+)
+def test_trace_dual_basis(ctx):
+    # Tr(b_j* * t^k) = delta_jk, the trace the sum of all Frobenius images
+    dual = modres._trace_dual_basis(ctx)
+    t = ctx.elem(ctx.t_packed)
+    for j, b in enumerate(dual):
+        for k in range(ctx.m):
+            x = ctx.elem(b) * t**k
+            trace = sum((Automorphism(ctx, e)(x) for e in range(ctx.m)), ctx.zero)
+            assert trace == (1 if j == k else 0)
+
+
+def test_frobenius_plan_off_the_power_basis_is_refused():
+    # a hand-built Frobenius plan recovers only over the power basis, in any
+    # order, and with sigma1^0..sigma1^D distinct; anything else is a typed
+    # error on its first recovery, never a wrong answer
+    plan, _, values = plan_and_values(2, 8, 1, 24)
+    basis = plan.points
+    one = plan.work_ctx.one
+    for points in (
+        basis[:1] + tuple(b + one for b in basis[1:]),  # another basis
+        basis[:-1],  # too few points
+        basis[:-1] + basis[:1],  # a repeated point
+    ):
+        bad = dataclasses.replace(plan, points=points)
+        with pytest.raises(PlanFailure):
+            bad.recover(values[: len(points)])
+    wide = dataclasses.replace(plan, degree_bound=len(basis))  # sigma1^M = id
+    with pytest.raises(SingularMooreSystem):
+        wide.recover(values)
+
+
+def test_plugin_plan_with_extra_points_checks_them():
+    # with more points than D + 1 the Lagrange coefficients past D are the
+    # leftovers: zero on consistent values, and a repeated point is refused
+    plan, coeffs, _ = plan_and_values(7, 1, 0, 40)
+    ctx = plan.work_ctx
+    more = dataclasses.replace(plan, points=plan.points + (ctx.elem(41), ctx.elem(42)))
+    values = [
+        modres.apply_formal(ctx, step, arg, coeffs, start)
+        for step, arg, start in more.actions
+    ]
+    assert more.recover(values) == coeffs
+    values[-1] = ctx.add(values[-1], 1)
+    with pytest.raises(SingularMooreSystem):
+        more.recover(values)
+    repeated = dataclasses.replace(plan, points=plan.points[:-1] + plan.points[:1])
+    with pytest.raises(SingularMooreSystem):
+        repeated.recover(values[: len(plan.points)])
+
+
+def test_memo_keys_respect_the_backend():
+    # contexts compare by (p, m, modulus); the memos of extend_field and of
+    # the plan must not answer one backend's call with another's context
+    table = field_new(2, 4)
+    f, g = full_pair(bivar_for(2, 4, 1, 1), random.Random(17), 1, 1)
+    for backend in ("table", "bits", "poly"):
+        ctx = table if backend == "table" else FieldCtx(2, 4, backend=backend)
+        assert ctx == table and ctx.backend == backend
+        assert extend_field(ctx, 4)[0] is ctx
+        ring = BivarRing(ctx, Automorphism(ctx, 1), Automorphism(ctx, 1))
+        fb, gb = (
+            ring.poly([ring.inner.from_packed(c.coeffs) for c in h.coeffs])
+            for h in (f, g)
+        )
+        plan = plan_modular(fb, gb)
+        assert plan.degree_bound == 2
+        assert plan.work_ctx.backend == plan.base_ring.ctx.backend == backend
+        assert res_x2_modular(fb, gb).rep.coeffs == res_x2_direct(f, g).rep.coeffs
 
 
 def test_recovered_coefficient_outside_base_field_raises(monkeypatch):

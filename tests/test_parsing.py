@@ -112,6 +112,24 @@ def test_non_ascii_digits_and_letters_are_unexpected(text, column):
     assert str(err.value) == f"unexpected character {text[column - 1]!r} (column {column})"
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("x2\x1c+ 1", 3), ("x2 +\x1f1", 5), ("x2\u00a0+ 1", 3), ("x2 + \u30001", 6)],
+)
+def test_non_ascii_whitespace_is_unexpected(text, column):
+    # str.isspace accepts the separators U+001C-U+001F and non-ASCII spaces
+    ring = make_rings(field_new(5, 1), 0, 0)
+    with pytest.raises(ParseError) as err:
+        parse_bivar_poly(text, ring)
+    assert str(err.value) == f"unexpected character {text[column - 1]!r} (column {column})"
+
+
+def test_ascii_whitespace_is_skipped():
+    ring = make_rings(field_new(5, 1), 0, 0)
+    spaced = parse_bivar_poly("x2\t+\n1\r*\x0bx1\x0c", ring)
+    assert spaced == parse_bivar_poly("x2+1*x1", ring)
+
+
 def test_field_spec_non_ascii_degree_is_unexpected():
     with pytest.raises(ParseError) as err:
         parse_field_spec("GF(5^\u00b2)")
