@@ -31,6 +31,13 @@ kernel XORs one column per set bit; for odd p a column holds one digit per
 slot of a few bits, the kernel does one integer multiply-add per nonzero
 digit and reduces each slot mod p once, at the end.
 
+A map that acts alike on n values -- a Frobenius power, a product by a
+constant -- has a second kernel, `FieldBatch`: the n values sit side by
+side in one integer, and the map is applied to all of them at once, one
+multiply-add per digit plane (m in all, whatever n is).  The modular
+route's Frobenius-regime chain runs on it, and `_matrix_columns` builds its
+columns with the batch's times-t step.
+
 The package's one skew-product loop is `FieldCtx.skew_addmul`: it adds
 q*a into a packed coefficient list, for q and a in GF(q)[x; frob^e], and
 both `OrePoly.addmul` and each quotient step of `OrePoly.right_divmod` run
@@ -70,7 +77,6 @@ from .errors import (
     DivisionByZero,
     NotPrime,
     ReducibleModulus,
-    SingularMooreSystem,
     ZeroElement,
 )
 
@@ -167,7 +173,7 @@ def _slot_bits(p, n):
     """Slot width in bits of the columns of an n-column GF(p)-linear map: 1
     for p = 2, where a column is a packed value; for odd p wide enough that
     a sum of n products of two digits fits in a slot, and so does the
-    Barrett step of `_matrix_columns` (under 2 * p^4)."""
+    Barrett step of its times-t steps in `_matrix_columns` (under 2 * p^4)."""
     if p == 2:
         return 1
     return max(n * (p - 1) ** 2, 2 * p**4).bit_length()
@@ -272,7 +278,8 @@ def _is_irreducible(f, p):
     1981): f is irreducible exactly when gcd(f, x^(p^i) - x) = 1 for
     i = 1 .. m/2, since a reducible f has an irreducible factor of degree at
     most m/2.  Most reducible candidates have a small factor and are rejected
-    after a step or two."""
+    after a step or two.  `_is_irreducible_gf2` is the same test on
+    bit-packed ints for p = 2."""
     x = [0, 1]
     h = x
     for _ in range((len(f) - 1) // 2):
@@ -282,9 +289,41 @@ def _is_irreducible(f, p):
     return True
 
 
+def _is_irreducible_gf2(f):
+    """Ben-Or's test for f in GF(2)[t], bit i the coefficient of t^i: h runs
+    through x^(2^i) mod f, squared by spreading its bits apart (its binary
+    digits read in base 4) and reduced by XOR, as are the gcds.  The
+    modulus search for p = 2 runs it; it picks what the list test picks."""
+    m = f.bit_length() - 1
+    h = 2
+    for _ in range(m // 2):
+        h = _gf2_mod(int(format(h, "b"), 4), f)
+        a, b = f, h ^ 2
+        while b:
+            a, b = b, _gf2_mod(a, b)
+        if a != 1:
+            return False
+    return True
+
+
+def _gf2_mod(a, b):
+    """a mod b in GF(2)[t], for bit-packed a and b != 0."""
+    db = b.bit_length()
+    da = a.bit_length()
+    while da >= db:
+        a ^= b << (da - db)
+        da = a.bit_length()
+    return a
+
+
 def _default_modulus(p, m):
     """Least monic irreducible of degree m: the lower coefficients are the
     base-p digits of the smallest counter that passes Ben-Or's test."""
+    if p == 2:
+        for f in range(1 << m, 2 << m):
+            if _is_irreducible_gf2(f):
+                return tuple((f >> i) & 1 for i in range(m + 1))
+        raise AssertionError("no irreducible polynomial found")  # pragma: no cover
     for counter in range(p**m):
         low = []
         c = counter
@@ -648,53 +687,20 @@ class FieldCtx:
             if c:
                 acc += c * cols[i]
             i += 1
-        w = _slot_bits(p, len(cols))
-        mask = (1 << w) - 1
-        out = 0
-        for k in range((acc.bit_length() - 1) // w * w, -1, -w):
-            out = out * p + (acc >> k & mask) % p
-        return out
+        return _gather(acc, p, _slot_bits(p, len(cols)))
 
     def _matrix_columns(self, rows):
         """Columns of the GF(p)-linear map sending the values v_0, v_1, ...,
         packed as sum(v_j * q^j), to the values sum_j rows[j][i] * v_j,
         packed likewise, for a matrix of packed values with one row per
         input; `_combine` applies it.  Column j*m + k is the image of v_j =
-        t^k, the row j times t^k.
-
-        Each row is spread once, and times t is a step on the whole wide
-        integer: every digit moves up one slot, each value's top digit c
-        moves out, and c times the negated low part of the modulus comes
-        back in.  For odd p every slot is then reduced mod p in place by one
-        Barrett step: s and mu make floor(x * mu / 2^s) = floor(x / p) for
-        every slot value x <= (p - 1) + (p - 1)^2."""
-        p, m = self.p, self.m
-        width = len(rows[0])
-        w = _slot_bits(p, len(rows) * m)
-        elem = m * w
-        ones = ((1 << (width * elem)) - 1) // ((1 << elem) - 1)  # 1 per value
-        top = ones * (((1 << w) - 1) << (elem - w))
-        negf = self._spread(self.pack(-c for c in self.modulus[:m]), w)
-        if p != 2:
-            s = (p * (p - 1) ** 2).bit_length()
-            mu = -(-(1 << s) // p)
-            slots = ((1 << (width * elem)) - 1) // ((1 << w) - 1)  # 1 per slot
-            qmask = slots * ((1 << (w - s)) - 1)
-        cols = []
-        for row in rows:
-            x = 0
-            for v in reversed(row):
-                x = (x << elem) | self._spread(v, w)
-            cols.append(x)
-            for _ in range(m - 1):
-                c = x & top
-                if p == 2:
-                    x = ((x ^ c) << 1) ^ (c >> (elem - 1)) * negf
-                else:
-                    x = ((x - c) << w) + (c >> (elem - w)) * negf
-                    x -= p * ((x * mu >> s) & qmask)
-                cols.append(x)
-        return cols
+        t^k, the row j times t^k: each row is held as one `FieldBatch` and
+        multiplied by t with `FieldBatch.t_columns`, in `_combine`'s slots."""
+        p = self.p
+        batch = FieldBatch(
+            self, len(rows[0]), _slot_bits(p, len(rows) * self.m), p * (p - 1)
+        )
+        return [col for row in rows for col in batch.t_columns(batch.spread(row))]
 
     # -- raw coordinate arithmetic (backend-independent bootstrap) -------------
 
@@ -828,6 +834,148 @@ class FieldCtx:
             half = (q - 1) // 2
             self._zech = zech
             self._neg = [0] + [exp2[log[u] + half] for u in range(1, q)]
+
+
+class FieldBatch:
+    """n values of one field side by side in one integer, so that a
+    GF(p)-linear map that acts alike on every value -- a sum, a product by a
+    constant, a Frobenius power -- acts on all n at once.
+
+    Value j takes bits [j*m*w, (j+1)*m*w), one base-p digit per w-bit slot,
+    lowest first.  For p = 2, w = 1 and the batch is the packed integer
+    sum(v_j * q^j).  A map with columns col_k, the images of t^k spread into
+    slots, sends X to sum_k ((X >> k*w) & digits) * col_k: digit plane k
+    holds digit k of every value in that value's lowest slot, so each
+    product is one copy of col_k per value and reaches no other value.  For
+    p = 2 the sum is an XOR; for odd p a slot of the sum is at most
+    m * (p - 1)^2, and one SWAR Barrett step (`_reduce`) brings every slot
+    back below p.
+
+    `bound` is the largest slot value `_reduce` must handle, by default that
+    of a plane pass; s and mu make floor(x * mu / 2^s) = floor(x / p) for
+    every x <= bound (x * (p - 1) < 2^s suffices), and w, by default the
+    least that does, holds x * mu in one slot."""
+
+    __slots__ = (
+        "ctx",
+        "w",
+        "_elem",
+        "_digits",
+        "_top",
+        "_negf",
+        "_s",
+        "_mu",
+        "_qmask",
+        "_frob_cols",
+    )
+
+    def __init__(self, ctx, n, w=None, bound=None):
+        p, m = ctx.p, ctx.m
+        self.ctx = ctx
+        if p == 2:
+            w = 1
+        else:
+            if bound is None:
+                bound = max(m * (p - 1) ** 2, p * (p - 1))  # planes and times t
+            s = (bound * (p - 1)).bit_length()
+            mu = -(-(1 << s) // p)
+            least = (bound * mu).bit_length()
+            if w is None:
+                w = least
+            elif w < least:  # pragma: no cover
+                raise AssertionError(f"{w}-bit slots cannot hold {bound} * {mu}")
+            self._s = s
+            self._mu = mu
+        self.w = w
+        self._elem = elem = m * w
+        bits = n * elem
+        self._digits = ((1 << bits) - 1) // ((1 << elem) - 1) * ((1 << w) - 1)
+        self._top = self._digits << (elem - w)
+        self._negf = ctx._spread(ctx.pack(-c for c in ctx.modulus[:m]), w)
+        if p != 2:
+            slots = ((1 << bits) - 1) // ((1 << w) - 1)
+            self._qmask = slots * ((1 << (w - s)) - 1)
+        self._frob_cols = {}
+
+    def spread(self, values):
+        """The batch of the packed values, value j in slot j."""
+        ctx, w, elem = self.ctx, self.w, self._elem
+        x = 0
+        for v in reversed(values):
+            x = (x << elem) | ctx._spread(v, w)
+        return x
+
+    def packed(self, x):
+        """The values of batch x packed as sum(v_j * q^j)."""
+        if self.ctx.p == 2:
+            return x
+        return _gather(x, self.ctx.p, self.w)
+
+    def add(self, x, y):
+        if self.ctx.p == 2:
+            return x ^ y
+        return self._reduce(x + y)
+
+    def mul(self, c, x):
+        """Every value of batch x times the packed constant c, through the
+        columns c * t^k, which `t_columns` builds with no field mul."""
+        if c == 1:
+            return x
+        return self._apply(self.t_columns(self.ctx._spread(c, self.w)), x)
+
+    def frob(self, x, e):
+        """Every value of batch x raised to the p^e power."""
+        cols = self._frob_cols.get(e)
+        if cols is None:
+            ctx = self.ctx
+            cols = [ctx._spread(ctx.frob(ctx.p**k, e), self.w) for k in range(ctx.m)]
+            self._frob_cols[e] = cols
+        return self._apply(cols, x)
+
+    def t_columns(self, x):
+        """x, t*x, ..., t^(m-1)*x for a batch x.  Times t moves every digit
+        up one slot; each value's top digit c moves out, and c times the
+        negated low part of the modulus comes back in."""
+        top, negf, w = self._top, self._negf, self.w
+        down = self._elem - w
+        out = [x]
+        for _ in range(self.ctx.m - 1):
+            c = x & top
+            if w == 1:  # p = 2
+                x = ((x ^ c) << 1) ^ (c >> down) * negf
+            else:
+                x = self._reduce(((x - c) << w) + (c >> down) * negf)
+            out.append(x)
+        return out
+
+    def _apply(self, cols, x):
+        """The map with columns `cols` applied to every value of batch x."""
+        w, digits = self.w, self._digits
+        out = 0
+        if self.ctx.p == 2:
+            for col in cols:
+                plane = x & digits
+                if plane:
+                    out ^= plane * col
+                x >>= 1
+            return out
+        for col in cols:
+            out += (x & digits) * col
+            x >>= w
+        return self._reduce(out)
+
+    def _reduce(self, x):
+        """Every slot of x, each at most `bound`, reduced mod p."""
+        return x - self.ctx.p * ((x * self._mu >> self._s) & self._qmask)
+
+
+def _gather(acc, p, w):
+    """sum(c_k * p^k) over the w-bit slots c_k of acc, each reduced mod p."""
+    mask = (1 << w) - 1
+    out = 0
+    for k in range((acc.bit_length() - 1) // w * w, -1, -w):
+        out = out * p + (acc >> k & mask) % p
+    return out
 
 
 class FieldElem:
@@ -1028,18 +1176,16 @@ def sigma_norm(sigma, a):
 
 
 def _eliminate(ctx, rows, ncols):
-    """Gauss-Jordan elimination over ctx of a matrix of full column rank,
-    recorded per column as (pivot row swapped into place, pivot inverse,
+    """Gauss-Jordan elimination over ctx of a matrix of full column rank (the
+    embedding's, its only caller), recorded per column as (pivot row swapped into place, pivot inverse,
     (row, multiplier) pairs cleared against it)."""
     mul, sub = ctx.mul, ctx.sub
     a = [list(row) for row in rows]
     steps = []
     for col in range(ncols):
         sel = next((k for k in range(col, len(a)) if a[k][col]), None)
-        if sel is None:
-            raise SingularMooreSystem(
-                "evaluation points do not determine the coefficients"
-            )
+        if sel is None:  # pragma: no cover
+            raise AssertionError("the embedding's matrix must have full column rank")
         a[col], a[sel] = a[sel], a[col]
         inv = ctx.inv(a[col][col])
         prow = [mul(inv, x) for x in a[col][col + 1 :]]

@@ -26,7 +26,11 @@ down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
      exactly the embedded matrix's diagonal;
   4. evaluate the diagonal chain at every plan point, x1 acting there as
      the plan says (`ModularPlan.actions`, applied by `apply_formal`, the
-     package's one evaluation map);
+     package's one evaluation map).  In the Frobenius regime sigma1 and a
+     product by a diagonal coefficient are the same GF(p)-linear map at
+     every point, so all points are evaluated at once, on one `FieldBatch`
+     holding every chain value; in the plug-in regime x1's multiplier
+     differs per point, and the chain runs point by point;
   5. recover the coefficients and map them back through the inverse
      embedding (a coefficient outside the base field is an internal error).
      The system of rows [S^i(start)] has a closed-form inverse, the
@@ -75,6 +79,7 @@ from .errors import (
 from .field import (
     NEG_INF,
     Automorphism,
+    FieldBatch,
     FieldElem,
     FieldEmbedding,
     _gfp_powmod,
@@ -87,9 +92,12 @@ from .skewdet import DetResult, triangularize_with_log
 
 
 def apply_formal(ctx, step, arg, coeffs, u):
-    """sum(c_i * S^i(u)) on packed values, where S(v) = step(v, arg) is how x
-    acts on the field: a Frobenius power (`ctx.frob`, e), or multiplication
-    by a point (`ctx.mul`, a), which makes the sum the plain value f(a) * u."""
+    """sum(c_i * S^i(u)), where S(v) = step(v, arg) is how x acts on the
+    field: a Frobenius power (`ctx.frob`, e), or multiplication by a point
+    (`ctx.mul`, a), which makes the sum the plain value f(a) * u.  The sum is
+    taken by ctx's add and mul: a `FieldCtx` on packed values, or a
+    `FieldBatch` on a batch of them, whose mul multiplies every value by the
+    coefficient."""
     add, mul = ctx.add, ctx.mul
     acc = 0
     cur = u
@@ -123,14 +131,37 @@ class ModularPlan:
 
     @cached_property
     def actions(self):
-        """How x1 acts on the working field at each point, as (step, arg,
-        start) with S(v) = step(v, arg): sigma1 started at the point, or
-        multiplication by the point started at 1 when sigma1 is the
-        identity."""
+        """How x1 acts on the working field, as (ctx, step, arg, start) for
+        `apply_formal`, with S(v) = step(v, arg).  With sigma1 the identity,
+        x1 is multiplication by the point started at 1, one action per point.
+        Otherwise it is sigma1 started at the point, the same GF(p)-linear map
+        at every point, so one action on a `FieldBatch` of all the points
+        serves them all."""
         ctx, e1 = self.work_ctx, self.work_ring.sigma1.e
         if e1:
-            return tuple((ctx.frob, e1, pt.val) for pt in self.points)
-        return tuple((ctx.mul, pt.val, 1) for pt in self.points)
+            batch = self._batch
+            start = batch.spread([pt.val for pt in self.points])
+            return ((batch, batch.frob, e1, start),)
+        return tuple((ctx, ctx.mul, pt.val, 1) for pt in self.points)
+
+    @cached_property
+    def _batch(self):
+        return FieldBatch(self.work_ctx, len(self.points))
+
+    def pack(self, values):
+        """Chain values, one per point, packed as sum(v_j * q^j)."""
+        q = self.work_ctx.q
+        packed = 0
+        for v in reversed(values):
+            packed = packed * q + v
+        return packed
+
+    def _packed(self, results):
+        """All chain values packed as sum(v_j * q^j), from the results of
+        `actions` in order."""
+        if self.mode == "frobenius":
+            return self._batch.packed(results[0])
+        return self.pack(results)
 
     @cached_property
     def _recovery(self):
@@ -146,17 +177,15 @@ class ModularPlan:
             rows = _lagrange_rows(ctx, self.degree_bound, self.points)
         return ctx._matrix_columns(rows)
 
-    def recover(self, values):
+    def recover(self, packed):
         """The coefficients r_0..r_D (packed) with sum(r_i * S^i(start)) equal
-        to the packed chain value at every point.  One pass of the recovery
-        map over the values, packed as sum(v_j * q^j), gives
-        sum(r_i * q^i) plus the leftovers times q^(D + 1); the system is
-        consistent exactly when the leftovers are all zero."""
+        to the chain value v_j at every point j, from all chain values packed
+        as sum(v_j * q^j) (`pack`, or `ChainValues.packed`).  One pass of the
+        recovery map gives sum(r_i * q^i) plus the leftovers times
+        q^(D + 1); the system is consistent exactly when the leftovers are
+        all zero."""
         ctx = self.work_ctx
         q = ctx.q
-        packed = 0
-        for v in reversed(values):
-            packed = packed * q + v
         out = ctx._combine(self._recovery, packed)
         if out >= q ** (self.degree_bound + 1):
             raise SingularMooreSystem("chain values are inconsistent")
@@ -253,6 +282,17 @@ class PartialEval:
 
     point: FieldElem
     value: FieldElem
+
+
+class ChainValues(tuple):
+    """The PartialEval of every plan point, in point order, and `packed`, all
+    chain values packed as sum(v_j * q^j): the input of
+    `ModularPlan.recover`, read as computed, with no per-point repack."""
+
+    def __new__(cls, evals, packed):
+        self = super().__new__(cls, evals)
+        self.packed = packed
+        return self
 
 
 def plan_modular(f, g):
@@ -410,25 +450,30 @@ def check_bad_eval(f, plan):
     if f.is_zero:
         return True
     coeffs = embed_uni(f.lead_coeff, plan).coeffs
-    ctx = plan.work_ctx
     return not any(
         apply_formal(ctx, step, arg, coeffs, start)
-        for step, arg, start in plan.actions
+        for ctx, step, arg, start in plan.actions
     )
 
 
 def chain_evaluate(diag, plan):
     """PartialEval at every plan point of the diagonal chain per the
     composition formula: the row-order product d_1 * ... * d_k acts as
-    d_1 applied last.  Output is in the plan's point order."""
-    ctx = plan.work_ctx
+    d_1 applied last.  Output is in the plan's point order, as
+    `ChainValues`."""
     coeff_rows = [d.coeffs for d in reversed(diag)]
-    out = []
-    for pt, (step, arg, u) in zip(plan.points, plan.actions):
+    results = []
+    for ctx, step, arg, u in plan.actions:
         for coeffs in coeff_rows:
             u = apply_formal(ctx, step, arg, coeffs, u)
-        out.append(PartialEval(point=pt, value=FieldElem(ctx, u)))
-    return tuple(out)
+        results.append(u)
+    packed = rest = plan._packed(results)
+    work, q = plan.work_ctx, plan.work_ctx.q
+    evals = []
+    for pt in plan.points:
+        rest, v = divmod(rest, q)
+        evals.append(PartialEval(point=pt, value=FieldElem(work, v)))
+    return ChainValues(evals, packed)
 
 
 def _pipeline(f, g, rule, seed):
@@ -472,7 +517,7 @@ def res_x2_modular(f, g, rule="min_degree", seed=0) -> DetResult:
         raise PlanFailure(
             f"diagonal degree {deg_r} exceeds the planned bound {plan.degree_bound}"
         )
-    coeffs = plan.recover([pe.value.val for pe in chain_evaluate(diag, plan)])
+    coeffs = plan.recover(chain_evaluate(diag, plan).packed)
     back = [plan.embedding.inverse_packed(c) for c in coeffs]
     if any(b is None for b in back):
         raise CoefficientOutsideBaseField(

@@ -222,7 +222,8 @@ class OrePoly(DensePoly):
         ctx = self.ring.ctx
         if ctx.p == 2:
             return self
-        return OrePoly(self.ring, tuple(map(ctx.neg, self.coeffs)))
+        neg = ctx._neg.__getitem__ if ctx._neg is not None else ctx.neg
+        return OrePoly(self.ring, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         g = self._coerce(other)

@@ -11,8 +11,9 @@ two exceptions are former package code paths kept as references for their
 replacements:
 `working_field_triangularization`, the modular route's former pipeline,
 `least_modulus_root_enum`, the embedding-root search by subfield
-enumeration, and `recorded_elimination_recover`, recovery by a recorded
-Gauss-Jordan elimination.
+enumeration, `recorded_elimination_recover`, recovery by a recorded
+Gauss-Jordan elimination, and `point_chain`/`point_bad_eval`, the chain and
+the bad-evaluation check one plan point at a time.
 """
 
 
@@ -387,7 +388,7 @@ def recorded_elimination_recover(plan, values):
     from oreelim.field import _eliminate, _replay
 
     rows = []
-    for step, arg, cur in plan.actions:
+    for step, arg, cur in point_actions(plan):
         row = [cur]
         for _ in range(plan.degree_bound):
             cur = step(cur, arg)
@@ -398,3 +399,41 @@ def recorded_elimination_recover(plan, values):
     if any(v[len(steps) :]):
         raise SingularMooreSystem("chain values are inconsistent")
     return v[: len(steps)]
+
+
+def point_actions(plan):
+    """How x1 acts at each plan point, as (step, arg, start) on packed
+    values of the working field: sigma1 started at the point, or
+    multiplication by the point started at 1 when sigma1 is the identity.
+    The modular route's former per-point actions."""
+    ctx, e1 = plan.work_ctx, plan.work_ring.sigma1.e
+    if e1:
+        return [(ctx.frob, e1, pt.val) for pt in plan.points]
+    return [(ctx.mul, pt.val, 1) for pt in plan.points]
+
+
+def point_chain(diag, plan):
+    """The packed chain value d_1(S)(... d_k(S)(start) ...) at every plan
+    point, one point and one field operation at a time: the former
+    `modres.chain_evaluate`, kept as the reference for the batched chain."""
+    from oreelim.modres import apply_formal
+
+    ctx = plan.work_ctx
+    out = []
+    for step, arg, u in point_actions(plan):
+        for d in reversed(diag):
+            u = apply_formal(ctx, step, arg, d.coeffs, u)
+        out.append(u)
+    return out
+
+
+def point_bad_eval(f, plan):
+    """The former `modres.check_bad_eval`: f is zero, or its embedded leading
+    x2-coefficient evaluates to zero at every plan point, one point at a
+    time."""
+    from oreelim import embed_uni
+
+    if f.is_zero:
+        return True
+    lead = embed_uni(f.lead_coeff, plan)
+    return not any(point_chain([lead], plan))

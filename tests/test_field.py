@@ -23,7 +23,14 @@ from oreelim import (
     parse_element,
     sigma_norm,
 )
-from oreelim.field import _is_irreducible, _is_prime, _prime_factors
+from oreelim.field import (
+    FieldBatch,
+    _default_modulus,
+    _is_irreducible,
+    _is_irreducible_gf2,
+    _is_prime,
+    _prime_factors,
+)
 from oreelim.modres import _least_modulus_root
 from oracles import (
     brute_conjugacy,
@@ -155,6 +162,21 @@ def test_ben_or_matches_rabin_exhaustive(p, max_deg):
     for d in range(1, max_deg + 1):
         for f in _monic_polys(p, d):
             assert _is_irreducible(f, p) == is_irreducible_rabin(f, p), f
+
+
+def test_gf2_ben_or_matches_the_list_test_exhaustive():
+    for d in range(1, 11):
+        for f in _monic_polys(2, d):
+            bits = sum(c << i for i, c in enumerate(f))
+            assert _is_irreducible_gf2(bits) == _is_irreducible(f, 2), f
+
+
+def test_gf2_modulus_search_picks_the_list_path_modulus():
+    # the search for p = 2 runs Ben-Or on bit-packed ints; the list test, run
+    # over the same candidates in the same order, picks the same modulus
+    for m in range(2, 73):
+        want = next(f for f in _monic_polys(2, m) if _is_irreducible(f, 2))
+        assert _default_modulus(2, m) == tuple(want), m
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -636,3 +658,48 @@ def test_generator_order():
             cur = cur * g
             seen.add(cur.val)
         assert len(seen) == ctx.q - 1
+
+
+BATCH_FIELDS = [(2, 32), (2, 16), (3, 16), (5, 27), (251, 4), (1000003, 2), (7, 1)]
+
+
+@pytest.mark.parametrize("p, m", BATCH_FIELDS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_field_batch_acts_on_every_value(p, m, seed):
+    # add, mul by a constant, frob and the products by t^k on a batch equal
+    # the field's own operations value by value
+    ctx = field_new(p, m)
+    rng = random.Random(seed)
+    n = rng.randrange(1, 6)
+    batch = FieldBatch(ctx, n)
+    us = [rng.randrange(ctx.q) for _ in range(n)]
+    vs = [rng.randrange(ctx.q) for _ in range(n)]
+    c, e = rng.randrange(ctx.q), rng.randrange(m)
+    x, y = batch.spread(us), batch.spread(vs)
+
+    def values(z):
+        packed = batch.packed(z)
+        assert packed < ctx.q**n
+        return [packed // ctx.q**j % ctx.q for j in range(n)]
+
+    assert values(x) == us
+    assert values(batch.add(x, y)) == [ctx.add(u, v) for u, v in zip(us, vs)]
+    assert values(batch.mul(c, x)) == [ctx.mul(c, u) for u in us]
+    assert values(batch.frob(x, e)) == [ctx.frob(u, e) for u in us]
+    powers = batch.t_columns(x)
+    assert len(powers) == m
+    for k, z in enumerate(powers):
+        tk = ctx.pow_packed(ctx.t_packed, k)
+        assert values(z) == [ctx.mul(tk, u) for u in us]
+
+
+@pytest.mark.parametrize("p, m", [f for f in BATCH_FIELDS if f[0] > 2])
+def test_field_batch_reduces_its_largest_slot(p, m):
+    # a plane pass leaves at most m * (p - 1)^2 in a slot, times t
+    # p * (p - 1); one Barrett step reduces every slot up to the larger
+    batch = FieldBatch(field_new(p, m), 3)
+    bound = max(m * (p - 1) ** 2, p * (p - 1))
+    slots = sum(1 << (k * batch.w) for k in range(3 * m))
+    for x in (bound, bound - 1, p * (bound // p), p - 1):
+        assert batch._reduce(slots * x) == slots * (x % p)

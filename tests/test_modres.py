@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oreelim import (
     AddMulOp,
@@ -34,6 +35,9 @@ from oreelim.skewdet import PIVOT_RULES
 from oracles import (
     bivar_to_lists,
     classical_resultant,
+    point_actions,
+    point_bad_eval,
+    point_chain,
     recorded_elimination_recover,
     sigma_apply,
     solve_dense,
@@ -123,12 +127,13 @@ def test_check_bad_eval_structurally_false():
     assert not check_bad_eval(g7, plan7)
 
 
-def test_check_bad_eval_flags_artificial_collision():
-    # over a plan whose working field is the input field itself, the formal
-    # polynomial x1^m - 1 acts as sigma^m - id = 0 on GF(p^m)
+def collision_plan():
+    """A hand-built Frobenius plan over GF(2^4) itself, with D = 4 = M, and
+    an input whose leading coefficient x1^4 - 1 acts there as sigma^4 - id,
+    the zero map."""
     ctx = field_new(2, 4)
     ring = bivar_for(2, 4, 1, 1)
-    work, emb = extend_field(ctx, 4)
+    _, emb = extend_field(ctx, 4)
     plan = ModularPlan(
         base_ring=ring,
         work_ring=ring,
@@ -136,10 +141,15 @@ def test_check_bad_eval_flags_artificial_collision():
         points=tuple(ctx.prime_basis()),
         degree_bound=4,
     )
-    collapsing = ring.inner.x(4) - 1
-    f_bad = ring.poly([ring.inner.one(), collapsing])
+    return plan, ring.poly([ring.inner.one(), ring.inner.x(4) - 1])
+
+
+def test_check_bad_eval_flags_artificial_collision():
+    # over a plan whose working field is the input field itself, the formal
+    # polynomial x1^m - 1 acts as sigma^m - id = 0 on GF(p^m)
+    plan, f_bad = collision_plan()
     assert check_bad_eval(f_bad, plan)
-    assert check_bad_eval(ring.zero(), plan)
+    assert check_bad_eval(plan.base_ring.zero(), plan)
 
 
 def test_check_bad_eval_flags_plugin_roots():
@@ -160,6 +170,48 @@ def test_check_bad_eval_flags_plugin_roots():
     roots = x1 * (x1 - 1) * (x1 - 2)
     assert check_bad_eval(ring.poly([ring.inner.one(), roots]), plan)
     assert not check_bad_eval(ring.poly([ring.inner.one(), roots + 1]), plan)
+
+
+# (p, m, e1, D) of Frobenius plans, one per kind of batch: GF(2^8) ->
+# GF(2^32) (bits), GF(2^4) -> GF(2^16) (table), GF(3^4) -> GF(3^16) (poly),
+# GF(5^9) -> GF(5^27) with sigma1 = Frobenius^2, and GF(251^2) -> GF(251^4),
+# whose large p makes the widest slots per digit
+BATCH_SHAPES = [(2, 8, 1, 24), (2, 4, 1, 13), (3, 4, 1, 12), (5, 9, 2, 10), (251, 2, 1, 3)]
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES + ["collision"], ids=str)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_chain_equals_point_chain(shape, seed):
+    # the chain and check_bad_eval evaluate every plan point at once, on one
+    # FieldBatch; the former per-point chain is the reference, on random
+    # diagonals (zero entries and constants included) and random inputs.
+    # x1^M - 1 acts as sigma1^M - id = 0 on GF(p^M), a bad evaluation on
+    # every Frobenius plan.
+    if shape == "collision":
+        plan, f_bad = collision_plan()
+        ring = plan.base_ring
+    else:
+        p, m, e1, bound = shape
+        ring = bivar_for(p, m, e1, e1)
+        plan = modres._plan(ring, ring.ctx.backend, bound)
+        f_bad = ring.zero()
+    rng = random.Random(seed)
+    work = plan.work_ring.inner
+    q = plan.work_ctx.q
+    diag = [
+        work.from_packed([rng.randrange(q) for _ in range(rng.randrange(4))])
+        for _ in range(rng.randrange(1, 4))
+    ]
+    evals = modres.chain_evaluate(diag, plan)
+    want = point_chain(diag, plan)
+    assert [pe.point for pe in evals] == list(plan.points)
+    assert [pe.value.val for pe in evals] == want
+    assert evals.packed == plan.pack(want)
+    f = rand_bivar(ring, rng, 2, 3, min_d2=1)
+    collapsing = ring.poly([ring.inner.one(), ring.inner.x(plan.work_ctx.m) - 1])
+    for h in (f, f_bad, collapsing):
+        assert check_bad_eval(h, plan) == point_bad_eval(h, plan)
 
 
 def test_modular_equals_direct_frobenius():
@@ -373,7 +425,7 @@ def test_cached_recovery_equals_solve_exact(p, m, e1, builds):
         rhs = [pe.value for pe in evals]
         want = solve_dense(rows, rhs)
         # the first call builds the plan's recovery map, later ones apply it
-        assert plan.recover([b.val for b in rhs]) == [x.val for x in want]
+        assert plan.recover(plan.pack([b.val for b in rhs])) == [x.val for x in want]
         for row, b in zip(rows, rhs):
             assert sum((a * x for a, x in zip(row, want)), ctx.zero) == b
     assert len(builds) == 1
@@ -391,7 +443,7 @@ def test_perturbed_chain_value_is_inconsistent():
         bad = [e.value for e in evals]
         bad[k] = pe.value + one
         with pytest.raises(SingularMooreSystem):
-            plan.recover([b.val for b in bad])
+            plan.recover(plan.pack([b.val for b in bad]))
 
 
 def test_recovery_cache_key_separates_plan_shapes(builds):
@@ -413,7 +465,9 @@ def test_recovery_cache_key_separates_plan_shapes(builds):
     _, evals = partial_evaluations(*pairs[0])
     values = [pe.value.val for pe in evals]
     flipped = dataclasses.replace(plans[0], points=plans[0].points[::-1])
-    assert flipped.recover(values[::-1]) == plans[0].recover(values)
+    assert flipped.recover(flipped.pack(values[::-1])) == plans[0].recover(
+        plans[0].pack(values)
+    )
     assert len(builds) == 3
 
 
@@ -438,7 +492,7 @@ def plan_and_values(p, m, e1, bound):
     coeffs = [rng.randrange(ctx.q) for _ in range(bound + 1)]
     values = [
         modres.apply_formal(ctx, step, arg, coeffs, start)
-        for step, arg, start in plan.actions
+        for step, arg, start in point_actions(plan)
     ]
     return plan, coeffs, values
 
@@ -448,7 +502,7 @@ def test_recovery_equals_recorded_elimination_and_dense_solve(p, m, e1, bound):
     plan, coeffs, values = plan_and_values(p, m, e1, bound)
     ctx = plan.work_ctx
     assert plan.mode == ("frobenius" if e1 else "plugin")
-    assert plan.recover(values) == coeffs
+    assert plan.recover(plan.pack(values)) == coeffs
     assert recorded_elimination_recover(plan, values) == coeffs
     dense = solve_dense(system_rows(plan), [ctx.elem(v) for v in values])
     assert [x.val for x in dense] == coeffs
@@ -467,7 +521,7 @@ def test_one_digit_perturbation_is_inconsistent(p, m, e1, bound):
         bad = list(values)
         bad[k] = ctx.add(bad[k], (1 + k % (p - 1)) * p ** (k * 7 % ctx.m))
         with pytest.raises(SingularMooreSystem):
-            plan.recover(bad)
+            plan.recover(plan.pack(bad))
         if k == 0:
             with pytest.raises(SingularMooreSystem):
                 recorded_elimination_recover(plan, bad)
@@ -511,10 +565,10 @@ def test_frobenius_plan_off_the_power_basis_is_refused():
     ):
         bad = dataclasses.replace(plan, points=points)
         with pytest.raises(PlanFailure):
-            bad.recover(values[: len(points)])
+            bad.recover(bad.pack(values[: len(points)]))
     wide = dataclasses.replace(plan, degree_bound=len(basis))  # sigma1^M = id
     with pytest.raises(SingularMooreSystem):
-        wide.recover(values)
+        wide.recover(wide.pack(values))
 
 
 def test_plugin_plan_with_extra_points_checks_them():
@@ -525,15 +579,15 @@ def test_plugin_plan_with_extra_points_checks_them():
     more = dataclasses.replace(plan, points=plan.points + (ctx.elem(41), ctx.elem(42)))
     values = [
         modres.apply_formal(ctx, step, arg, coeffs, start)
-        for step, arg, start in more.actions
+        for step, arg, start in point_actions(more)
     ]
-    assert more.recover(values) == coeffs
+    assert more.recover(more.pack(values)) == coeffs
     values[-1] = ctx.add(values[-1], 1)
     with pytest.raises(SingularMooreSystem):
-        more.recover(values)
+        more.recover(more.pack(values))
     repeated = dataclasses.replace(plan, points=plan.points[:-1] + plan.points[:1])
     with pytest.raises(SingularMooreSystem):
-        repeated.recover(values[: len(plan.points)])
+        repeated.recover(repeated.pack(values[: len(plan.points)]))
 
 
 def test_memo_keys_respect_the_backend():
