@@ -40,14 +40,14 @@ columns with the batch's times-t step.
 
 The package's one skew-product loop is `FieldCtx.skew_addmul`: it adds
 q*a into a packed coefficient list, for q and a in GF(q)[x; frob^e], and
-both `OrePoly.addmul` and each quotient step of `OrePoly.right_divmod` run
-it.  On the ``table`` backend it works on logarithms: it reads the logs of
-a's coefficients once, twists them as log * p^t mod (q - 1) once per
-distinct exponent t = i*e mod m (a dict the caller keeps memoizes the
-twists across calls), multiplies by adding logs and adds by one XOR (p = 2)
-or one Zech lookup (odd p), with no method call per coefficient.  The
-``bits`` and ``poly`` backends run the same loop over `add`, `mul` and
-`frob`.
+both `ore_uni.addmul_packed` and each quotient step of
+`ore_uni.right_divmod_packed` run it.  On the ``table`` backend it works on
+logarithms: it reads the logs of a's coefficients once, twists them as
+log * p^t mod (q - 1) once per distinct exponent t = i*e mod m (a dict the
+caller keeps memoizes the twists across calls), multiplies by adding logs
+and adds by one XOR (p = 2) or one Zech lookup (odd p), with no method call
+per coefficient.  The ``bits`` and ``poly`` backends run the same loop
+over `add`, `mul` and `frob`.
 
 The package's one Gauss-Jordan elimination lives here too: `_eliminate`
 records the elimination of a matrix over any field context and `_replay`

@@ -48,11 +48,13 @@ are a GF(p)-basis of the working field: the rows are a Moore system.  The
 working degree M is chosen so that M > D and sigma1's order on GF(p^M)
 exceeds D; distinct powers sigma1^0..sigma1^D are then distinct
 automorphisms, which are linearly independent maps, so a well-formed plan
-admits no bad evaluation and no singular Moore system (both remain
-asserted).  With sigma1 the identity, x1 acts as multiplication by the point
-started at 1, and the points are D + 1 distinct field values: the chain is
-plain evaluation of the diagonal's product and the rows are a Vandermonde
-system.  `ModularPlan.mode` names the regime, which sigma1 decides.
+admits no bad evaluation and no singular Moore system (the route asserts
+both: the first as the leading coefficients' x1-degree being at most D, the
+second through recovery's leftover equations).  With sigma1 the identity,
+x1 acts as multiplication by the point started at 1, and the points are
+D + 1 distinct field values: the chain is plain evaluation of the
+diagonal's product and the rows are a Vandermonde system.
+`ModularPlan.mode` names the regime, which sigma1 decides.
 
 In either regime the route is the direct triangularization plus an
 independent chain-and-recovery check: the diagonal's product is not
@@ -446,7 +448,8 @@ def check_bad_eval(f, plan):
     operator, is the zero map, which the linear independence of sigma1^0..
     sigma1^D rules out on a well-formed plan.  In the plug-in regime the
     coefficient vanishes at all D + 1 points, which its degree, at most D,
-    rules out.  The check exists to assert exactly that."""
+    rules out.  So `res_x2_modular` asserts that degree bound instead of
+    evaluating."""
     if f.is_zero:
         return True
     coeffs = embed_uni(f.lead_coeff, plan).coeffs
@@ -503,10 +506,13 @@ def res_x2_modular(f, g, rule="min_degree", seed=0) -> DetResult:
     triangularization plus an independent chain-and-recovery check of its
     diagonal, so it costs more than `res_x2_direct`, never less."""
     plan, diag, ops = _pipeline(f, g, rule, seed)
-    if check_bad_eval(f, plan):
-        raise BadEvaluation("leading coefficient of f acts as the zero map")
-    if check_bad_eval(g, plan):
-        raise BadEvaluation("leading coefficient of g acts as the zero map")
+    # a leading coefficient of x1-degree <= D is no bad evaluation (see
+    # `check_bad_eval`), and plan_modular's D bounds both
+    for name, h in (("f", f), ("g", g)):
+        if h.lead_coeff.degree > plan.degree_bound:
+            raise BadEvaluation(
+                f"leading coefficient of {name} exceeds the planned degree bound"
+            )
     base_inner = plan.base_ring.inner
     if any(d.is_zero for d in diag):
         return DetResult(

@@ -12,7 +12,10 @@ follows the commutation rule x*a = sigma(a)*x, so
 and deg(f*g) = deg(f) + deg(g) because the coefficient field has no zero
 divisors.  With sigma the identity this is ordinary commutative polynomial
 arithmetic.  Products, `addmul` and every quotient step of `right_divmod`
-run the field's one skew-product kernel, `FieldCtx.skew_addmul`.
+run the field's one skew-product kernel, `FieldCtx.skew_addmul`, through
+two helpers on packed coefficient tuples, `addmul_packed` and
+`right_divmod_packed`; the `OrePoly` methods wrap them, and `skewdet`
+calls them directly on its packed rows.
 
 The same type doubles as the ring of formal sigma-polynomials (operator
 composition as multiplication) under the renaming x <-> sigma;
@@ -219,11 +222,9 @@ class OrePoly(DensePoly):
         return OrePoly(self.ring, _normalize(out))
 
     def __neg__(self):
-        ctx = self.ring.ctx
-        if ctx.p == 2:
+        if self.ring.ctx.p == 2:
             return self
-        neg = ctx._neg.__getitem__ if ctx._neg is not None else ctx.neg
-        return OrePoly(self.ring, tuple(map(neg, self.coeffs)))
+        return OrePoly(self.ring, neg_packed(self.ring.ctx, self.coeffs))
 
     def __mul__(self, other):
         g = self._coerce(other)
@@ -238,15 +239,12 @@ class OrePoly(DensePoly):
         for g in (q, a):
             if not isinstance(g, OrePoly) or g.ring != ring:
                 raise RingMismatch(f"addmul operands must live in {ring!r}")
-        qc, ac = q.coeffs, a.coeffs
-        if not qc or not ac:
+        if not q.coeffs or not a.coeffs:
             return self
-        out = list(self.coeffs)
-        n = len(qc) + len(ac) - 1
-        if len(out) < n:
-            out += [0] * (n - len(out))
-        ring.ctx.skew_addmul(out, qc, ac, ring.sigma.e, a._twisted())
-        return OrePoly(ring, _normalize(out))
+        coeffs = addmul_packed(
+            ring.ctx, ring.sigma.e, self.coeffs, q.coeffs, a.coeffs, a._twisted()
+        )
+        return OrePoly(ring, coeffs)
 
     def _twisted(self):
         """The memo of twisted coefficients that `FieldCtx.skew_addmul`
@@ -265,24 +263,14 @@ class OrePoly(DensePoly):
             raise RingMismatch("divisor must live in the same ring")
         if b.is_zero:
             raise DivisionByZero("right division by the zero polynomial")
-        ctx = self.ring.ctx
-        e = self.ring.sigma.e
-        bc = b.coeffs
-        db = len(bc) - 1
-        r = list(self.coeffs)
-        if len(r) - 1 < db:
-            return OrePoly(self.ring, ()), self
-        q = [0] * (len(r) - db)
-        lead_inv = ctx.inv(bc[-1])  # twisted per term: sigma^k(b_lead)^-1
-        twists = b._twisted()
-        for k in range(len(r) - 1 - db, -1, -1):
-            top = r[k + db]
-            if top:
-                qk = q[k] = ctx.mul(top, ctx.frob(lead_inv, k * e))
-                # r <- r + (-qk x^k) * b, which clears r[k + db]
-                ctx.skew_addmul(r, (0,) * k + (ctx.neg(qk),), bc, e, twists)
         ring = self.ring
-        return OrePoly(ring, _normalize(q)), OrePoly(ring, _normalize(r[:db]))
+        if len(self.coeffs) < len(b.coeffs):
+            return OrePoly(ring, ()), self
+        ctx, bc = ring.ctx, b.coeffs
+        q, r = right_divmod_packed(
+            ctx, ring.sigma.e, self.coeffs, bc, b._twisted(), ctx.inv(bc[-1])
+        )
+        return OrePoly(ring, q), OrePoly(ring, r)
 
     def monic(self):
         """lc(f)^-1 * f: left-multiplication by the inverse leading coefficient."""
@@ -308,6 +296,50 @@ class OrePoly(DensePoly):
         ctx = self.ring.ctx
         terms = [(i, str(FieldElem(ctx, c))) for i, c in enumerate(self.coeffs) if c]
         return _format_terms(terms[::-1], var)
+
+
+# -- the packed core: coefficient tuples in, coefficient tuples out -----------
+#
+# `OrePoly` arithmetic wraps these, and `skewdet` triangularizes on them
+# directly, so each loop exists once.  b, q and a are normalized packed
+# coefficient sequences over ctx with x*c = frob(c, e)*x; `twists` is the
+# memo of a right factor or divisor that `FieldCtx.skew_addmul` fills.
+
+
+def neg_packed(ctx, coeffs):
+    """The coefficients of -f (coeffs itself for p = 2)."""
+    if ctx.p == 2:
+        return coeffs
+    neg = ctx._neg.__getitem__ if ctx._neg is not None else ctx.neg
+    return tuple(map(neg, coeffs))
+
+
+def addmul_packed(ctx, e, bc, qc, ac, twists):
+    """The coefficients of b + q*a, for q and a nonzero; `twists` is a's
+    memo."""
+    out = list(bc)
+    n = len(qc) + len(ac) - 1
+    if len(out) < n:
+        out += [0] * (n - len(out))
+    ctx.skew_addmul(out, qc, ac, e, twists)
+    return _normalize(out)
+
+
+def right_divmod_packed(ctx, e, ac, bc, twists, lead_inv):
+    """The coefficients of q and r with a = q*b + r and deg r < deg b, for
+    b nonzero and deg a >= deg b; `twists` is b's memo and `lead_inv` the
+    inverse of b's leading coefficient."""
+    db = len(bc) - 1
+    r = list(ac)
+    q = [0] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        top = r[k + db]
+        if top:
+            # twisted per term: sigma^k(b_lead)^-1
+            qk = q[k] = ctx.mul(top, ctx.frob(lead_inv, k * e))
+            # r <- r + (-qk x^k) * b, which clears r[k + db]
+            ctx.skew_addmul(r, (0,) * k + (ctx.neg(qk),), bc, e, twists)
+    return _normalize(q), _normalize(r[:db])
 
 
 def gcrd(f, g):

@@ -22,6 +22,19 @@ seeded "random" rule.  The latter two fall back to a min-degree swap whenever
 a full division pass cannot shrink the column, which keeps every strategy
 terminating.  Every applied operation is recorded in an op log that can be
 replayed or serialized for audit.
+
+`triangularize_with_log` works on packed coefficient tuples, not on
+`OrePoly` values: the row updates and divisions are `ore_uni`'s packed
+helpers, and `OrePoly` values are built only for the logged multipliers and
+the returned matrix.  Row signs are lazy: the matrix is kept as per-row
+signs times stored rows, a signed swap exchanges two stored rows and flips
+one sign, and no entry is negated until the signs are applied once, to the
+result (a no-op for p = 2).  Dividing stored entries gives q, so the stored
+update is row_k - q*row_col and the logged multiplier is -s_k*s_col*q.  The
+twist memos that the skew-product kernel fills live in an array beside the
+rows, one per entry, and an entry's memo is dropped when the entry changes;
+it survives swaps and sign flips, as the stored entry does.  The inverse of
+each pivot's leading coefficient is cached the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .errors import EqualRows, IndexOutOfRange, RingMismatch
 from .field import NEG_INF
-from .ore_uni import OrePoly
+from .ore_uni import OrePoly, addmul_packed, neg_packed, right_divmod_packed
 
 PIVOT_RULES = ("min_degree", "first_nonzero", "random")
 
@@ -196,63 +209,86 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
     if rule not in PIVOT_RULES:
         raise RingMismatch(f"unknown pivot rule {rule!r}")
     ring = matrix.ring
+    ctx, e = ring.ctx, ring.sigma.e
     n = matrix.n
-    work = [list(r) for r in matrix.rows]
+    # row k of the matrix is signs[k] * rows[k]; twists[k][j] is the memo of
+    # rows[k][j] (an input entry brings its own, shared by its repeats), and
+    # lead_inv[k] caches the inverse of the leading coefficient of
+    # rows[k][col] in the current column
+    rows = [[a.coeffs for a in r] for r in matrix.rows]
+    twists = [[a._twisted() for a in r] for r in matrix.rows]
+    signs = [1] * n
+    lead_inv = [None] * n
     ops = []
     rng = random.Random(seed) if rule == "random" else None
 
     def swap(i, j):
-        # row_j <- row_i ; row_i <- -row_j
-        old_j = work[j]
-        work[j] = work[i]
-        work[i] = [-e for e in old_j]
+        # row_j <- row_i ; row_i <- -row_j, the sign kept apart
+        rows[i], rows[j] = rows[j], rows[i]
+        twists[i], twists[j] = twists[j], twists[i]
+        lead_inv[i], lead_inv[j] = lead_inv[j], lead_inv[i]
+        signs[i], signs[j] = -signs[j], signs[i]
         ops.append(SwapSignedOp(i=i, j=j))
 
     def reduce_below(col):
         """One full division pass of every below-diagonal entry against the
-        diagonal; returns True if any row changed.  Row k becomes
-        row_k - q*row_col: its entry in column col is the division's
-        remainder, and the columns left of col are zero in both rows.  The
-        pivot row's entries memoize their Frobenius twists as right factors,
-        so they are twisted once per pass, not once per row k."""
-        pivot = work[col][col]
+        diagonal; returns True if any row changed.  The stored row k becomes
+        rows[k] - q*rows[col], in place, for the division q, r of the stored
+        entries: its entry in column col is r, and the columns left of col
+        are zero in both rows.  The true multiplier, logged, is
+        -s_k*s_col*q."""
+        prow, ptwists = rows[col], twists[col]
+        for j in range(col, n):
+            if prow[j] and ptwists[j] is None:
+                ptwists[j] = {}
+        pivot, pivot_twists = prow[col], ptwists[col]
+        tail = [(j, prow[j], ptwists[j]) for j in range(col + 1, n) if prow[j]]
+        inv = lead_inv[col]
+        if inv is None:
+            inv = lead_inv[col] = ctx.inv(pivot[-1])
         progressed = False
         for k in range(col + 1, n):
-            ent = work[k][col]
-            if ent.is_zero or ent.degree < pivot.degree:
+            row = rows[k]
+            ent = row[col]
+            if len(ent) < len(pivot):  # zero or of lower degree
                 continue
-            q, r = ent.right_divmod(pivot)
-            nq = -q
-            row = work[k]
-            tail = zip(work[col][col + 1 :], row[col + 1 :])
-            work[k] = row[:col] + [r] + [b.addmul(nq, a) for a, b in tail]
-            ops.append(AddMulOp(src=col, dst=k, q=nq))
+            q, row[col] = right_divmod_packed(ctx, e, ent, pivot, pivot_twists, inv)
+            nq = neg_packed(ctx, q)
+            row_twists = twists[k]
+            row_twists[col] = None
+            for j, a, a_twists in tail:
+                row[j] = addmul_packed(ctx, e, row[j], nq, a, a_twists)
+                row_twists[j] = None
+            lead_inv[k] = None
+            logged = nq if signs[k] == signs[col] else q
+            ops.append(AddMulOp(src=col, dst=k, q=OrePoly(ring, logged)))
             progressed = True
         return progressed
 
     for col in range(n):
+        lead_inv[:] = [None] * n
         while True:
-            below = [k for k in range(col + 1, n) if not work[k][col].is_zero]
+            below = [k for k in range(col + 1, n) if rows[k][col]]
             if not below:
                 break
-            cands = [
-                (work[k][col].degree, k)
-                for k in range(col, n)
-                if not work[k][col].is_zero
-            ]
+            cands = [(len(rows[k][col]), k) for k in range(col, n) if rows[k][col]]
             k = _pick_pivot(cands, rule, rng)
             if k != col:
                 swap(k, col)
             if not reduce_below(col):
                 # Every below entry now has degree strictly under the pivot;
                 # bring the smallest one up so the Euclidean descent continues.
-                below = [k for k in range(col + 1, n) if not work[k][col].is_zero]
+                below = [k for k in range(col + 1, n) if rows[k][col]]
                 if not below:
                     break
-                k = min((work[k][col].degree, k) for k in below)[1]
+                k = min((len(rows[k][col]), k) for k in below)[1]
                 swap(k, col)
                 reduce_below(col)
-    return OreMatrix(ring, work), tuple(ops)
+    out = [
+        [OrePoly(ring, c if s > 0 else neg_packed(ctx, c)) for c in row]
+        for s, row in zip(signs, rows)
+    ]
+    return OreMatrix(ring, out), tuple(ops)
 
 
 def dieudonne_det(matrix, rule="min_degree", seed=0):

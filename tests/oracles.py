@@ -12,8 +12,10 @@ replacements:
 `working_field_triangularization`, the modular route's former pipeline,
 `least_modulus_root_enum`, the embedding-root search by subfield
 enumeration, `recorded_elimination_recover`, recovery by a recorded
-Gauss-Jordan elimination, and `point_chain`/`point_bad_eval`, the chain and
-the bad-evaluation check one plan point at a time.
+Gauss-Jordan elimination, `point_chain`/`point_bad_eval`, the chain and
+the bad-evaluation check one plan point at a time, and
+`triangularize_reference`, triangularization on `OrePoly` entries with
+eagerly negated swaps.
 """
 
 
@@ -437,3 +439,66 @@ def point_bad_eval(f, plan):
         return True
     lead = embed_uni(f.lead_coeff, plan)
     return not any(point_chain([lead], plan))
+
+
+# -- triangularization on OrePoly entries ------------------------------------
+
+
+def triangularize_reference(matrix, rule="min_degree", seed=0):
+    """The former `skewdet.triangularize_with_log`, kept as the reference
+    for the packed-row version: every entry is an `OrePoly`, every update
+    goes through `right_divmod` and `addmul`, and a signed swap negates the
+    row it moves.  Returns the same (OreMatrix, op log)."""
+    import random
+
+    from oreelim import OreMatrix
+    from oreelim.skewdet import AddMulOp, SwapSignedOp, _pick_pivot
+
+    n = matrix.n
+    work = [list(r) for r in matrix.rows]
+    ops = []
+    rng = random.Random(seed) if rule == "random" else None
+
+    def swap(i, j):
+        old_j = work[j]
+        work[j] = work[i]
+        work[i] = [-e for e in old_j]
+        ops.append(SwapSignedOp(i=i, j=j))
+
+    def reduce_below(col):
+        pivot = work[col][col]
+        progressed = False
+        for k in range(col + 1, n):
+            ent = work[k][col]
+            if ent.is_zero or ent.degree < pivot.degree:
+                continue
+            q, r = ent.right_divmod(pivot)
+            nq = -q
+            row = work[k]
+            tail = zip(work[col][col + 1 :], row[col + 1 :])
+            work[k] = row[:col] + [r] + [b.addmul(nq, a) for a, b in tail]
+            ops.append(AddMulOp(src=col, dst=k, q=nq))
+            progressed = True
+        return progressed
+
+    for col in range(n):
+        while True:
+            below = [k for k in range(col + 1, n) if not work[k][col].is_zero]
+            if not below:
+                break
+            cands = [
+                (work[k][col].degree, k)
+                for k in range(col, n)
+                if not work[k][col].is_zero
+            ]
+            k = _pick_pivot(cands, rule, rng)
+            if k != col:
+                swap(k, col)
+            if not reduce_below(col):
+                below = [k for k in range(col + 1, n) if not work[k][col].is_zero]
+                if not below:
+                    break
+                k = min((work[k][col].degree, k) for k in below)[1]
+                swap(k, col)
+                reduce_below(col)
+    return OreMatrix(matrix.ring, work), tuple(ops)

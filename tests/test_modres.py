@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oreelim import (
     AddMulOp,
     Automorphism,
+    BadEvaluation,
     BivarRing,
     BothConstant,
     CoefficientOutsideBaseField,
@@ -621,6 +622,24 @@ def test_recovered_coefficient_outside_base_field_raises(monkeypatch):
         res_x2_modular(f, g)
     assert info.value.code == "coefficient-outside-base-field"
     assert info.value.exit_code == 5
+
+
+def test_route_asserts_the_degree_bound_without_evaluating(monkeypatch):
+    # check_bad_eval is off the route: a plan from plan_modular bounds both
+    # leading coefficients' x1-degrees, and only a plan whose D is too small
+    # raises BadEvaluation
+    def no_eval(f, plan):
+        raise AssertionError("check_bad_eval called")
+
+    monkeypatch.setattr(modres, "check_bad_eval", no_eval)
+    ring = bivar_for(2, 8, 1, 1)
+    f, g = full_pair(ring, random.Random(17), 3, 3)
+    assert res_x2_modular(f, g).rep == res_x2_direct(f, g).rep
+    small = modres._plan(f.ring, f.ring.ctx.backend, 2)
+    monkeypatch.setattr(modres, "plan_modular", lambda f, g: small)
+    with pytest.raises(BadEvaluation) as info:
+        res_x2_modular(f, g)
+    assert info.value.code == "bad-evaluation"
 
 
 @pytest.mark.parametrize("route", [res_x2_modular, partial_evaluations])

@@ -2,13 +2,17 @@
 
 import json
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oreelim import (
+    Automorphism,
     EqualRows,
     IndexOutOfRange,
     OreMatrix,
+    OreRing,
     RingMismatch,
     apply_op_log,
     dieudonne_det,
@@ -16,8 +20,9 @@ from oreelim import (
     surrogates_equal,
     triangularize_with_log,
 )
+from oreelim.field import FieldCtx
 from oreelim.skewdet import PIVOT_RULES
-from oracles import det_poly_matrix, uni_to_list
+from oracles import det_poly_matrix, triangularize_reference, uni_to_list
 from support import bivar_for, rand_orepoly, ring_for
 
 
@@ -246,3 +251,67 @@ def test_op_log_serializes_to_json():
     d = dieudonne_det(m)
     payload = json.dumps(d.to_jsonable())
     assert "op_log" in payload
+
+
+# -- packed rows against the OrePoly-level reference ---------------------------
+
+# (p, m, backend): p = 2 and odd p, every backend's kernel loop, and m > 1
+# so that sigma can be a nontrivial Frobenius power
+REFERENCE_FIELDS = (
+    (2, 1, "table"),
+    (2, 3, "table"),
+    (2, 3, "bits"),
+    (3, 2, "table"),
+    (3, 2, "poly"),
+    (5, 1, "table"),
+    (7, 2, "table"),
+)
+
+
+@cache
+def _reference_ring(p, m, backend, e):
+    ctx = FieldCtx(p, m, backend=backend)
+    return OreRing(ctx, Automorphism(ctx, e))
+
+
+@st.composite
+def reference_matrices(draw):
+    """A square matrix of size 1-6 with entries of degree <= 3, reshaped to
+    have a zero column, a row that is a left multiple of another (singular),
+    or rows that repeat entry objects the way Sylvester rows do."""
+    p, m, backend = draw(st.sampled_from(REFERENCE_FIELDS))
+    ring = _reference_ring(p, m, backend, draw(st.integers(0, m - 1)))
+    n = draw(st.integers(1, 6))
+    entry = st.lists(st.integers(0, ring.ctx.q - 1), max_size=4).map(ring.from_packed)
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("plain", "zero_column", "singular", "repeats")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if shape == "zero_column":
+        for row in rows:
+            row[i] = ring.zero()
+    elif shape == "singular" and i != j:
+        q = draw(entry)
+        rows[j] = [q * a for a in rows[i]]
+    elif shape == "repeats" and i != j:
+        rows[j] = rows[i][1:] + [ring.zero()]
+    return OreMatrix(ring, rows)
+
+
+def _fresh_copy(matrix):
+    """The same matrix over new entry objects (so no twist memo is shared
+    with the original), repeated objects still repeated."""
+    new = {}
+    rows = [
+        [new.setdefault(id(a), matrix.ring.from_packed(a.coeffs)) for a in row]
+        for row in matrix.rows
+    ]
+    return OreMatrix(matrix.ring, rows)
+
+
+@pytest.mark.parametrize("rule", PIVOT_RULES)
+@settings(max_examples=150, deadline=None, database=None)
+@given(matrix=reference_matrices(), seed=st.integers(0, 5))
+def test_triangularize_equals_reference(rule, matrix, seed):
+    expected = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=seed)
+    assert triangularize_with_log(matrix, rule=rule, seed=seed) == expected
