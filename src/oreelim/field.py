@@ -17,8 +17,14 @@ q = p^m:
    -1 = g^((q-1)/2) (Huber, IEEE Trans. IT 1990).  Other odd-p fields add
    digit by digit; p == 2 adds by XOR on every backend.
 *  ``bits``  (p == 2, q > 65536): carry-less arithmetic on bit-packed ints.
-*  ``poly``  (otherwise): coordinate convolution plus reduction, with cached
-   Frobenius basis images so that applying sigma costs about one mul.
+*  ``poly``  (otherwise): digit-by-digit sums, an extended-Euclid inverse
+   and cached Frobenius basis images, so that sigma costs about one mul.
+
+Outside the log tables the product depends on p alone, on every backend:
+carry-less (`_mul_bits`) for p = 2; for odd p, that of a one-value
+`FieldBatch` held by the context, v's digits in slots times the constant u,
+one pass per digit plane.  Powers, Frobenius images, the generator search
+and the table build multiply by it too.
 
 Every GF(p)-linear map between packed values -- a Frobenius power, the
 multiplication-by-generator step of the table build, the embedding
@@ -214,8 +220,7 @@ def _format_terms(terms, var):
 
 # ---------------------------------------------------------------------------
 # GF(p)[t] on little-endian coefficient lists (internal; used by Ben-Or's
-# irreducibility test, the Frobenius powers of the embedding-root search and
-# the `poly` backend's extended-Euclid inverse).
+# irreducibility test and the `poly` backend's extended-Euclid inverse).
 
 
 def _gfp_trim(a):
@@ -318,13 +323,21 @@ def _gf2_mod(a, b):
 
 def _default_modulus(p, m):
     """Least monic irreducible of degree m: the lower coefficients are the
-    base-p digits of the smallest counter that passes Ben-Or's test."""
+    base-p digits of the smallest counter that passes Ben-Or's test.
+
+    Counters below p are the binomials t^m + c.  For odd p none of them is
+    irreducible when a prime factor of m does not divide p - 1, or when
+    4 | m and p = 3 mod 4 (Lidl-Niederreiter, Finite Fields, Thm 3.75), and
+    the search then starts at p; otherwise it would test about p of them."""
     if p == 2:
         for f in range(1 << m, 2 << m):
             if _is_irreducible_gf2(f):
                 return tuple((f >> i) & 1 for i in range(m + 1))
         raise AssertionError("no irreducible polynomial found")  # pragma: no cover
-    for counter in range(p**m):
+    no_binomial = any((p - 1) % r for r in _prime_factors(m)) or (
+        m % 4 == 0 and p % 4 == 3
+    )
+    for counter in range(p if no_binomial else 0, p**m):
         low = []
         c = counter
         for _ in range(m):
@@ -355,6 +368,8 @@ class FieldCtx:
         "_pe",
         "_generator",
         "_modbits",
+        "_batch",
+        "_mul",
         "_frob_images",
         "_zero_elem",
         "_one_elem",
@@ -402,12 +417,17 @@ class FieldCtx:
         self._neg = None
         self._pe = [pow(p, e, q - 1) for e in range(m)] if q > 2 else [0] * m
         self._generator = None
-        self._modbits = None
         self._frob_images = {}
+        # the product outside the log tables, chosen by p alone
+        self._modbits = self._batch = None
+        if p == 2:
+            self._modbits = self.pack(self.modulus)
+            self._mul = self._mul_bits
+        else:
+            self._batch = FieldBatch(self, 1)
+            self._mul = self._mul_batch
         if backend == "table":
             self._build_tables()
-        elif backend == "bits":
-            self._modbits = self.pack(self.modulus)
         self._zero_elem = FieldElem(self, 0)
         self._one_elem = FieldElem(self, 1)
 
@@ -547,9 +567,7 @@ class FieldCtx:
             if u == 0 or v == 0:
                 return 0
             return self._exp[self._log[u] + self._log[v]]
-        if self.backend == "bits":
-            return self._mul_bits(u, v)
-        return self._mul_raw(u, v)
+        return self._mul(u, v)
 
     def inv(self, u):
         if u == 0:
@@ -572,7 +590,7 @@ class FieldCtx:
         if k < 0:
             u = self.inv(u)
             k = -k
-        return self._pow_raw(u, k % (self.q - 1))
+        return _pow(self._mul, 1, u, k % (self.q - 1))
 
     def frob(self, u, e):
         """u raised to the p^e power (the e-th Frobenius)."""
@@ -702,27 +720,12 @@ class FieldCtx:
         )
         return [col for row in rows for col in batch.t_columns(batch.spread(row))]
 
-    # -- raw coordinate arithmetic (backend-independent bootstrap) -------------
+    # -- the odd-p multiplier and the poly backend's inverse ---------------------
 
-    def _mul_raw(self, u, v):
-        if u == 0 or v == 0:
-            return 0
-        p, m = self.p, self.m
-        a = self.coords(u)
-        b = self.coords(v)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        mod = self.modulus
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k] % p
-            if c:
-                base = k - m
-                for i in range(m):
-                    prod[base + i] -= c * mod[i]
-        return self.pack(prod[:m])
+    def _mul_batch(self, u, v):
+        """u * v as the product of the one-value batch of v by the constant u."""
+        b = self._batch
+        return b.packed(b.mul(u, b.spread((v,))))
 
     def _inv_poly(self, u):
         p = self.p
@@ -736,7 +739,7 @@ class FieldCtx:
         c_inv = pow(r1[0], p - 2, p)
         return self.pack([(c * c_inv) % p for c in s1])
 
-    # -- bits backend (p == 2) -------------------------------------------------
+    # -- the p = 2 multiplier and the bits backend's inverse -------------------
 
     def _mul_bits(self, u, v):
         r = 0
@@ -777,17 +780,12 @@ class FieldCtx:
 
         Lazily memoized; concurrent builds compute identical values, so the
         benign race keeps contexts shareable across threads."""
-        mul = self._mul_bits if self.backend == "bits" else self._mul_raw
-        tau = _pow(mul, 1, self.p, self.p**e)  # t^(p^e)
+        tau = _pow(self._mul, 1, self.p, self.p**e)  # t^(p^e)
         images = [1]
         for _ in range(self.m - 1):
-            images.append(mul(images[-1], tau))
+            images.append(self._mul(images[-1], tau))
         self._frob_images[e] = cols = self._columns(images)
         return cols
-
-    def _pow_raw(self, u, k):
-        mul = self._mul_bits if self.backend == "bits" else self._mul_raw
-        return _pow(mul, 1, u, k)
 
     @property
     def generator(self):
@@ -801,7 +799,7 @@ class FieldCtx:
         order = self.q - 1
         factors = _prime_factors(order) if order > 1 else []
         for cand in range(1, self.q):
-            if all(self._pow_raw(cand, order // ell) != 1 for ell in factors):
+            if all(_pow(self._mul, 1, cand, order // ell) != 1 for ell in factors):
                 return cand
         raise AssertionError("no generator found")  # pragma: no cover
 
@@ -811,7 +809,7 @@ class FieldCtx:
         self._generator = g
         exp = [0] * max(q - 1, 1)
         exp[0] = 1
-        mulg = self._columns([self._mul_raw(g, self.p**i) for i in range(self.m)])
+        mulg = self._columns([self._mul(g, self.p**i) for i in range(self.m)])
         cur = 1
         for k in range(1, q - 1):
             cur = self._combine(mulg, cur)

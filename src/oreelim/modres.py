@@ -84,7 +84,6 @@ from .field import (
     FieldBatch,
     FieldElem,
     FieldEmbedding,
-    _gfp_powmod,
     field_new,
 )
 from .ore_bivar import BivarOrePoly, BivarRing
@@ -391,11 +390,9 @@ def _least_modulus_root(ctx, big):
     of r, and the least of them is returned."""
     p, m, M = ctx.p, ctx.m, big.m
     ring = OreRing(big, Automorphism(big, 0))
-    h = ctx.modulus
-    g = ring.from_packed(h)
-    powers = [[0, 1]]  # x^(p^i) mod h, coefficients in GF(p)
-    for _ in range(m - 1):
-        powers.append(_gfp_powmod(powers[-1], p, h, p))
+    g = ring.from_packed(ctx.modulus)
+    # x^(p^i) mod h, coefficients in GF(p): the i-th Frobenius of t in ctx
+    powers = [ctx.coords(ctx.frob(ctx.t_packed, i)) for i in range(m)]
     for j in range(M):
         if g.degree == 1:
             break

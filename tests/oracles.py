@@ -11,7 +11,9 @@ two exceptions are former package code paths kept as references for their
 replacements:
 `working_field_triangularization`, the modular route's former pipeline,
 `least_modulus_root_enum`, the embedding-root search by subfield
-enumeration, `recorded_elimination_recover`, recovery by a recorded
+enumeration, `mul_schoolbook`, the `poly` backend's former product,
+`default_modulus_full_scan`, the default-modulus search without its
+binomial skip, `recorded_elimination_recover`, recovery by a recorded
 Gauss-Jordan elimination, `point_chain`/`point_bad_eval`, the chain and
 the bad-evaluation check one plan point at a time, and
 `triangularize_reference`, triangularization on `OrePoly` entries with
@@ -107,12 +109,15 @@ def is_irreducible_rabin(f, p):
     field layer's former test, kept as the reference for Ben-Or's."""
     m = len(f) - 1
 
-    def frob_power(k):  # x^(p^k) - x mod f
+    def frob_power(k):  # x^(p^k) - x mod f, each p-th power by binary powering
         h = [0, 1]
         for _ in range(k):
-            out = [1]
-            for _ in range(p):
-                out = pmod(pmul(out, h, p), f, p)
+            out, e = [1], p
+            while e:
+                if e & 1:
+                    out = pmod(pmul(out, h, p), f, p)
+                h = pmod(pmul(h, h, p), f, p)
+                e >>= 1
             h = out
         return psub(h, [0, 1], p)
 
@@ -341,6 +346,41 @@ def kernel_basis_mod_p(rows, p):
             v[pc] = -r[i][f] % p
         basis.append(v)
     return basis
+
+
+def mul_schoolbook(ctx, u, v):
+    """Packed u * v in ctx by coordinate convolution and reduction mod the
+    modulus, one digit at a time: the `poly` backend's former product, kept
+    as the reference for the one-value `FieldBatch` product."""
+    if u == 0 or v == 0:
+        return 0
+    p, m = ctx.p, ctx.m
+    a = ctx.coords(u)
+    b = ctx.coords(v)
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    mod = ctx.modulus
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k] % p
+        if c:
+            base = k - m
+            for i in range(m):
+                prod[base + i] -= c * mod[i]
+    return ctx.pack(prod[:m])
+
+
+def default_modulus_full_scan(p, m):
+    """The least monic irreducible of degree m over GF(p) by counter, every
+    counter from 0 tried with Rabin's test: the default-modulus search before
+    it learnt to skip the binomials t^m + c."""
+    for counter in range(p**m):
+        low = [counter // p**i % p for i in range(m)]
+        if is_irreducible_rabin(low + [1], p):
+            return tuple(low) + (1,)
+    raise AssertionError("no irreducible polynomial found")
 
 
 def least_modulus_root_enum(ctx, big):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,9 +35,11 @@ from oreelim.field import (
 from oreelim.modres import _least_modulus_root
 from oracles import (
     brute_conjugacy,
+    default_modulus_full_scan,
     is_irreducible_rabin,
     is_prime_trial,
     least_modulus_root_enum,
+    mul_schoolbook,
     pmul,
     prime_factors_trial,
 )
@@ -213,6 +216,7 @@ def test_reducible_modulus_at_half_degree(p, m):
         (3, 16, {0: 1, 2: 1, 3: 1}),
         (3, 27, {0: 2, 1: 2, 2: 1, 3: 1, 5: 1}),
         (5, 27, {0: 1, 1: 1}),
+        (65543, 3, {0: 6, 1: 1}),
     ],
 )
 def test_default_modulus_is_rabins_choice(p, m, terms):
@@ -221,6 +225,18 @@ def test_default_modulus_is_rabins_choice(p, m, terms):
     want = tuple(terms.get(i, 0) for i in range(m)) + (1,)
     assert field_new(p, m).modulus == want
     assert is_irreducible_rabin(list(want), p)
+
+
+def test_default_modulus_matches_the_full_scan():
+    """Skipping the binomials when none is irreducible picks the modulus
+    that trying every counter picks; the grid has cases with and without
+    the skip."""
+    primes = [p for p in range(3, 60) if is_prime_trial(p)]
+    cases = [(p, m) for p in primes for m in range(1, 13) if p**m <= 10**6]
+    # skipped: 3 does not divide p - 1, or 4 | m with p = 3 mod 4; not: 13^4
+    assert {(3, 3), (5, 3), (7, 4), (13, 4)} <= set(cases)
+    for p, m in cases:
+        assert _default_modulus(p, m) == default_modulus_full_scan(p, m), (p, m)
 
 
 def _root_grid():
@@ -648,6 +664,46 @@ def test_zech_add_largest_tables(p, m, data):
         assert (ctx.add(u, v), ctx.sub(u, v), ctx.neg(u)) == want, ctx.backend
 
 
+POLY_FIELDS = [
+    # m = 1 across the slot widths of the one-value batch, up to p near 2^62
+    *((p, 1) for p in (3, 5, 13, 251, 65537, 2**31 - 1, 2**61 - 1, 2**62 - 57)),
+    (3037000493, 2),  # p^2 just below 2^63
+    (5, 27),
+    (3, 39),
+    (7, 20),
+    (2, 8),  # p = 2 multiplies carry-less on every backend
+]
+
+
+def _poly_case(pm):
+    q = pm[0] ** pm[1]
+    values = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    return st.tuples(st.just(pm), values, values)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(POLY_FIELDS).flatmap(_poly_case))
+def test_poly_mul_equals_schoolbook(case):
+    (p, m), u, v = case
+    ctx = _ctx(p, m, "poly")
+    assert ctx.mul(u, v) == mul_schoolbook(ctx, u, v)
+
+
+@pytest.mark.parametrize("p, m, g", [(3, 4, 3), (2, 8, 3), (7, 2, 9), (5, 6, 5)])
+def test_tables_are_the_powers_of_the_least_generator(p, m, g):
+    """The log tables list the powers of the pinned generator, built here by
+    the schoolbook product, and no smaller packed value is primitive."""
+    ctx = field_new(p, m)
+    assert ctx.backend == "table" and ctx.generator.val == g
+    order = ctx.q - 1
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(mul_schoolbook(ctx, powers[-1], g))
+    assert ctx._exp == powers + powers
+    assert [ctx._log[v] for v in powers] == list(range(order))
+    assert all(gcd(ctx._log[u], order) != 1 for u in range(1, g))
+
+
 def test_generator_order():
     for p, m in [(2, 2), (3, 2), (2, 4), (5, 1)]:
         ctx = field_new(p, m)
@@ -668,7 +724,7 @@ BATCH_FIELDS = [(2, 32), (2, 16), (3, 16), (5, 27), (251, 4), (1000003, 2), (7, 
 @given(seed=st.integers(0, 2**32 - 1))
 def test_field_batch_acts_on_every_value(p, m, seed):
     # add, mul by a constant, frob and the products by t^k on a batch equal
-    # the field's own operations value by value
+    # the field's own operations value by value, products the schoolbook's
     ctx = field_new(p, m)
     rng = random.Random(seed)
     n = rng.randrange(1, 6)
@@ -685,13 +741,13 @@ def test_field_batch_acts_on_every_value(p, m, seed):
 
     assert values(x) == us
     assert values(batch.add(x, y)) == [ctx.add(u, v) for u, v in zip(us, vs)]
-    assert values(batch.mul(c, x)) == [ctx.mul(c, u) for u in us]
+    assert values(batch.mul(c, x)) == [mul_schoolbook(ctx, c, u) for u in us]
     assert values(batch.frob(x, e)) == [ctx.frob(u, e) for u in us]
     powers = batch.t_columns(x)
     assert len(powers) == m
     for k, z in enumerate(powers):
         tk = ctx.pow_packed(ctx.t_packed, k)
-        assert values(z) == [ctx.mul(tk, u) for u in us]
+        assert values(z) == [mul_schoolbook(ctx, tk, u) for u in us]
 
 
 @pytest.mark.parametrize("p, m", [f for f in BATCH_FIELDS if f[0] > 2])
