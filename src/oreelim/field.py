@@ -7,24 +7,26 @@ of the field and packed value 1 is its one.  `FieldCtx` exposes arithmetic on
 packed values (`add`, `mul`, `inv`, `frob`, ...); `FieldElem` is the value
 wrapper with operator overloading used at API boundaries.
 
-Three arithmetic backends are selected automatically from the field order
-q = p^m:
+A context's arithmetic is fixed by p and the field order q = p^m, and
+`FieldCtx.backend` names the choice; it is not an option:
 
 *  ``table`` (q <= 65536): discrete-log tables over a deterministically chosen
    generator; mul/inv/frobenius are O(1).  For odd p, add/sub/neg are O(1)
    too: a Zech-logarithm table zech[k] = log(1 + g^k) gives
    g^a + g^b = g^(a + zech[b - a]), and a negation table uses
    -1 = g^((q-1)/2) (Huber, IEEE Trans. IT 1990).  Other odd-p fields add
-   digit by digit; p == 2 adds by XOR on every backend.
+   digit by digit; p == 2 adds by XOR everywhere.
 *  ``bits``  (p == 2, q > 65536): carry-less arithmetic on bit-packed ints.
-*  ``poly``  (otherwise): digit-by-digit sums, an extended-Euclid inverse
-   and cached Frobenius basis images, so that sigma costs about one mul.
+*  ``poly``  (odd p, q > 65536): digit-by-digit sums, an extended-Euclid
+   inverse and cached Frobenius basis images, so that sigma costs about one
+   mul.
 
-Outside the log tables the product depends on p alone, on every backend:
-carry-less (`_mul_bits`) for p = 2; for odd p, that of a one-value
-`FieldBatch` held by the context, v's digits in slots times the constant u,
-one pass per digit plane.  Powers, Frobenius images, the generator search
-and the table build multiply by it too.
+Outside the log tables the product and the inverse depend on p alone:
+carry-less (`_mul_bits`, `_inv_bits`) for p = 2; for odd p, the product of
+a one-value `FieldBatch` held by the context, v's digits in slots times the
+constant u, one pass per digit plane, and the inverse by extended Euclid
+on coefficient lists.  Powers, Frobenius images, the generator search and
+the table build multiply by that product too.
 
 Every GF(p)-linear map between packed values -- a Frobenius power, the
 multiplication-by-generator step of the table build, the embedding
@@ -220,7 +222,7 @@ def _format_terms(terms, var):
 
 # ---------------------------------------------------------------------------
 # GF(p)[t] on little-endian coefficient lists (internal; used by Ben-Or's
-# irreducibility test and the `poly` backend's extended-Euclid inverse).
+# irreducibility test and the odd-p extended-Euclid inverse).
 
 
 def _gfp_trim(a):
@@ -297,8 +299,9 @@ def _is_irreducible(f, p):
 def _is_irreducible_gf2(f):
     """Ben-Or's test for f in GF(2)[t], bit i the coefficient of t^i: h runs
     through x^(2^i) mod f, squared by spreading its bits apart (its binary
-    digits read in base 4) and reduced by XOR, as are the gcds.  The
-    modulus search for p = 2 runs it; it picks what the list test picks."""
+    digits read in base 4) and reduced by XOR, as are the gcds.  For p = 2
+    the modulus search and the check of a given modulus run it; it answers
+    as the list test does."""
     m = f.bit_length() - 1
     h = 2
     for _ in range(m // 2):
@@ -375,7 +378,7 @@ class FieldCtx:
         "_one_elem",
     )
 
-    def __init__(self, p, m, modulus=None, backend=None):
+    def __init__(self, p, m, modulus=None):
         if not isinstance(p, int) or not _is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if not isinstance(m, int) or m < 1:
@@ -394,23 +397,19 @@ class FieldCtx:
                 raise DegreeMismatch(
                     f"modulus must be monic of degree {m}, got {tuple(modulus)}"
                 )
-            if not _is_irreducible(mod, p):
+            if p == 2:
+                irreducible = _is_irreducible_gf2(self.pack(mod))
+            else:
+                irreducible = _is_irreducible(mod, p)
+            if not irreducible:
                 raise ReducibleModulus(f"modulus {tuple(mod)} is reducible over GF({p})")
             self.modulus = tuple(mod)
-        if backend is None:
-            if q <= _TABLE_MAX:
-                backend = "table"
-            elif p == 2:
-                backend = "bits"
-            else:
-                backend = "poly"
-        elif backend not in ("table", "bits", "poly"):
-            raise DegreeMismatch(f"unknown backend {backend!r}")
-        elif backend == "bits" and p != 2:
-            raise DegreeMismatch(f"the bits backend needs p = 2, got p = {p}")
-        elif backend == "table" and q > _TABLE_MAX:
-            raise DegreeMismatch(f"the table backend needs q <= 2^16, got {p}^{m}")
-        self.backend = backend
+        if q <= _TABLE_MAX:
+            self.backend = "table"
+        elif p == 2:
+            self.backend = "bits"
+        else:
+            self.backend = "poly"
         self._exp = None
         self._log = None
         self._zech = None
@@ -426,7 +425,7 @@ class FieldCtx:
         else:
             self._batch = FieldBatch(self, 1)
             self._mul = self._mul_batch
-        if backend == "table":
+        if self.backend == "table":
             self._build_tables()
         self._zero_elem = FieldElem(self, 0)
         self._one_elem = FieldElem(self, 1)
@@ -574,7 +573,7 @@ class FieldCtx:
             raise DivisionByZero("inverse of zero field element")
         if self.backend == "table":
             return self._exp[self.q - 1 - self._log[u]]
-        if self.backend == "bits":
+        if self.p == 2:
             return self._inv_bits(u)
         return self._inv_poly(u)
 
@@ -720,7 +719,7 @@ class FieldCtx:
         )
         return [col for row in rows for col in batch.t_columns(batch.spread(row))]
 
-    # -- the odd-p multiplier and the poly backend's inverse ---------------------
+    # -- the odd-p multiplier and inverse -----------------------------------------
 
     def _mul_batch(self, u, v):
         """u * v as the product of the one-value batch of v by the constant u."""
@@ -739,7 +738,7 @@ class FieldCtx:
         c_inv = pow(r1[0], p - 2, p)
         return self.pack([(c * c_inv) % p for c in s1])
 
-    # -- the p = 2 multiplier and the bits backend's inverse -------------------
+    # -- the p = 2 multiplier and inverse -----------------------------------------
 
     def _mul_bits(self, u, v):
         r = 0
@@ -748,13 +747,7 @@ class FieldCtx:
                 r ^= v
             u >>= 1
             v <<= 1
-        m = self.m
-        mb = self._modbits
-        top = r.bit_length()
-        while top > m:
-            r ^= mb << (top - m - 1)
-            top = r.bit_length()
-        return r
+        return _gf2_mod(r, self._modbits)
 
     def _inv_bits(self, u):
         # s * u = r mod the modulus throughout, so s can stay reduced

@@ -316,15 +316,13 @@ def plan_modular(f, g):
             "evaluation/interpolation needs x2-degree >= 1 on both inputs "
             "(the direct method handles constant-in-x2 inputs)"
         )
-    return _plan(f.ring, f.ring.ctx.backend, sylvester_degree_bound(f, g))
+    return _plan(f.ring, sylvester_degree_bound(f, g))
 
 
 @cache
-def _plan(ring, backend, bound):
+def _plan(ring, bound):
     """The plan of one ring and one D, which determine it; memoized, so every
-    pair of that shape shares its actions and its recovery.  Rings compare
-    by their contexts, which ignore the backend, so it is part of the key:
-    a ring over a hand-built context gets a plan on its own backend."""
+    pair of that shape shares its actions and its recovery."""
     ctx = ring.ctx
     m = ctx.m
     e1 = ring.sigma1.e
@@ -356,12 +354,11 @@ def _plan(ring, backend, bound):
 def extend_field(ctx, M):
     """GF(p^M) together with the deterministic embedding from ctx = GF(p^m).
 
-    Requires m | M.  For M = m it returns ctx itself, whatever its modulus
-    and backend, with the identity embedding (t goes to t).  Otherwise
-    GF(p^M) has its default modulus and t goes to the least packed root of
-    ctx's modulus there, so the embedding is reproducible; that root is
-    found by trace splitting in time polynomial in m, M and p, and memoized
-    per (ctx, M)."""
+    Requires m | M.  For M = m it returns ctx itself, whatever its modulus,
+    with the identity embedding (t goes to t).  Otherwise GF(p^M) has its
+    default modulus and t goes to the least packed root of ctx's modulus
+    there, so the embedding is reproducible; that root is found by trace
+    splitting in time polynomial in m, M and p, and memoized per (ctx, M)."""
     if M % ctx.m != 0:
         raise NotAnExtension(f"GF({ctx.p}^{M}) does not contain GF({ctx.p}^{ctx.m})")
     if M == ctx.m:
@@ -425,12 +422,18 @@ def _least_modulus_root(ctx, big):
 
 
 def embed_uni(f, plan):
-    """Map an inner polynomial into the working field, coefficient-wise."""
+    """Map an inner polynomial of the plan's base ring into the working
+    field, coefficient-wise."""
+    if f.ring != plan.base_ring.inner:
+        raise RingMismatch("the polynomial is not over the plan's base ring")
     emb = plan.embedding.map_packed
     return plan.work_ring.inner.from_packed([emb(c) for c in f.coeffs])
 
 
 def embed_bivar(f, plan):
+    """Map a polynomial of the plan's base ring into the working field."""
+    if f.ring != plan.base_ring:
+        raise RingMismatch("the polynomial is not over the plan's base ring")
     emb = plan.embedding.map_packed
     inner = plan.work_ring.inner
     return plan.work_ring.poly(
@@ -447,6 +450,8 @@ def check_bad_eval(f, plan):
     coefficient vanishes at all D + 1 points, which its degree, at most D,
     rules out.  So `res_x2_modular` asserts that degree bound instead of
     evaluating."""
+    if f.ring != plan.base_ring:
+        raise RingMismatch("the polynomial is not over the plan's base ring")
     if f.is_zero:
         return True
     coeffs = embed_uni(f.lead_coeff, plan).coeffs

@@ -1,8 +1,19 @@
-"""Seeded random-instance generators shared across the test modules, and the
-package's evaluation map on field elements."""
+"""Seeded random-instance generators shared across the test modules, the
+package's evaluation map on field elements, and fields built without log
+tables."""
 
-from oreelim import Automorphism, BivarRing, OreRing, field_new
+from unittest import mock
+
+from oreelim import Automorphism, BivarRing, FieldCtx, OreRing, field, field_new
 from oreelim.modres import apply_formal
+
+
+def untabled(p, m, modulus=None):
+    """GF(p^m) on the arithmetic its order would get above the table bound:
+    ``bits`` for p = 2, ``poly`` for odd p.  The cross-checks compare it with
+    the ``table`` context of the same field."""
+    with mock.patch.object(field, "_TABLE_MAX", 0):
+        return FieldCtx(p, m, modulus)
 
 
 def ring_for(p, m, e=0):

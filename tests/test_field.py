@@ -14,7 +14,6 @@ from oreelim import (
     Automorphism,
     ContextMismatch,
     DegreeMismatch,
-    FieldCtx,
     NotAnExtension,
     NotPrime,
     ReducibleModulus,
@@ -43,6 +42,7 @@ from oracles import (
     pmul,
     prime_factors_trial,
 )
+from support import untabled
 
 
 def test_field_new_gf4():
@@ -196,7 +196,9 @@ def test_ben_or_matches_sympy(case):
     assert _is_irreducible(f, p) == gf_irreducible_p(f[::-1], p, ZZ)
 
 
-@pytest.mark.parametrize("p, m", [(2, 2), (2, 8), (3, 4), (3, 6), (5, 2), (7, 4)])
+@pytest.mark.parametrize(
+    "p, m", [(2, 2), (2, 8), (2, 16), (2, 32), (3, 4), (3, 6), (5, 2), (7, 4)]
+)
 def test_reducible_modulus_at_half_degree(p, m):
     """Products with no factor of degree below m/2: Ben-Or's last step
     (i = m/2) is the only one that rejects them."""
@@ -569,23 +571,29 @@ def _field_ops(ctx, u, v, k):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _ctx(p, m, backend):
-    ctx = field_new(p, m)
-    return ctx if ctx.backend == backend else FieldCtx(p, m, backend=backend)
+_untabled = functools.lru_cache(maxsize=None)(untabled)
 
 
 def _backend_contexts(p, m):
-    """GF(p^m) on every backend that can run it, the default one first."""
-    default = field_new(p, m).backend
-    names = [default] + [
-        b
-        for b in ("table", "bits", "poly")
-        if b != default
-        and (b != "table" or p**m <= 1 << 16)
-        and (b != "bits" or p == 2)
-    ]
-    return [_ctx(p, m, b) for b in names]
+    """GF(p^m) on every backend that can run it, the default one first: below
+    the table bound also on ``bits`` (p = 2) or ``poly`` (odd p)."""
+    ctx = field_new(p, m)
+    return [ctx, _untabled(p, m)] if ctx.backend == "table" else [ctx]
+
+
+def _schoolbook_frobs(ctx, u):
+    """u^(p^e) for e = 0 .. m-1, each p-th power by square-and-multiply on
+    the schoolbook product."""
+    out = [u]
+    for _ in range(ctx.m - 1):
+        x, base, k = 1, out[-1], ctx.p
+        while k:
+            if k & 1:
+                x = mul_schoolbook(ctx, x, base)
+            base = mul_schoolbook(ctx, base, base)
+            k >>= 1
+        out.append(x)
+    return out
 
 
 def _field_case(pm):
@@ -605,24 +613,35 @@ def _field_case(pm):
 def test_backends_agree(case):
     (p, m), u, v, k = case
     ref, *others = _backend_contexts(p, m)
-    assert others
+    assert others or p**m > 1 << 16
     want = _field_ops(ref, u, v, k)
     for ctx in others:
         assert _field_ops(ctx, u, v, k) == want, ctx.backend
+    # the schoolbook product checks every field, GF(2^20) on its one context too
+    assert want[0] == mul_schoolbook(ref, u, v)
+    assert not u or mul_schoolbook(ref, u, want[4]) == 1
+    assert want[5] == _schoolbook_frobs(ref, u)
 
 
 @pytest.mark.parametrize(
     "p, m, backend",
-    [(3, 2, "nope"), (3, 2, "bits"), (2, 17, "table"), (3, 11, "table")],
+    [
+        (2, 16, "table"),
+        (2, 17, "bits"),
+        (3, 10, "table"),
+        (3, 11, "poly"),
+        (65521, 1, "table"),
+        (65537, 1, "poly"),
+    ],
 )
-def test_unusable_backend_rejected(p, m, backend):
-    with pytest.raises(DegreeMismatch):
-        FieldCtx(p, m, backend=backend)
+def test_backend_is_chosen_by_order_and_characteristic(p, m, backend):
+    # log tables up to q = 2^16, then carry-less for p = 2 and digit lists
+    assert field_new(p, m).backend == backend
 
 
 def _table_and_digit_loop(p, m):
     # odd p on the table backend adds by Zech logarithms, on poly digit by digit
-    table, poly = _ctx(p, m, "table"), _ctx(p, m, "poly")
+    table, poly = field_new(p, m), _untabled(p, m)
     assert p > 2 and table.backend == "table" and poly.backend == "poly"
     return table, poly
 
@@ -650,7 +669,7 @@ def test_zech_add_largest_tables(p, m, data):
         _table_and_digit_loop(p, m)
     q = p**m
     u = data.draw(st.integers(0, q - 1), label="u")
-    poly = _ctx(p, m, "poly")
+    poly = _untabled(p, m)
     # zero and cancelling sums besides a free v
     v = data.draw(
         st.one_of(
@@ -671,7 +690,7 @@ POLY_FIELDS = [
     (5, 27),
     (3, 39),
     (7, 20),
-    (2, 8),  # p = 2 multiplies carry-less on every backend
+    (2, 8),  # p = 2 multiplies carry-less outside the tables
 ]
 
 
@@ -685,7 +704,7 @@ def _poly_case(pm):
 @given(st.sampled_from(POLY_FIELDS).flatmap(_poly_case))
 def test_poly_mul_equals_schoolbook(case):
     (p, m), u, v = case
-    ctx = _ctx(p, m, "poly")
+    ctx = _untabled(p, m)
     assert ctx.mul(u, v) == mul_schoolbook(ctx, u, v)
 
 

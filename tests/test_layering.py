@@ -1,6 +1,7 @@
 """The package's import structure, read from its source with `ast`: the
 runtime needs only the standard library, each module imports only from the
-modules below it in one fixed order, and `modres` runs no Gauss-Jordan."""
+modules below it in one fixed order, `modres` runs no Gauss-Jordan, and
+only `field` knows how arithmetic is chosen."""
 
 import ast
 import sys
@@ -84,3 +85,21 @@ def test_modres_runs_no_gauss_jordan():
         assert name not in ("_eliminate", "_replay"), (
             f"modres.py line {node.lineno} names {name!r}"
         )
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "field")
+)
+def test_only_field_names_the_backend(name):
+    # a context's arithmetic follows from (p, m); no other module reads or
+    # passes the name of that choice
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Name):
+            found = node.id
+        elif isinstance(node, ast.Attribute):
+            found = node.attr
+        elif isinstance(node, ast.arg):
+            found = node.arg
+        else:
+            continue
+        assert found != "backend", f"{name}.py line {node.lineno} names 'backend'"

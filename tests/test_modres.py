@@ -12,7 +12,6 @@ from oreelim import (
     AddMulOp,
     Automorphism,
     BadEvaluation,
-    BivarRing,
     BothConstant,
     CoefficientOutsideBaseField,
     ModularPlan,
@@ -21,6 +20,7 @@ from oreelim import (
     SingularMooreSystem,
     ZeroPolynomial,
     check_bad_eval,
+    embed_bivar,
     embed_uni,
     extend_field,
     field_new,
@@ -173,6 +173,29 @@ def test_check_bad_eval_flags_plugin_roots():
     assert not check_bad_eval(ring.poly([ring.inner.one(), roots + 1]), plan)
 
 
+@pytest.mark.parametrize("foreign", [(3, 4, 1, 2), (2, 8, 0, 1)])
+@pytest.mark.parametrize(
+    "helper, arg",
+    [
+        (embed_uni, lambda h: h.lead_coeff),
+        (embed_bivar, lambda h: h),
+        (check_bad_eval, lambda h: h),
+    ],
+    ids=["embed_uni", "embed_bivar", "check_bad_eval"],
+)
+def test_modular_helpers_reject_a_foreign_polynomial(helper, arg, foreign):
+    # another field, or the same field with another sigma1: the plan's
+    # embedding and actions do not apply, so the helpers raise
+    ring = bivar_for(2, 8, 1, 1)
+    rng = random.Random(6)
+    f = rand_bivar_exact(ring, rng, 2, 2)
+    plan = plan_modular(f, f)
+    helper(arg(f), plan)
+    h = rand_bivar_exact(bivar_for(*foreign), rng, 3, 2)
+    with pytest.raises(RingMismatch):
+        helper(arg(h), plan)
+
+
 # (p, m, e1, D) of Frobenius plans, one per kind of batch: GF(2^8) ->
 # GF(2^32) (bits), GF(2^4) -> GF(2^16) (table), GF(3^4) -> GF(3^16) (poly),
 # GF(5^9) -> GF(5^27) with sigma1 = Frobenius^2, and GF(251^2) -> GF(251^4),
@@ -195,7 +218,7 @@ def test_batched_chain_equals_point_chain(shape, seed):
     else:
         p, m, e1, bound = shape
         ring = bivar_for(p, m, e1, e1)
-        plan = modres._plan(ring, ring.ctx.backend, bound)
+        plan = modres._plan(ring, bound)
         f_bad = ring.zero()
     rng = random.Random(seed)
     work = plan.work_ring.inner
@@ -487,7 +510,7 @@ def plan_and_values(p, m, e1, bound):
     """The plan of one shape, random working-field coefficients r_0..r_D and
     the chain values sum(r_i * S^i(start)) at its points."""
     ring = bivar_for(p, m, e1, e1)
-    plan = modres._plan(ring, ring.ctx.backend, bound)
+    plan = modres._plan(ring, bound)
     ctx = plan.work_ctx
     rng = random.Random(f"{p}^{m}/{e1}/{bound}")
     coeffs = [rng.randrange(ctx.q) for _ in range(bound + 1)]
@@ -591,26 +614,6 @@ def test_plugin_plan_with_extra_points_checks_them():
         repeated.recover(repeated.pack(values[: len(plan.points)]))
 
 
-def test_memo_keys_respect_the_backend():
-    # contexts compare by (p, m, modulus); the memos of extend_field and of
-    # the plan must not answer one backend's call with another's context
-    table = field_new(2, 4)
-    f, g = full_pair(bivar_for(2, 4, 1, 1), random.Random(17), 1, 1)
-    for backend in ("table", "bits", "poly"):
-        ctx = table if backend == "table" else FieldCtx(2, 4, backend=backend)
-        assert ctx == table and ctx.backend == backend
-        assert extend_field(ctx, 4)[0] is ctx
-        ring = BivarRing(ctx, Automorphism(ctx, 1), Automorphism(ctx, 1))
-        fb, gb = (
-            ring.poly([ring.inner.from_packed(c.coeffs) for c in h.coeffs])
-            for h in (f, g)
-        )
-        plan = plan_modular(fb, gb)
-        assert plan.degree_bound == 2
-        assert plan.work_ctx.backend == plan.base_ring.ctx.backend == backend
-        assert res_x2_modular(fb, gb).rep.coeffs == res_x2_direct(f, g).rep.coeffs
-
-
 def test_recovered_coefficient_outside_base_field_raises(monkeypatch):
     ring = bivar_for(2, 8, 1, 1)
     f, g = full_pair(ring, random.Random(12), 1, 5)
@@ -635,7 +638,7 @@ def test_route_asserts_the_degree_bound_without_evaluating(monkeypatch):
     ring = bivar_for(2, 8, 1, 1)
     f, g = full_pair(ring, random.Random(17), 3, 3)
     assert res_x2_modular(f, g).rep == res_x2_direct(f, g).rep
-    small = modres._plan(f.ring, f.ring.ctx.backend, 2)
+    small = modres._plan(f.ring, 2)
     monkeypatch.setattr(modres, "plan_modular", lambda f, g: small)
     with pytest.raises(BadEvaluation) as info:
         res_x2_modular(f, g)

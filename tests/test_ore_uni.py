@@ -10,7 +10,6 @@ from oreelim import (
     Automorphism,
     BothZero,
     DivisionByZero,
-    FieldCtx,
     NEG_INF,
     OreRing,
     RingMismatch,
@@ -19,7 +18,7 @@ from oreelim import (
     gcrd,
 )
 from oracles import naive_ore_mul, pmul, uni_to_list
-from support import rand_orepoly, rand_orepoly_exact, ring_for
+from support import rand_orepoly, rand_orepoly_exact, ring_for, untabled
 
 
 def gf4_ring():
@@ -167,10 +166,10 @@ def test_addmul_matches_add_of_product(p, m, e):
 @functools.lru_cache(maxsize=None)
 def _table_and_poly_rings(p, m, e):
     """A[x; frob^e] over the table-backend GF(p^m) and over the same field,
-    same modulus, on the poly backend."""
+    same modulus, without tables (``bits`` for p = 2, ``poly`` for odd p)."""
     table = field_new(p, m)
-    poly = FieldCtx(p, m, modulus=table.modulus, backend="poly")
-    assert table.backend == "table"
+    poly = untabled(p, m, modulus=table.modulus)
+    assert table.backend == "table" and poly.backend != "table"
     return tuple(OreRing(ctx, Automorphism(ctx, e)) for ctx in (table, poly))
 
 
@@ -191,8 +190,8 @@ def _kernel_case(pm):
 )
 def test_skew_kernel_table_matches_poly_backend(case):
     """addmul, * and right_divmod give the same packed coefficients on the
-    table backend's log-domain kernel as on the poly backend's add/mul/frob
-    loop, for every Frobenius power e."""
+    table backend's log-domain kernel as on the untabled add/mul/frob loop,
+    for every Frobenius power e."""
     (p, m), e, bc, qc, ac, dc = case
     results = []
     for ring in _table_and_poly_rings(p, m, e):

@@ -16,14 +16,14 @@ from oreelim import (
     RingMismatch,
     apply_op_log,
     dieudonne_det,
+    field_new,
     res_x2_direct,
     surrogates_equal,
     triangularize_with_log,
 )
-from oreelim.field import FieldCtx
 from oreelim.skewdet import PIVOT_RULES
 from oracles import det_poly_matrix, triangularize_reference, uni_to_list
-from support import bivar_for, rand_orepoly, ring_for
+from support import bivar_for, rand_orepoly, ring_for, untabled
 
 
 def rand_matrix(ring, rng, n, max_deg=3):
@@ -270,7 +270,8 @@ REFERENCE_FIELDS = (
 
 @cache
 def _reference_ring(p, m, backend, e):
-    ctx = FieldCtx(p, m, backend=backend)
+    ctx = field_new(p, m) if backend == "table" else untabled(p, m)
+    assert ctx.backend == backend
     return OreRing(ctx, Automorphism(ctx, e))
 
 
