@@ -57,12 +57,12 @@ and adds by one XOR (p = 2) or one Zech lookup (odd p), with no method call
 per coefficient.  The ``bits`` and ``poly`` backends run the same loop
 over `add`, `mul` and `frob`.
 
-The package's one Gauss-Jordan elimination lives here too: `_eliminate`
-records the elimination of a matrix over any field context and `_replay`
-applies it to a vector.  Only `FieldEmbedding` runs it, over GF(p), to build
-the inverse of the embedding; recovery in `modres` has closed-form
-inverses.  Which working field to embed into, and the root t goes to, are
-chosen in `modres`.
+The package's one Gauss-Jordan elimination builds the inverse of the
+embedding: `FieldEmbedding` reduces [A | I] over GF(p), for A the
+coordinates of the powers of the root, with each row one `FieldBatch` of
+GF(p) values, so clearing a column in a row is one batch multiply-add.
+Recovery in `modres` has closed-form inverses.  Which working field to
+embed into, and the root t goes to, are chosen in `modres`.
 
 The package's one square-and-multiply loop, `_pow` (field, GF(p)[t] and
 skew-polynomial powers), and its one term printer, `_format_terms` (field
@@ -70,7 +70,9 @@ specs, field elements and both polynomial types), live here as well.
 
 Contexts are immutable after construction and cached by (p, m, modulus), so
 repeated `field_new` calls are cheap and all values of one field share state.
-Fields are restricted to p^m < 2^63 (machine-word residue packing).
+The bound p^m < 2^63 is `field_new`'s domain, the fields a user names; the
+modular route's working fields may exceed it (`_context`), on the ``bits``
+and ``poly`` arithmetic, which works on integers of any width.
 """
 
 from __future__ import annotations
@@ -379,13 +381,8 @@ class FieldCtx:
     )
 
     def __init__(self, p, m, modulus=None):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
-        if not isinstance(m, int) or m < 1:
-            raise DegreeMismatch(f"extension degree must be >= 1, got {m}")
+        _check_prime_degree(p, m)
         q = p**m
-        if q >= _ORDER_MAX:
-            raise DegreeMismatch(f"field order {p}^{m} exceeds 2^63")
         self.p = p
         self.m = m
         self.q = q
@@ -1124,12 +1121,32 @@ _CTX_CACHE = {}
 _CTX_LOCK = threading.Lock()
 
 
+def _check_prime_degree(p, m):
+    """NotPrime unless p is a prime int, then DegreeMismatch unless m is an
+    int >= 1."""
+    if not isinstance(p, int) or not _is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
+    if not isinstance(m, int) or m < 1:
+        raise DegreeMismatch(f"extension degree must be >= 1, got {m}")
+
+
 def field_new(p, m, modulus=None):
-    """Validated, cached context for GF(p^m).
+    """Validated, cached context for GF(p^m), in the input domain
+    p^m < 2^63.
 
     When modulus is omitted the lexicographically least monic irreducible of
     degree m is selected, so runs are bit-reproducible.
     """
+    _check_prime_degree(p, m)
+    if p**m >= _ORDER_MAX:
+        raise DegreeMismatch(f"field order {p}^{m} exceeds 2^63")
+    return _context(p, m, modulus)
+
+
+def _context(p, m, modulus=None):
+    """The cached context for GF(p^m), of any order: `field_new` for the
+    input domain, and the modular route's working fields, which may exceed
+    it (they build no tables)."""
     key = (p, m, tuple(int(c) for c in modulus) if modulus is not None else None)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
@@ -1163,52 +1180,6 @@ def sigma_norm(sigma, a):
 
 
 # ---------------------------------------------------------------------------
-# Recorded Gauss-Jordan elimination over a field context
-
-
-def _eliminate(ctx, rows, ncols):
-    """Gauss-Jordan elimination over ctx of a matrix of full column rank (the
-    embedding's, its only caller), recorded per column as (pivot row swapped into place, pivot inverse,
-    (row, multiplier) pairs cleared against it)."""
-    mul, sub = ctx.mul, ctx.sub
-    a = [list(row) for row in rows]
-    steps = []
-    for col in range(ncols):
-        sel = next((k for k in range(col, len(a)) if a[k][col]), None)
-        if sel is None:  # pragma: no cover
-            raise AssertionError("the embedding's matrix must have full column rank")
-        a[col], a[sel] = a[sel], a[col]
-        inv = ctx.inv(a[col][col])
-        prow = [mul(inv, x) for x in a[col][col + 1 :]]
-        a[col][col + 1 :] = prow
-        elim = []
-        for k, row in enumerate(a):
-            c = row[col]
-            if k != col and c:
-                tail = zip(row[col + 1 :], prow)
-                row[col + 1 :] = [sub(x, mul(c, y)) for x, y in tail]
-                elim.append((k, c))
-        steps.append((sel, inv, tuple(elim)))
-    return tuple(steps)
-
-
-def _replay(ctx, steps, rhs):
-    """T * rhs in O(rows * cols), for the T with T * rows = [I; 0] that the
-    recorded elimination applied.  The first ncols entries solve
-    rows * x = rhs, and the system is consistent exactly when the leftover
-    entries are all zero."""
-    mul, sub = ctx.mul, ctx.sub
-    v = list(rhs)
-    for col, (sel, inv, elim) in enumerate(steps):
-        v[col], v[sel] = v[sel], v[col]
-        pv = v[col] = mul(inv, v[col])
-        if pv:
-            for k, c in elim:
-                v[k] = sub(v[k], mul(c, pv))
-    return v
-
-
-# ---------------------------------------------------------------------------
 # The embedding of a subfield
 
 
@@ -1227,17 +1198,26 @@ class FieldEmbedding:
         for _ in range(small.m - 1):
             powers.append(big.mul(powers[-1], root))
         self._cols = big._columns(powers)
-        # T * A = [I; 0] for A the big.m x small.m matrix of root powers, so
-        # T * v has zero coordinates past small.m exactly when v is an image;
-        # replaying the elimination of A on the unit vectors gives T's columns.
-        gfp = field_new(big.p, 1)
-        steps = _eliminate(gfp, zip(*(big.coords(v) for v in powers)), small.m)
-        unit = [0] * big.m
-        t_cols = []
-        for j in range(big.m):
-            unit[j] = 1
-            t_cols.append(big.pack(_replay(gfp, steps, unit)))
-            unit[j] = 0
+        # Gauss-Jordan over GF(p) on [A | I], for A the big.m x small.m
+        # matrix of root-power coordinates, leaves [T * A | T] with
+        # T * A = [I; 0], so T * v has zero coordinates past small.m exactly
+        # when v is an image.  Each row is one `FieldBatch` of GF(p) values;
+        # the pivot is the first nonzero entry at or below the diagonal.
+        p, m, n = big.p, small.m, big.m
+        b = FieldBatch(field_new(p, 1), m + n)
+        w, mask = b.w, (1 << b.w) - 1
+        a = zip(*(big.coords(v) for v in powers))  # row i of A
+        rows = [b.spread(r) | 1 << (m + i) * w for i, r in enumerate(a)]
+        for col in range(m):
+            sel = next(k for k in range(col, n) if rows[k] >> col * w & mask)
+            row = rows[sel]
+            rows[sel] = rows[col]
+            rows[col] = pivot = b.mul(pow(row >> col * w & mask, p - 2, p), row)
+            for k, row in enumerate(rows):
+                c = row >> col * w & mask
+                if c and k != col:
+                    rows[k] = b.add(row, b.mul(p - c, pivot))
+        t_cols = [big.pack([r >> (m + j) * w & mask for r in rows]) for j in range(n)]
         self._inv_cols = big._columns(t_cols)
 
     def map_packed(self, u):

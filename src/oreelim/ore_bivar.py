@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import RingMismatch, ZeroPolynomial
 from .field import Automorphism, FieldElem, _format_terms
-from .ore_uni import DensePoly, OrePoly, OreRing, _normalize
+from .ore_uni import DensePoly, OrePoly, OreRing, _exponent, _normalize
 
 
 class BivarRing:
@@ -58,7 +58,8 @@ class BivarRing:
         return BivarOrePoly(self, (self.inner.x(k),))
 
     def x2(self, k=1):
-        return BivarOrePoly(self, (self.inner.zero(),) * k + (self.inner.one(),))
+        zeros = (self.inner.zero(),) * _exponent(k)
+        return BivarOrePoly(self, zeros + (self.inner.one(),))
 
     def constant(self, value):
         return self.poly([self.inner.constant(value)])

@@ -73,7 +73,7 @@ class OreRing:
         return OrePoly(self, (1,))
 
     def x(self, k=1):
-        return OrePoly(self, (0,) * k + (1,))
+        return OrePoly(self, (0,) * _exponent(k) + (1,))
 
     def constant(self, value):
         """Constant polynomial from a FieldElem or a prime-subfield int."""
@@ -97,6 +97,13 @@ class OreRing:
     def from_packed(self, packed):
         """Polynomial directly from packed coefficient values (trusted input)."""
         return OrePoly(self, _normalize(list(packed)))
+
+
+def _exponent(k):
+    """k, the exponent of a power of a polynomial, when it is not negative."""
+    if k < 0:
+        raise DivisionByZero("negative powers are not polynomials")
+    return k
 
 
 def _normalize(coeffs):
@@ -162,9 +169,7 @@ class DensePoly:
         return g * self
 
     def __pow__(self, k):
-        if k < 0:
-            raise DivisionByZero("negative powers are not polynomials")
-        return _pow(operator.mul, self.ring.one(), self, k)
+        return _pow(operator.mul, self.ring.one(), self, _exponent(k))
 
     def __str__(self):
         return self.text()

@@ -7,15 +7,18 @@ conjugacy by enumerating every conjugator, primality and factoring by trial
 division, irreducibility by Rabin's test, operator evaluation by repeated
 `Automorphism` calls, linear systems by dense Gauss-Jordan on `FieldElem`
 values.  Only the validated base-field scalar operations are shared.  The
-two exceptions are former package code paths kept as references for their
+exceptions are former package code paths kept as references for their
 replacements:
 `working_field_triangularization`, the modular route's former pipeline,
 `least_modulus_root_enum`, the embedding-root search by subfield
 enumeration, `mul_schoolbook`, the `poly` backend's former product,
 `default_modulus_full_scan`, the default-modulus search without its
 binomial skip, `recorded_elimination_recover`, recovery by a recorded
-Gauss-Jordan elimination, `point_chain`/`point_bad_eval`, the chain and
-the bad-evaluation check one plan point at a time, and
+Gauss-Jordan elimination (`_eliminate`/`_replay`, the field layer's
+former elimination), `recorded_elimination_inverse_columns`, the
+embedding's inverse by the same elimination replayed on unit vectors,
+`point_chain`/`point_bad_eval`, the chain and the bad-evaluation check one
+plan point at a time, and
 `triangularize_reference`, triangularization on `OrePoly` entries with
 eagerly negated swaps.
 """
@@ -405,6 +408,71 @@ def least_modulus_root_enum(ctx, big):
     return min(roots)
 
 
+# -- the field layer's former recorded Gauss-Jordan elimination ---------------
+
+
+def _eliminate(ctx, rows, ncols):
+    """Gauss-Jordan elimination over ctx of a matrix of full column rank,
+    recorded per column as (pivot row swapped into place, pivot inverse,
+    (row, multiplier) pairs cleared against it)."""
+    mul, sub = ctx.mul, ctx.sub
+    a = [list(row) for row in rows]
+    steps = []
+    for col in range(ncols):
+        sel = next((k for k in range(col, len(a)) if a[k][col]), None)
+        if sel is None:  # pragma: no cover
+            raise AssertionError("the matrix must have full column rank")
+        a[col], a[sel] = a[sel], a[col]
+        inv = ctx.inv(a[col][col])
+        prow = [mul(inv, x) for x in a[col][col + 1 :]]
+        a[col][col + 1 :] = prow
+        elim = []
+        for k, row in enumerate(a):
+            c = row[col]
+            if k != col and c:
+                tail = zip(row[col + 1 :], prow)
+                row[col + 1 :] = [sub(x, mul(c, y)) for x, y in tail]
+                elim.append((k, c))
+        steps.append((sel, inv, tuple(elim)))
+    return tuple(steps)
+
+
+def _replay(ctx, steps, rhs):
+    """T * rhs in O(rows * cols), for the T with T * rows = [I; 0] that the
+    recorded elimination applied.  The first ncols entries solve
+    rows * x = rhs, and the system is consistent exactly when the leftover
+    entries are all zero."""
+    mul, sub = ctx.mul, ctx.sub
+    v = list(rhs)
+    for col, (sel, inv, elim) in enumerate(steps):
+        v[col], v[sel] = v[sel], v[col]
+        pv = v[col] = mul(inv, v[col])
+        if pv:
+            for k, c in elim:
+                v[k] = sub(v[k], mul(c, pv))
+    return v
+
+
+def recorded_elimination_inverse_columns(small, big, root):
+    """The columns of `FieldEmbedding(small, big, root)`'s inverse map by
+    the recorded elimination of the root-power coordinates over GF(p),
+    replayed on the unit vectors: the embedding's former inverse build."""
+    from oreelim import field_new
+
+    powers = [1]
+    for _ in range(small.m - 1):
+        powers.append(big.mul(powers[-1], root))
+    gfp = field_new(big.p, 1)
+    steps = _eliminate(gfp, zip(*(big.coords(v) for v in powers)), small.m)
+    unit = [0] * big.m
+    t_cols = []
+    for j in range(big.m):
+        unit[j] = 1
+        t_cols.append(big.pack(_replay(gfp, steps, unit)))
+        unit[j] = 0
+    return big._columns(t_cols)
+
+
 # -- the modular route's former working-field pipeline -------------------------
 
 
@@ -427,7 +495,6 @@ def recorded_elimination_recover(plan, values):
     closed-form inverses.  Raises SingularMooreSystem when the leftover
     equations do not reduce to zero."""
     from oreelim import SingularMooreSystem
-    from oreelim.field import _eliminate, _replay
 
     rows = []
     for step, arg, cur in point_actions(plan):

@@ -168,6 +168,16 @@ def test_field_order_cap_exit_code(capsys):
     assert err.startswith("error[degree-mismatch]")
 
 
+def test_working_field_may_exceed_the_input_domain(capsys):
+    # D = 64 plans GF(2^72); only the input field is capped at 2^63
+    code, out, err = run_cli(
+        capsys, "eliminate", "--field", "GF(2^8)", "--sigma1", "1", "--sigma2", "1",
+        "--f", "x1^4*x2^8 + x2 + x1", "--g", "x1^4*x2^8 + x1^3*x2^2 + 1",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "agree=true"
+
+
 def test_usage_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "eliminate", "--field", "GF(5)")
     assert code == 2

@@ -14,6 +14,7 @@ from oreelim import (
     Automorphism,
     ContextMismatch,
     DegreeMismatch,
+    FieldEmbedding,
     NotAnExtension,
     NotPrime,
     ReducibleModulus,
@@ -41,6 +42,7 @@ from oracles import (
     mul_schoolbook,
     pmul,
     prime_factors_trial,
+    recorded_elimination_inverse_columns,
 )
 from support import untabled
 
@@ -517,6 +519,51 @@ def test_embedding_round_trips(p, m, M, backend):
                 assert pre is not None and emb.map_packed(pre) == w
             else:
                 assert pre is None
+
+
+EMBEDDING_SHAPES = [
+    (2, 8, 32, None),
+    (3, 4, 16, None),
+    (5, 9, 27, None),
+    (7, 1, 2, None),
+    (2, 4, 8, None),
+    (3, 1, 39, None),
+    (65537, 1, 3, None),
+    (2, 31, 62, None),
+    (3037000493, 1, 2, None),
+    # M = m, the field itself, under a non-default modulus
+    (2, 8, 8, "greatest"),
+    (1000003, 2, 2, (833821, 723986, 1)),
+]
+
+
+@pytest.mark.parametrize("p, m, M, modulus", EMBEDDING_SHAPES)
+def test_embedding_inverse_is_the_recorded_elimination(p, m, M, modulus):
+    """The inverse's columns from one Gauss-Jordan on batch rows equal those
+    of the recorded elimination replayed on the unit vectors: the same
+    pivots give the same T, so every `inverse_packed` answer is unchanged."""
+    if modulus == "greatest":
+        *_, modulus = _irreducibles(p, m)
+    small = field_new(p, m, modulus)
+    big, emb = extend_field(small, M)
+    want = recorded_elimination_inverse_columns(small, big, emb.root)
+    assert FieldEmbedding(small, big, emb.root)._inv_cols == want
+
+
+def test_working_fields_exceed_the_input_domain():
+    """extend_field builds working fields past 2^63 in the shared context
+    cache; field_new still refuses them, in its error order."""
+    small = field_new(2, 8)
+    big, emb = extend_field(small, 72)
+    assert big.q == 2**72 and big.backend == "bits"
+    u = 0b10110101
+    assert emb.inverse_packed(emb.map_packed(u)) == u
+    with pytest.raises(DegreeMismatch, match="exceeds 2\\^63"):
+        field_new(2, 72)
+    with pytest.raises(NotPrime):
+        field_new(4, 72)
+    with pytest.raises(DegreeMismatch, match=">= 1"):
+        field_new(2, 0)
 
 
 def test_pinned_field_choices():

@@ -1,7 +1,8 @@
 """The package's import structure, read from its source with `ast`: the
 runtime needs only the standard library, each module imports only from the
-modules below it in one fixed order, `modres` runs no Gauss-Jordan, and
-only `field` knows how arithmetic is chosen."""
+modules below it in one fixed order, no module runs the recorded
+Gauss-Jordan elimination, and only `field` knows how arithmetic is
+chosen."""
 
 import ast
 import sys
@@ -71,20 +72,24 @@ def test_package_imports_point_down_the_order(name):
 
 
 def test_modres_runs_no_gauss_jordan():
-    # recovery applies closed-form inverses; the recorded elimination serves
-    # only the embedding's inverse in `field`
-    for node in ast.walk(_tree("modres")):
-        if isinstance(node, ast.alias):
-            name = node.name
-        elif isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        else:
-            continue
-        assert name not in ("_eliminate", "_replay"), (
-            f"modres.py line {node.lineno} names {name!r}"
-        )
+    # recovery applies closed-form inverses and the embedding's inverse is
+    # one elimination on batch rows; the recorded elimination is test
+    # equipment (`tests/oracles.py`), named by no module of the package
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path.stem)):
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.FunctionDef):
+                name = node.name
+            else:
+                continue
+            assert name not in ("_eliminate", "_replay"), (
+                f"{path.name} line {node.lineno} names {name!r}"
+            )
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from oreelim import (
     extend_field,
     field_new,
     make_rings,
+    parse_bivar_poly,
     partial_evaluations,
     plan_modular,
     res_x2_direct,
@@ -391,6 +392,31 @@ def test_base_diagonal_equals_working_field_triangularization(p, m, e1, e2):
                     assert embed_uni(op.q, plan) == want.q
                 else:
                     assert (op.i, op.j) == (want.i, want.j)
+
+
+def _pair_d64():
+    # D = 64: sigma1's Moore system needs GF(2^72)
+    ring = bivar_for(2, 8, 1, 1)
+    f = parse_bivar_poly("x1^4*x2^8 + x2 + x1", ring)
+    return f, parse_bivar_poly("x1^4*x2^8 + x1^3*x2^2 + 1", ring)
+
+
+def _pair_d40():
+    # a seeded 4/4 pair of x1-degree 5 with D = 40 plans GF(3^44)
+    ring, rng = bivar_for(3, 4, 1, 2), random.Random(27)
+    return rand_bivar_exact(ring, rng, 4, 5), rand_bivar_exact(ring, rng, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "pair, work_m", [(_pair_d64, 72), (_pair_d40, 44)], ids=["GF(2^72)", "GF(3^44)"]
+)
+def test_modular_equals_direct_beyond_the_input_domain(pair, work_m):
+    """The working field may exceed field_new's p^m < 2^63: the modular
+    route answers what the direct route answers."""
+    f, g = pair()
+    plan = plan_modular(f, g)
+    assert plan.work_ctx.m == work_m and plan.work_ctx.q >= 2**63
+    assert res_x2_modular(f, g).rep == res_x2_direct(f, g).rep
 
 
 def test_modular_op_log_equals_direct():

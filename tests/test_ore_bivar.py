@@ -155,6 +155,23 @@ def test_pow_is_repeated_multiplication():
         f**-1
 
 
+@pytest.mark.parametrize(
+    "power",
+    [
+        lambda ring: ring.inner.x(-1),
+        lambda ring: ring.x1(-1),
+        lambda ring: ring.x2(-2),
+        lambda ring: ring.x1() ** -1,
+    ],
+    ids=["x", "x1", "x2", "pow"],
+)
+def test_negative_powers_are_not_polynomials(power):
+    # the constructors refuse a negative exponent as `**` does, where
+    # (0,) * k would make it the polynomial 1
+    with pytest.raises(DivisionByZero, match="negative powers"):
+        power(bivar_for(3, 2, 1, 1))
+
+
 def test_never_equal_to_a_univariate_polynomial():
     ring = bivar_for(5, 2, 1, 1)
     for u in (ring.inner.zero(), ring.inner.one(), ring.inner.x()):
