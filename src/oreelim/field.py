@@ -55,7 +55,11 @@ log * p^t mod (q - 1) once per distinct exponent t = i*e mod m (a dict the
 caller keeps memoizes the twists across calls), multiplies by adding logs
 and adds by one XOR (p = 2) or one Zech lookup (odd p), with no method call
 per coefficient.  The ``bits`` and ``poly`` backends run the same loop
-over `add`, `mul` and `frob`.
+over `add`, `mul` and `frob`.  For p = 2 and q <= 256 a context also
+supplies byte tables, built on first use (`byte_tables`): a 256-byte table
+of c*a for each constant c and one per Frobenius power, so that
+`bytes.translate` multiplies or twists a whole byte string of packed values
+in one C call; `skewdet` triangularizes on whole-row integers with them.
 
 The package's one Gauss-Jordan elimination builds the inverse of the
 embedding: `FieldEmbedding` reduces [A | I] over GF(p), for A the
@@ -376,6 +380,7 @@ class FieldCtx:
         "_batch",
         "_mul",
         "_frob_images",
+        "_byte_tables",
         "_zero_elem",
         "_one_elem",
     )
@@ -414,6 +419,7 @@ class FieldCtx:
         self._pe = [pow(p, e, q - 1) for e in range(m)] if q > 2 else [0] * m
         self._generator = None
         self._frob_images = {}
+        self._byte_tables = None
         # the product outside the log tables, chosen by p alone
         self._modbits = self._batch = None
         if p == 2:
@@ -658,6 +664,34 @@ class FieldCtx:
                 else:
                     out[k] = exp[lv]
 
+    # -- byte tables for whole-row arithmetic ------------------------------------
+
+    def byte_tables(self):
+        """For p = 2 and q <= 256, the tables that act on a byte string of
+        packed values at once through `bytes.translate`: mul[c] maps each
+        value a to c*a, frob[t] maps a to frob(a, t), each 256 bytes long
+        and zero past q; None for every other field.  Built on first use:
+        mul[g^k] is mul[g^(k-1)] translated by mul[g], and frob[t] is
+        frob[t-1] translated by the squaring table, for g the generator."""
+        if self.p != 2 or self.q > 256:
+            return None
+        if self._byte_tables is None:
+            q, g = self.q, self.generator.val
+            pad = bytes(256 - q)
+            ident = bytes(range(q)) + pad
+            mulg = bytes(self.mul(g, a) for a in range(q)) + pad
+            mul = [bytes(256)] * q
+            cur = ident
+            for _ in range(q - 1):
+                mul[cur[1]] = cur  # cur[1] = g^k
+                cur = cur.translate(mulg)
+            square = bytes(mul[a][a] for a in range(q)) + pad
+            frob = [ident]
+            for _ in range(self.m - 1):
+                frob.append(frob[-1].translate(square))
+            self._byte_tables = (mul, frob)
+        return self._byte_tables
+
     # -- GF(p)-linear maps given by the images of the power basis ---------------
 
     def _columns(self, values):
@@ -719,7 +753,11 @@ class FieldCtx:
     # -- the odd-p multiplier and inverse -----------------------------------------
 
     def _mul_batch(self, u, v):
-        """u * v as the product of the one-value batch of v by the constant u."""
+        """u * v as the product of a one-value batch by a constant, the
+        factor of lower degree: its times-t steps wrap no top digit until
+        its degree reaches m - 1, and `t_columns` skips those reductions."""
+        if u > v:
+            u, v = v, u
         b = self._batch
         return b.packed(b.mul(u, b.spread((v,))))
 
@@ -929,7 +967,9 @@ class FieldBatch:
         out = [x]
         for _ in range(self.ctx.m - 1):
             c = x & top
-            if w == 1:  # p = 2
+            if not c:  # no value wraps: every slot stays below p
+                x <<= w
+            elif w == 1:  # p = 2
                 x = ((x ^ c) << 1) ^ (c >> down) * negf
             else:
                 x = self._reduce(((x - c) << w) + (c >> down) * negf)

@@ -23,18 +23,28 @@ a full division pass cannot shrink the column, which keeps every strategy
 terminating.  Every applied operation is recorded in an op log that can be
 replayed or serialized for audit.
 
-`triangularize_with_log` works on packed coefficient tuples, not on
-`OrePoly` values: the row updates and divisions are `ore_uni`'s packed
-helpers, and `OrePoly` values are built only for the logged multipliers and
-the returned matrix.  Row signs are lazy: the matrix is kept as per-row
-signs times stored rows, a signed swap exchanges two stored rows and flips
-one sign, and no entry is negated until the signs are applied once, to the
-result (a no-op for p = 2).  Dividing stored entries gives q, so the stored
-update is row_k - q*row_col and the logged multiplier is -s_k*s_col*q.  The
-twist memos that the skew-product kernel fills live in an array beside the
-rows, one per entry, and an entry's memo is dropped when the entry changes;
-it survives swaps and sign flips, as the stored entry does.  The inverse of
-each pivot's leading coefficient is cached the same way.
+`triangularize_with_log` works on one of two row stores, not on `OrePoly`
+values; `OrePoly` values are built only for the logged multipliers and the
+returned matrix.  The field decides which store runs: when it supplies byte
+tables (`FieldCtx.byte_tables`: p = 2 and q <= 256) each row is one
+integer, coefficient i of entry j at byte j*S + i for a stride S, and a
+quotient term q_i x^i updates the remainder and the whole tail of a row at
+once, the pivot row's bytes twisted by frob^(i*e) and multiplied by q_i
+through `bytes.translate`, then XORed in i bytes up; the stride grows when
+an entry would outgrow it.  Every other field keeps rows of packed
+coefficient tuples, updated by `ore_uni`'s packed helpers.  The pivot
+rules, the signed swap and the no-progress fallback are one driver over
+either store, so both give the same op log and the same matrix.
+
+Row signs are lazy: the matrix is kept as per-row signs times stored rows,
+a signed swap exchanges two stored rows and flips one sign, and no entry is
+negated until the signs are applied once, to the result (a no-op for
+p = 2).  Dividing stored entries gives q, so the stored update is
+row_k - q*row_col and the logged multiplier is -s_k*s_col*q.  In the tuple
+store the twist memos that the skew-product kernel fills live in an array
+beside the rows, one per entry, and an entry's memo is dropped when the
+entry changes; it survives swaps and sign flips, as the stored entry does.
+The inverse of each pivot's leading coefficient is cached the same way.
 """
 
 from __future__ import annotations
@@ -199,6 +209,156 @@ def _pick_pivot(cands, rule, rng):
     return rng.choice(sorted(row for _, row in cands))
 
 
+class _TupleRows:
+    """The row store for every field without byte tables: each entry a
+    packed coefficient tuple, updated by `ore_uni`'s packed helpers.
+    twists[k][j] is the memo of rows[k][j] (an input entry brings its own,
+    shared by its repeats), and lead_inv[k] caches the inverse of the
+    leading coefficient of rows[k][col] in the current column."""
+
+    def __init__(self, matrix):
+        ring = matrix.ring
+        self.ctx, self.e, self.n = ring.ctx, ring.sigma.e, matrix.n
+        self.rows = [[a.coeffs for a in r] for r in matrix.rows]
+        self.twists = [[a._twisted() for a in r] for r in matrix.rows]
+        self.lead_inv = [None] * matrix.n
+        self.col = None
+
+    def lengths(self, col):
+        return [len(r[col]) for r in self.rows]
+
+    def swap(self, i, j):
+        for a in (self.rows, self.twists, self.lead_inv):
+            a[i], a[j] = a[j], a[i]
+
+    def reduce_below(self, col, lengths):
+        ctx, e, n, rows, twists = self.ctx, self.e, self.n, self.rows, self.twists
+        lead_inv = self.lead_inv
+        if col != self.col:
+            self.col = col
+            lead_inv[:] = [None] * n
+        prow, ptwists = rows[col], twists[col]
+        for j in range(col, n):
+            if prow[j] and ptwists[j] is None:
+                ptwists[j] = {}
+        pivot, pivot_twists = prow[col], ptwists[col]
+        tail = [(j, prow[j], ptwists[j]) for j in range(col + 1, n) if prow[j]]
+        inv = lead_inv[col]
+        if inv is None:
+            inv = lead_inv[col] = ctx.inv(pivot[-1])
+        done = []
+        for k in range(col + 1, n):
+            row = rows[k]
+            ent = row[col]
+            if lengths[k] < len(pivot):  # zero or of lower degree
+                continue
+            q, row[col] = right_divmod_packed(ctx, e, ent, pivot, pivot_twists, inv)
+            nq = neg_packed(ctx, q)
+            row_twists = twists[k]
+            row_twists[col] = None
+            for j, a, a_twists in tail:
+                row[j] = addmul_packed(ctx, e, row[j], nq, a, a_twists)
+                row_twists[j] = None
+            lead_inv[k] = None
+            done.append((k, q, nq))
+        return done
+
+    def entries(self):
+        return self.rows
+
+
+class _ByteRows:
+    """The row store for p = 2 and q <= 256, where the field supplies byte
+    tables: row k is one integer, and coefficient i of entry j is its byte
+    j*S + i, for the stride S.  width[k] bounds the length of every entry
+    of row k, so a pass can tell whether its products fit the stride.  A
+    quotient step updates the remainder and the whole tail of a row with
+    one `bytes.translate` and one XOR."""
+
+    def __init__(self, matrix, tables):
+        ring = matrix.ring
+        self.ctx, self.e, self.n = ring.ctx, ring.sigma.e, matrix.n
+        self.mul, self.frob = tables
+        self.width = [max((len(a.coeffs) for a in r), default=0) for r in matrix.rows]
+        self.stride = stride = 2 * max(self.width, default=0) or 1
+        self.rows = [
+            int.from_bytes(
+                b"".join(bytes(a.coeffs).ljust(stride, b"\0") for a in r), "little"
+            )
+            for r in matrix.rows
+        ]
+
+    def lengths(self, col):
+        shift, mask = 8 * col * self.stride, (1 << 8 * self.stride) - 1
+        return [((r >> shift) & mask).bit_length() + 7 >> 3 for r in self.rows]
+
+    def swap(self, i, j):
+        rows, width = self.rows, self.width
+        rows[i], rows[j] = rows[j], rows[i]
+        width[i], width[j] = width[j], width[i]
+
+    def reduce_below(self, col, lengths):
+        """Every stored row k below col whose entry is not shorter than the
+        pivot becomes rows[k] - q*rows[col]: for each quotient term q_i x^i,
+        from the top, the pivot row twisted by frob^(i*e) and multiplied by
+        q_i is XORed in i bytes up."""
+        n, mul, frob, m, e = self.n, self.mul, self.frob, self.ctx.m, self.e
+        rows, width = self.rows, self.width
+        lp = lengths[col]
+        below = [k for k in range(col + 1, n) if lengths[k] >= lp]
+        if not below:
+            return []
+        wp = width[col]
+        need = max(lengths[k] for k in below) - lp + wp
+        if need > self.stride:
+            _restride(self, max(need, 2 * self.stride))
+        s = self.stride
+        base = 8 * col * s
+        prow = (rows[col] >> base).to_bytes((n - col) * s, "little")
+        inv = self.ctx.inv(prow[lp - 1])
+        twisted = {}  # t -> (the pivot row through frob[t], frob(inv, t))
+        done = []
+        for k in below:
+            row = rows[k]
+            dq = lengths[k] - lp
+            q = bytearray(dq + 1)
+            for i in range(dq, -1, -1):
+                top = row >> base + 8 * (i + lp - 1) & 255
+                if top:
+                    t = i * e % m
+                    tw = twisted.get(t)
+                    if tw is None:
+                        tw = twisted[t] = (prow.translate(frob[t]), frob[t][inv])
+                    qi = q[i] = mul[top][tw[1]]
+                    row ^= int.from_bytes(tw[0].translate(mul[qi]), "little") << (
+                        base + 8 * i
+                    )
+            rows[k] = row
+            width[k] = max(width[k], dq + wp)
+            q = tuple(q)
+            done.append((k, q, q))  # -q = q for p = 2
+        return done
+
+    def _entries(self, row):
+        s = self.stride
+        b = row.to_bytes(self.n * s, "little")
+        return [b[j : j + s].rstrip(b"\0") for j in range(0, len(b), s)]
+
+    def entries(self):
+        return [[tuple(a) for a in self._entries(r)] for r in self.rows]
+
+
+def _restride(store, stride):
+    """Lay out every row of a `_ByteRows` again with the larger stride."""
+    store.rows[:] = [
+        int.from_bytes(
+            b"".join(a.ljust(stride, b"\0") for a in store._entries(r)), "little"
+        )
+        for r in store.rows
+    ]
+    store.stride = stride
+
+
 def triangularize_with_log(matrix, rule="min_degree", seed=0):
     """Upper-triangular form obtained with row_addmul and row_swap_signed
     only, together with the operation log that reproduces it.
@@ -209,84 +369,54 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
     if rule not in PIVOT_RULES:
         raise RingMismatch(f"unknown pivot rule {rule!r}")
     ring = matrix.ring
-    ctx, e = ring.ctx, ring.sigma.e
+    ctx = ring.ctx
     n = matrix.n
-    # row k of the matrix is signs[k] * rows[k]; twists[k][j] is the memo of
-    # rows[k][j] (an input entry brings its own, shared by its repeats), and
-    # lead_inv[k] caches the inverse of the leading coefficient of
-    # rows[k][col] in the current column
-    rows = [[a.coeffs for a in r] for r in matrix.rows]
-    twists = [[a._twisted() for a in r] for r in matrix.rows]
+    tables = ctx.byte_tables()
+    store = _ByteRows(matrix, tables) if tables else _TupleRows(matrix)
+    # row k of the matrix is signs[k] times the stored row k
     signs = [1] * n
-    lead_inv = [None] * n
     ops = []
     rng = random.Random(seed) if rule == "random" else None
 
-    def swap(i, j):
-        # row_j <- row_i ; row_i <- -row_j, the sign kept apart
-        rows[i], rows[j] = rows[j], rows[i]
-        twists[i], twists[j] = twists[j], twists[i]
-        lead_inv[i], lead_inv[j] = lead_inv[j], lead_inv[i]
+    def swap(i, j, lengths):
+        # row_j <- row_i ; row_i <- -row_j, the sign kept apart; the entry
+        # lengths of the current column move with their rows
+        store.swap(i, j)
+        lengths[i], lengths[j] = lengths[j], lengths[i]
         signs[i], signs[j] = -signs[j], signs[i]
         ops.append(SwapSignedOp(i=i, j=j))
 
-    def reduce_below(col):
+    def reduce_below(col, lengths):
         """One full division pass of every below-diagonal entry against the
         diagonal; returns True if any row changed.  The stored row k becomes
-        rows[k] - q*rows[col], in place, for the division q, r of the stored
-        entries: its entry in column col is r, and the columns left of col
-        are zero in both rows.  The true multiplier, logged, is
-        -s_k*s_col*q."""
-        prow, ptwists = rows[col], twists[col]
-        for j in range(col, n):
-            if prow[j] and ptwists[j] is None:
-                ptwists[j] = {}
-        pivot, pivot_twists = prow[col], ptwists[col]
-        tail = [(j, prow[j], ptwists[j]) for j in range(col + 1, n) if prow[j]]
-        inv = lead_inv[col]
-        if inv is None:
-            inv = lead_inv[col] = ctx.inv(pivot[-1])
-        progressed = False
-        for k in range(col + 1, n):
-            row = rows[k]
-            ent = row[col]
-            if len(ent) < len(pivot):  # zero or of lower degree
-                continue
-            q, row[col] = right_divmod_packed(ctx, e, ent, pivot, pivot_twists, inv)
-            nq = neg_packed(ctx, q)
-            row_twists = twists[k]
-            row_twists[col] = None
-            for j, a, a_twists in tail:
-                row[j] = addmul_packed(ctx, e, row[j], nq, a, a_twists)
-                row_twists[j] = None
-            lead_inv[k] = None
+        rows[k] - q*rows[col] for the division q, r of the stored entries,
+        so the true multiplier, logged, is -s_k*s_col*q."""
+        done = store.reduce_below(col, lengths)
+        for k, q, nq in done:
             logged = nq if signs[k] == signs[col] else q
             ops.append(AddMulOp(src=col, dst=k, q=OrePoly(ring, logged)))
-            progressed = True
-        return progressed
+        return bool(done)
 
     for col in range(n):
-        lead_inv[:] = [None] * n
         while True:
-            below = [k for k in range(col + 1, n) if rows[k][col]]
-            if not below:
+            lengths = store.lengths(col)
+            if not any(lengths[col + 1 :]):
                 break
-            cands = [(len(rows[k][col]), k) for k in range(col, n) if rows[k][col]]
+            cands = [(d, k) for k, d in enumerate(lengths[col:], col) if d]
             k = _pick_pivot(cands, rule, rng)
             if k != col:
-                swap(k, col)
-            if not reduce_below(col):
+                swap(k, col, lengths)
+            if not reduce_below(col, lengths):
                 # Every below entry now has degree strictly under the pivot;
                 # bring the smallest one up so the Euclidean descent continues.
-                below = [k for k in range(col + 1, n) if rows[k][col]]
+                below = [(d, k) for k, d in enumerate(lengths[col + 1 :], col + 1) if d]
                 if not below:
                     break
-                k = min((len(rows[k][col]), k) for k in below)[1]
-                swap(k, col)
-                reduce_below(col)
+                swap(min(below)[1], col, lengths)
+                reduce_below(col, lengths)
     out = [
         [OrePoly(ring, c if s > 0 else neg_packed(ctx, c)) for c in row]
-        for s, row in zip(signs, rows)
+        for s, row in zip(signs, store.entries())
     ]
     return OreMatrix(ring, out), tuple(ops)
 
@@ -301,7 +431,7 @@ def dieudonne_det(matrix, rule="min_degree", seed=0):
     if any(d.is_zero for d in diag):
         zero = matrix.ring.zero()
         return DetResult(rep=zero, is_zero=True, degree=NEG_INF, op_log=ops)
-    rep = diag[0]
+    rep = diag[0] if diag else matrix.ring.one()  # the empty product for n = 0
     for d in diag[1:]:
         rep = rep * d
     return DetResult(rep=rep, is_zero=False, degree=rep.degree, op_log=ops)

@@ -742,8 +742,13 @@ POLY_FIELDS = [
 
 
 def _poly_case(pm):
-    q = pm[0] ** pm[1]
-    values = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    p, m = pm
+    q = p**m
+    # sparse operands too: t^k and the monomials c*t^k (t^k is p^k packed)
+    monomials = st.builds(
+        lambda c, k: c * p**k, st.integers(1, p - 1), st.integers(0, m - 1)
+    )
+    values = st.one_of(st.sampled_from([0, 1, q - 1]), monomials, st.integers(0, q - 1))
     return st.tuples(st.just(pm), values, values)
 
 
@@ -753,6 +758,25 @@ def test_poly_mul_equals_schoolbook(case):
     (p, m), u, v = case
     ctx = _untabled(p, m)
     assert ctx.mul(u, v) == mul_schoolbook(ctx, u, v)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_byte_tables_multiply_and_twist(m):
+    # every p = 2 field with q <= 256, on log tables and carry-less alike
+    for ctx in (field_new(2, m), _untabled(2, m)):
+        mul, frob = ctx.byte_tables()
+        assert len(mul) == ctx.q and len(frob) == m
+        for table in (*mul, *frob):
+            assert len(table) == 256 and not any(table[ctx.q :])
+        for c in range(ctx.q):
+            assert list(mul[c][: ctx.q]) == [ctx.mul(c, a) for a in range(ctx.q)]
+        for t in range(m):
+            assert list(frob[t][: ctx.q]) == [ctx.frob(a, t) for a in range(ctx.q)]
+
+
+@pytest.mark.parametrize("p, m", [(2, 9), (2, 16), (3, 4), (3, 5), (5, 3), (7, 1)])
+def test_no_byte_tables_past_characteristic_two_and_q_256(p, m):
+    assert field_new(p, m).byte_tables() is None
 
 
 @pytest.mark.parametrize("p, m, g", [(3, 4, 3), (2, 8, 3), (7, 2, 9), (5, 6, 5)])

@@ -3,6 +3,7 @@
 import json
 import random
 from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from oreelim import (
     surrogates_equal,
     triangularize_with_log,
 )
+from oreelim import skewdet
 from oreelim.skewdet import PIVOT_RULES
 from oracles import det_poly_matrix, triangularize_reference, uni_to_list
 from support import bivar_for, rand_orepoly, ring_for, untabled
@@ -133,6 +135,15 @@ def test_det_diag_examples():
     # 1 x 1
     m3 = OreMatrix(ring, [[d]])
     assert dieudonne_det(m3).rep == d
+
+
+@pytest.mark.parametrize("p, m, e", [(3, 2, 1), (2, 4, 1)])  # tuple and byte rows
+def test_det_of_the_empty_matrix_is_the_empty_product(p, m, e):
+    ring = ring_for(p, m, e)
+    empty = OreMatrix(ring, [])
+    assert triangularize_with_log(empty) == (empty, ())
+    d = dieudonne_det(empty)
+    assert (d.rep, d.is_zero, d.degree, d.op_log) == (ring.one(), False, 0, ())
 
 
 def test_det_identical_rows_vanish():
@@ -256,11 +267,16 @@ def test_op_log_serializes_to_json():
 # -- packed rows against the OrePoly-level reference ---------------------------
 
 # (p, m, backend): p = 2 and odd p, every backend's kernel loop, and m > 1
-# so that sigma can be a nontrivial Frobenius power
+# so that sigma can be a nontrivial Frobenius power.  Fields with p = 2 and
+# q <= 256 triangularize on byte rows, GF(2^8) at the largest q and GF(2^4)
+# with e = 0..3; GF(2^9) keeps p = 2 on coefficient tuples.
 REFERENCE_FIELDS = (
     (2, 1, "table"),
     (2, 3, "table"),
     (2, 3, "bits"),
+    (2, 4, "table"),
+    (2, 8, "table"),
+    (2, 9, "table"),
     (3, 2, "table"),
     (3, 2, "poly"),
     (5, 1, "table"),
@@ -277,17 +293,35 @@ def _reference_ring(p, m, backend, e):
 
 @st.composite
 def reference_matrices(draw):
-    """A square matrix of size 1-6 with entries of degree <= 3, reshaped to
-    have a zero column, a row that is a left multiple of another (singular),
-    or rows that repeat entry objects the way Sylvester rows do."""
+    """A shape and a square matrix of size 0-6 with entries of degree <= 3,
+    reshaped to have a zero column, a row that is a left multiple of another
+    (singular), or rows that repeat entry objects the way Sylvester rows do;
+    or, for the shape "outgrow", the 3 x 3 matrix
+
+        [a,       b x^3, 0      ]
+        [c x^3,   0,     0      ]
+        [0,       d,     f x^3  ]
+
+    for nonzero constants a..f, whose entries outgrow the first stride of
+    the byte rows under every pivot rule: column 0 leaves an entry of
+    degree 6 in row 1, which the constant d then divides."""
     p, m, backend = draw(st.sampled_from(REFERENCE_FIELDS))
     ring = _reference_ring(p, m, backend, draw(st.integers(0, m - 1)))
-    n = draw(st.integers(1, 6))
+    shape = draw(
+        st.sampled_from(("plain", "zero_column", "singular", "repeats", "outgrow"))
+    )
+    if shape == "outgrow":
+        a, b, c, d, f = (
+            ring.from_packed((0,) * k + (draw(st.integers(1, ring.ctx.q - 1)),))
+            for k in (0, 3, 3, 0, 3)
+        )
+        zero = ring.zero()
+        return shape, OreMatrix(ring, [[a, b, zero], [c, zero, zero], [zero, d, f]])
+    n = draw(st.integers(0, 6))
     entry = st.lists(st.integers(0, ring.ctx.q - 1), max_size=4).map(ring.from_packed)
     row = st.lists(entry, min_size=n, max_size=n)
     rows = draw(st.lists(row, min_size=n, max_size=n))
-    shape = draw(st.sampled_from(("plain", "zero_column", "singular", "repeats")))
-    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    i, j = draw(st.integers(0, max(n - 1, 0))), draw(st.integers(0, max(n - 1, 0)))
     if shape == "zero_column":
         for row in rows:
             row[i] = ring.zero()
@@ -296,7 +330,7 @@ def reference_matrices(draw):
         rows[j] = [q * a for a in rows[i]]
     elif shape == "repeats" and i != j:
         rows[j] = rows[i][1:] + [ring.zero()]
-    return OreMatrix(ring, rows)
+    return shape, OreMatrix(ring, rows)
 
 
 def _fresh_copy(matrix):
@@ -312,7 +346,11 @@ def _fresh_copy(matrix):
 
 @pytest.mark.parametrize("rule", PIVOT_RULES)
 @settings(max_examples=150, deadline=None, database=None)
-@given(matrix=reference_matrices(), seed=st.integers(0, 5))
-def test_triangularize_equals_reference(rule, matrix, seed):
+@given(case=reference_matrices(), seed=st.integers(0, 5))
+def test_triangularize_equals_reference(rule, case, seed):
+    shape, matrix = case
     expected = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=seed)
-    assert triangularize_with_log(matrix, rule=rule, seed=seed) == expected
+    with mock.patch.object(skewdet, "_restride", wraps=skewdet._restride) as restride:
+        assert triangularize_with_log(matrix, rule=rule, seed=seed) == expected
+    if shape == "outgrow" and matrix.ring.ctx.byte_tables():
+        assert restride.called
