@@ -111,8 +111,12 @@ def cmd_bench(args):
     if args.trials < 1:
         print("error[usage]: --trials must be >= 1", file=sys.stderr)
         return 2
-    if args.deg_x1 < 0 or args.deg_x2 < 0:
-        print("error[usage]: --deg-x1 and --deg-x2 must be >= 0", file=sys.stderr)
+    if args.deg_x1 < 0:
+        print("error[usage]: --deg-x1 must be >= 0", file=sys.stderr)
+        return 2
+    if args.deg_x2 < 1:
+        # a pair constant in x2 has no eliminant (error[both-constant])
+        print("error[usage]: --deg-x2 must be >= 1", file=sys.stderr)
         return 2
     try:
         seed = _resolve_seed(args)

@@ -52,9 +52,9 @@ both `ore_uni.addmul_packed` and each quotient step of
 `ore_uni.right_divmod_packed` run it.  On the ``table`` backend it works on
 logarithms: it reads the logs of a's coefficients once, twists them as
 log * p^t mod (q - 1) once per distinct exponent t = i*e mod m (a dict the
-caller keeps memoizes the twists across calls), multiplies by adding logs
-and adds by one XOR (p = 2) or one Zech lookup (odd p), with no method call
-per coefficient.  The ``bits`` and ``poly`` backends run the same loop
+caller passes memoizes the twists), multiplies by adding logs and adds by
+one XOR (p = 2) or one Zech lookup (odd p), with no method call per
+coefficient.  The ``bits`` and ``poly`` backends run the same loop
 over `add`, `mul` and `frob`.  For p = 2 and q <= 256 a context also
 supplies byte tables, built on first use (`byte_tables`): a 256-byte table
 of c*a for each constant c and one per Frobenius power, so that
@@ -613,8 +613,8 @@ class FieldCtx:
         must have room for index len(qc) + len(ac) - 2.
 
         `twists` is a dict that memoizes the twisted copies of ac, keyed by
-        the exponent t = i*e mod m; a caller that passes the same dict to
-        every call with the same ac twists it at most m times in all.  On the
+        the exponent t = i*e mod m, so ac is twisted at most once per
+        exponent for as long as the caller keeps passing that dict.  On the
         table backend ac is twisted as logs (frob multiplies a log by p^t),
         products are sums of logs, and a sum is one XOR (p = 2) or one Zech
         lookup (odd p); the other backends loop over add, mul and frob."""

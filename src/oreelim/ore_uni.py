@@ -180,14 +180,7 @@ class DensePoly:
 class OrePoly(DensePoly):
     """A skew polynomial; immutable value type."""
 
-    __slots__ = ("_twists",)
-
-    def __init__(self, ring, coeffs):
-        # every product, sum and quotient step builds one, so all three slots
-        # are set here rather than through DensePoly.__init__
-        self.ring = ring
-        self.coeffs = coeffs
-        self._twists = None  # filled by the field's skew-product kernel
+    __slots__ = ()
 
     def coeff(self, i):
         if 0 <= i < len(self.coeffs):
@@ -246,18 +239,8 @@ class OrePoly(DensePoly):
                 raise RingMismatch(f"addmul operands must live in {ring!r}")
         if not q.coeffs or not a.coeffs:
             return self
-        coeffs = addmul_packed(
-            ring.ctx, ring.sigma.e, self.coeffs, q.coeffs, a.coeffs, a._twisted()
-        )
-        return OrePoly(ring, coeffs)
-
-    def _twisted(self):
-        """The memo of twisted coefficients that `FieldCtx.skew_addmul`
-        keeps for this polynomial as its right factor; the value is
-        immutable, so the memo serves every product it enters."""
-        if self._twists is None:
-            self._twists = {}
-        return self._twists
+        ctx, e = ring.ctx, ring.sigma.e
+        return OrePoly(ring, addmul_packed(ctx, e, self.coeffs, q.coeffs, a.coeffs, {}))
 
     # -- Euclidean structure ------------------------------------------------------
 
@@ -271,10 +254,8 @@ class OrePoly(DensePoly):
         ring = self.ring
         if len(self.coeffs) < len(b.coeffs):
             return OrePoly(ring, ()), self
-        ctx, bc = ring.ctx, b.coeffs
-        q, r = right_divmod_packed(
-            ctx, ring.sigma.e, self.coeffs, bc, b._twisted(), ctx.inv(bc[-1])
-        )
+        ctx, e, bc = ring.ctx, ring.sigma.e, b.coeffs
+        q, r = right_divmod_packed(ctx, e, self.coeffs, bc, {}, ctx.inv(bc[-1]))
         return OrePoly(ring, q), OrePoly(ring, r)
 
     def monic(self):
@@ -307,8 +288,9 @@ class OrePoly(DensePoly):
 #
 # `OrePoly` arithmetic wraps these, and `skewdet` triangularizes on them
 # directly, so each loop exists once.  b, q and a are normalized packed
-# coefficient sequences over ctx with x*c = frob(c, e)*x; `twists` is the
-# memo of a right factor or divisor that `FieldCtx.skew_addmul` fills.
+# coefficient sequences over ctx with x*c = frob(c, e)*x; `twists` is a
+# dict that `FieldCtx.skew_addmul` fills with the twisted copies of the
+# right factor or divisor, fresh for each `OrePoly` call.
 
 
 def neg_packed(ctx, coeffs):
@@ -320,8 +302,8 @@ def neg_packed(ctx, coeffs):
 
 
 def addmul_packed(ctx, e, bc, qc, ac, twists):
-    """The coefficients of b + q*a, for q and a nonzero; `twists` is a's
-    memo."""
+    """The coefficients of b + q*a, for q and a nonzero; `twists` memoizes
+    a's twists."""
     out = list(bc)
     n = len(qc) + len(ac) - 1
     if len(out) < n:
@@ -332,8 +314,8 @@ def addmul_packed(ctx, e, bc, qc, ac, twists):
 
 def right_divmod_packed(ctx, e, ac, bc, twists, lead_inv):
     """The coefficients of q and r with a = q*b + r and deg r < deg b, for
-    b nonzero and deg a >= deg b; `twists` is b's memo and `lead_inv` the
-    inverse of b's leading coefficient."""
+    b nonzero and deg a >= deg b; `twists` memoizes b's twists and
+    `lead_inv` is the inverse of b's leading coefficient."""
     db = len(bc) - 1
     r = list(ac)
     q = [0] * (len(r) - db)

@@ -40,11 +40,13 @@ Row signs are lazy: the matrix is kept as per-row signs times stored rows,
 a signed swap exchanges two stored rows and flips one sign, and no entry is
 negated until the signs are applied once, to the result (a no-op for
 p = 2).  Dividing stored entries gives q, so the stored update is
-row_k - q*row_col and the logged multiplier is -s_k*s_col*q.  In the tuple
-store the twist memos that the skew-product kernel fills live in an array
-beside the rows, one per entry, and an entry's memo is dropped when the
-entry changes; it survives swaps and sign flips, as the stored entry does.
-The inverse of each pivot's leading coefficient is cached the same way.
+row_k - q*row_col and the logged multiplier is -s_k*s_col*q.
+
+Memos live for one division pass: the tuple store keeps one memo per pivot
+entry per pass (the byte store one for the whole pivot row), shared by
+every row that the pass updates, so each twist of the pivot row is made
+once per pass.  Nothing outlives the pass, the inverse of the pivot's
+leading coefficient included.
 """
 
 from __future__ import annotations
@@ -211,55 +213,35 @@ def _pick_pivot(cands, rule, rng):
 
 class _TupleRows:
     """The row store for every field without byte tables: each entry a
-    packed coefficient tuple, updated by `ore_uni`'s packed helpers.
-    twists[k][j] is the memo of rows[k][j] (an input entry brings its own,
-    shared by its repeats), and lead_inv[k] caches the inverse of the
-    leading coefficient of rows[k][col] in the current column."""
+    packed coefficient tuple, updated by `ore_uni`'s packed helpers."""
 
     def __init__(self, matrix):
         ring = matrix.ring
         self.ctx, self.e, self.n = ring.ctx, ring.sigma.e, matrix.n
         self.rows = [[a.coeffs for a in r] for r in matrix.rows]
-        self.twists = [[a._twisted() for a in r] for r in matrix.rows]
-        self.lead_inv = [None] * matrix.n
-        self.col = None
 
     def lengths(self, col):
         return [len(r[col]) for r in self.rows]
 
     def swap(self, i, j):
-        for a in (self.rows, self.twists, self.lead_inv):
-            a[i], a[j] = a[j], a[i]
+        rows = self.rows
+        rows[i], rows[j] = rows[j], rows[i]
 
     def reduce_below(self, col, lengths):
-        ctx, e, n, rows, twists = self.ctx, self.e, self.n, self.rows, self.twists
-        lead_inv = self.lead_inv
-        if col != self.col:
-            self.col = col
-            lead_inv[:] = [None] * n
-        prow, ptwists = rows[col], twists[col]
-        for j in range(col, n):
-            if prow[j] and ptwists[j] is None:
-                ptwists[j] = {}
-        pivot, pivot_twists = prow[col], ptwists[col]
-        tail = [(j, prow[j], ptwists[j]) for j in range(col + 1, n) if prow[j]]
-        inv = lead_inv[col]
-        if inv is None:
-            inv = lead_inv[col] = ctx.inv(pivot[-1])
+        ctx, e, n, rows = self.ctx, self.e, self.n, self.rows
+        prow = rows[col]
+        pivot, ptwists = prow[col], {}
+        tail = [(j, prow[j], {}) for j in range(col + 1, n) if prow[j]]
+        inv = ctx.inv(pivot[-1])
         done = []
         for k in range(col + 1, n):
-            row = rows[k]
-            ent = row[col]
             if lengths[k] < len(pivot):  # zero or of lower degree
                 continue
-            q, row[col] = right_divmod_packed(ctx, e, ent, pivot, pivot_twists, inv)
+            row = rows[k]
+            q, row[col] = right_divmod_packed(ctx, e, row[col], pivot, ptwists, inv)
             nq = neg_packed(ctx, q)
-            row_twists = twists[k]
-            row_twists[col] = None
             for j, a, a_twists in tail:
                 row[j] = addmul_packed(ctx, e, row[j], nq, a, a_twists)
-                row_twists[j] = None
-            lead_inv[k] = None
             done.append((k, q, nq))
         return done
 

@@ -186,9 +186,9 @@ def test_usage_exit_codes(capsys):
     )
     assert code == 2
     assert "--trials" in err
-    for flag in ("--deg-x1", "--deg-x2"):
+    for flag, value in (("--deg-x1", "-1"), ("--deg-x2", "-1"), ("--deg-x2", "0")):
         code, out, err = run_cli(
-            capsys, "bench", "--field", "GF(7)", "--trials", "1", flag, "-1",
+            capsys, "bench", "--field", "GF(7)", "--trials", "1", flag, value,
         )
         assert code == 2
         assert out == ""
