@@ -26,20 +26,23 @@ down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
      exactly the embedded matrix's diagonal;
   4. evaluate the diagonal chain at every plan point, x1 acting there as
      the plan says (`ModularPlan.actions`, applied by `apply_formal`, the
-     package's one evaluation map).  In the Frobenius regime sigma1 and a
-     product by a diagonal coefficient are the same GF(p)-linear map at
-     every point, so all points are evaluated at once, on one `FieldBatch`
-     holding every chain value; in the plug-in regime x1's multiplier
-     differs per point, and the chain runs point by point;
-  5. recover the coefficients and map them back through the inverse
-     embedding (a coefficient outside the base field is an internal error).
-     The system of rows [S^i(start)] has a closed-form inverse, the
-     trace-dual basis for a Moore system and the Lagrange basis for a
-     Vandermonde one, so no elimination runs.  Recovery is GF(p)-linear in
-     the chain values, and the plan builds its map once, on its first
-     recovery, as the images of the unit inputs (`FieldCtx._matrix_columns`);
-     each `ModularPlan.recover` is then one pass of `FieldCtx._combine` over
-     all chain values at once.
+     package's one evaluation map).  `chain_evaluate` is the module's one
+     evaluation loop: the bad-evaluation check runs it on a one-entry chain.
+     In the Frobenius regime sigma1 and a product by a diagonal coefficient
+     are the same GF(p)-linear map at every point, so all points are
+     evaluated at once, on one `FieldBatch` holding every chain value; in
+     the plug-in regime x1's multiplier differs per point, and the chain
+     runs point by point.  Either way the chain values leave as one integer,
+     sum(v_j * q^j) in point order;
+  5. recover the coefficients from that integer and map them back through
+     the inverse embedding (a coefficient outside the base field is an
+     internal error).  The system of rows [S^i(start)] has a closed-form
+     inverse, the trace-dual basis for a Moore system and the Lagrange basis
+     for a Vandermonde one, so no elimination runs.  Recovery is
+     GF(p)-linear in the chain values, and the plan builds its map once, on
+     its first recovery, as the images of the unit inputs
+     (`FieldCtx._matrix_columns`); each `ModularPlan.recover` is then one
+     pass of `FieldCtx._combine` over all chain values at once.
 
 The action of x1 has two regimes, and only `plan_modular` and the plan
 itself tell them apart; every later step runs one loop for both.  With
@@ -163,13 +166,6 @@ class ModularPlan:
             packed = packed * q + v
         return packed
 
-    def _packed(self, results):
-        """All chain values packed as sum(v_j * q^j), from the results of
-        `actions` in order."""
-        if self.mode == "frobenius":
-            return self._batch.packed(results[0])
-        return self.pack(results)
-
     @cached_property
     def _recovery(self):
         """The columns of the recovery map, a GF(p)-linear map from the chain
@@ -187,7 +183,7 @@ class ModularPlan:
     def recover(self, packed):
         """The coefficients r_0..r_D (packed) with sum(r_i * S^i(start)) equal
         to the chain value v_j at every point j, from all chain values packed
-        as sum(v_j * q^j) (`pack`, or `ChainValues.packed`).  One pass of the
+        as sum(v_j * q^j) (`pack`, or `chain_evaluate`).  One pass of the
         recovery map gives sum(r_i * q^i) plus the leftovers times
         q^(D + 1); the system is consistent exactly when the leftovers are
         all zero."""
@@ -289,17 +285,6 @@ class PartialEval:
 
     point: FieldElem
     value: FieldElem
-
-
-class ChainValues(tuple):
-    """The PartialEval of every plan point, in point order, and `packed`, all
-    chain values packed as sum(v_j * q^j): the input of
-    `ModularPlan.recover`, read as computed, with no per-point repack."""
-
-    def __new__(cls, evals, packed):
-        self = super().__new__(cls, evals)
-        self.packed = packed
-        return self
 
 
 def plan_modular(f, g):
@@ -441,51 +426,41 @@ def embed_bivar(f, plan):
     """Map a polynomial of the plan's base ring into the working field."""
     if f.ring != plan.base_ring:
         raise RingMismatch("the polynomial is not over the plan's base ring")
-    emb = plan.embedding.map_packed
-    inner = plan.work_ring.inner
-    return plan.work_ring.poly(
-        [inner.from_packed([emb(v) for v in c.coeffs]) for c in f.coeffs]
-    )
+    return plan.work_ring.poly([embed_uni(c, plan) for c in f.coeffs])
 
 
 def check_bad_eval(f, plan):
     """True iff f is zero or its leading x2-coefficient evaluates to zero at
-    every plan point, x1 acting as `plan.actions` says.  In the Frobenius
-    regime the points are a GF(p)-basis, so the coefficient, read as an
-    operator, is the zero map, which the linear independence of sigma1^0..
-    sigma1^D rules out on a well-formed plan.  In the plug-in regime the
-    coefficient vanishes at all D + 1 points, which its degree, at most D,
-    rules out.  So `res_x2_modular` asserts that degree bound instead of
-    evaluating."""
+    every plan point: the one-entry chain of that coefficient, embedded, is
+    all zeros.  In the Frobenius regime the points are a GF(p)-basis, so the
+    coefficient, read as an operator, is the zero map, which the linear
+    independence of sigma1^0..sigma1^D rules out on a well-formed plan.  In
+    the plug-in regime the coefficient vanishes at all D + 1 points, which
+    its degree, at most D, rules out.  So `res_x2_modular` asserts that
+    degree bound instead of evaluating."""
     if f.ring != plan.base_ring:
         raise RingMismatch("the polynomial is not over the plan's base ring")
-    if f.is_zero:
-        return True
-    coeffs = embed_uni(f.lead_coeff, plan).coeffs
-    return not any(
-        apply_formal(ctx, step, arg, coeffs, start)
-        for ctx, step, arg, start in plan.actions
-    )
+    return f.is_zero or not chain_evaluate([embed_uni(f.lead_coeff, plan)], plan)
 
 
 def chain_evaluate(diag, plan):
-    """PartialEval at every plan point of the diagonal chain per the
-    composition formula: the row-order product d_1 * ... * d_k acts as
-    d_1 applied last.  Output is in the plan's point order, as
-    `ChainValues`."""
+    """The diagonal chain's values at every plan point, per the composition
+    formula (the row-order product d_1 * ... * d_k acts as d_1 applied
+    last), packed as sum(v_j * q^j) in the plan's point order: the input of
+    `ModularPlan.recover`.  The diagonal must lie over the plan's working
+    field."""
+    inner = plan.work_ring.inner
+    if any(d.ring != inner for d in diag):
+        raise RingMismatch("the diagonal is not over the plan's working field")
     coeff_rows = [d.coeffs for d in reversed(diag)]
     results = []
     for ctx, step, arg, u in plan.actions:
         for coeffs in coeff_rows:
             u = apply_formal(ctx, step, arg, coeffs, u)
         results.append(u)
-    packed = rest = plan._packed(results)
-    work, q = plan.work_ctx, plan.work_ctx.q
-    evals = []
-    for pt in plan.points:
-        rest, v = divmod(rest, q)
-        evals.append(PartialEval(point=pt, value=FieldElem(work, v)))
-    return ChainValues(evals, packed)
+    if plan.mode == "frobenius":
+        return plan._batch.packed(results[0])
+    return plan.pack(results)
 
 
 def _pipeline(f, g, rule, seed):
@@ -498,9 +473,17 @@ def _pipeline(f, g, rule, seed):
 
 
 def partial_evaluations(f, g, rule="min_degree", seed=0):
-    """Run the pipeline through step 4 and return (plan, partial evals)."""
+    """Run the pipeline through step 4 and return (plan, partial evals): the
+    PartialEval of every plan point, in point order, read off the packed
+    chain values."""
     plan, diag, _ = _pipeline(f, g, rule, seed)
-    return plan, chain_evaluate(diag, plan)
+    rest = chain_evaluate(diag, plan)
+    work, q = plan.work_ctx, plan.work_ctx.q
+    evals = []
+    for pt in plan.points:
+        rest, v = divmod(rest, q)
+        evals.append(PartialEval(point=pt, value=FieldElem(work, v)))
+    return plan, tuple(evals)
 
 
 def res_x2_modular(f, g, rule="min_degree", seed=0) -> DetResult:
@@ -532,7 +515,7 @@ def res_x2_modular(f, g, rule="min_degree", seed=0) -> DetResult:
         raise PlanFailure(
             f"diagonal degree {deg_r} exceeds the planned bound {plan.degree_bound}"
         )
-    coeffs = plan.recover(chain_evaluate(diag, plan).packed)
+    coeffs = plan.recover(chain_evaluate(diag, plan))
     back = [plan.embedding.inverse_packed(c) for c in coeffs]
     if any(b is None for b in back):
         raise CoefficientOutsideBaseField(

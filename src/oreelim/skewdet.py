@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import EqualRows, IndexOutOfRange, RingMismatch
 from .field import NEG_INF
@@ -61,8 +62,7 @@ from .ore_uni import OrePoly, addmul_packed, neg_packed, right_divmod_packed
 PIVOT_RULES = ("min_degree", "first_nonzero", "random")
 
 
-@dataclass(frozen=True)
-class AddMulOp:
+class AddMulOp(NamedTuple):
     """row[dst] <- row[dst] + q * row[src]"""
 
     src: int
@@ -78,8 +78,7 @@ class AddMulOp:
         }
 
 
-@dataclass(frozen=True)
-class SwapSignedOp:
+class SwapSignedOp(NamedTuple):
     """row[j] <- row[i]; row[i] <- -row[j]"""
 
     i: int
@@ -366,7 +365,7 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
         store.swap(i, j)
         lengths[i], lengths[j] = lengths[j], lengths[i]
         signs[i], signs[j] = -signs[j], signs[i]
-        ops.append(SwapSignedOp(i=i, j=j))
+        ops.append(SwapSignedOp(i, j))
 
     def reduce_below(col, lengths):
         """One full division pass of every below-diagonal entry against the
@@ -376,7 +375,7 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
         done = store.reduce_below(col, lengths)
         for k, q, nq in done:
             logged = nq if signs[k] == signs[col] else q
-            ops.append(AddMulOp(src=col, dst=k, q=OrePoly(ring, logged)))
+            ops.append(AddMulOp(col, k, OrePoly(ring, logged)))
         return bool(done)
 
     for col in range(n):

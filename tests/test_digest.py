@@ -14,6 +14,12 @@ pairs, in both regimes: the plan's JSON form, both `check_bad_eval` flags,
 and every packed chain value of `partial_evaluations` under each pivot rule.
 It was recorded while the plug-in and Frobenius regimes still had separate
 evaluation loops, so the single x1-action loop must reproduce both.
+
+A third SHA-256 pins `res_x2_modular` alone on the same pairs and pivot
+rules: its representative's coefficients, `is_zero` and degree, or its error
+code, leaving out the op log, which the first digest already covers.  It was
+recorded while the chain values were still read through per-point
+`PartialEval` objects, so the packed chain must reproduce it.
 """
 
 import hashlib
@@ -43,6 +49,7 @@ PAIRS = 6
 
 DIGEST = "ce71569d07c302cc3de39fa2d12f1d141ce29779b80658937734af7c7737edf4"
 INTERMEDIATE_DIGEST = "162f2b56baa8b4fe8ada7eb8f2bd6632c8c63a7fc0a289825661e1e0030709a4"
+MODULAR_DIGEST = "027c09694e70d9b5d049337e88877488258d8697738906b65d9691e73e409111"
 
 
 def _record(call, f, g, rule):
@@ -74,6 +81,16 @@ def sweep_records():
                     _record(res_x2_modular, f, g, rule),
                 ]
             )
+    return records
+
+
+def modular_records():
+    records = []
+    for key, f, g in sweep_pairs():
+        for rule in PIVOT_RULES:
+            record = _record(res_x2_modular, f, g, rule)
+            record.pop("op_log", None)
+            records.append([[*key, rule], record])
     return records
 
 
@@ -111,3 +128,7 @@ def test_sweep_digest_is_pinned():
 
 def test_intermediate_digest_is_pinned():
     assert _sha256(intermediate_records()) == INTERMEDIATE_DIGEST
+
+
+def test_modular_digest_is_pinned():
+    assert _sha256(modular_records()) == MODULAR_DIGEST

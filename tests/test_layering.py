@@ -1,8 +1,8 @@
 """The package's import structure, read from its source with `ast`: the
 runtime needs only the standard library, each module imports only from the
 modules below it in one fixed order, no module runs the recorded
-Gauss-Jordan elimination, and only `field` knows how arithmetic is
-chosen."""
+Gauss-Jordan elimination, only `field` knows how arithmetic is chosen, and
+`modres` evaluates and embeds in one function each."""
 
 import ast
 import sys
@@ -108,3 +108,18 @@ def test_only_field_names_the_backend(name):
         else:
             continue
         assert found != "backend", f"{name}.py line {node.lineno} names 'backend'"
+
+
+def test_modres_evaluates_and_embeds_in_one_place():
+    # `chain_evaluate` is the one evaluation loop and `embed_uni` the one
+    # coefficient map: the bad-evaluation check and the bivariate embedding
+    # go through them, so no other function reads the plan's actions or the
+    # embedding's packed map
+    readers = {"actions": set(), "map_packed": set()}
+    for func in ast.walk(_tree("modres")):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                readers[node.attr].add(func.name)
+    assert readers == {"actions": {"chain_evaluate"}, "map_packed": {"embed_uni"}}

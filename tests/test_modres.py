@@ -197,6 +197,18 @@ def test_modular_helpers_reject_a_foreign_polynomial(helper, arg, foreign):
         helper(arg(h), plan)
 
 
+def test_chain_evaluate_rejects_a_foreign_diagonal():
+    # the plan's actions act on its working field alone: a diagonal entry
+    # from another field is refused, as the embedding helpers refuse one
+    plan = modres._plan(bivar_for(2, 8, 1, 1), 24)
+    own = plan.work_ring.inner.x() + 1
+    foreign = bivar_for(3, 4, 1, 1).inner.x() + 1
+    modres.chain_evaluate([own], plan)
+    for diag in ([foreign], [own, foreign]):
+        with pytest.raises(RingMismatch):
+            modres.chain_evaluate(diag, plan)
+
+
 # (p, m, e1, D) of Frobenius plans, one per kind of batch: GF(2^8) ->
 # GF(2^32) (bits), GF(2^4) -> GF(2^16) (table), GF(3^4) -> GF(3^16) (poly),
 # GF(5^9) -> GF(5^27) with sigma1 = Frobenius^2, and GF(251^2) -> GF(251^4),
@@ -228,11 +240,7 @@ def test_batched_chain_equals_point_chain(shape, seed):
         work.from_packed([rng.randrange(q) for _ in range(rng.randrange(4))])
         for _ in range(rng.randrange(1, 4))
     ]
-    evals = modres.chain_evaluate(diag, plan)
-    want = point_chain(diag, plan)
-    assert [pe.point for pe in evals] == list(plan.points)
-    assert [pe.value.val for pe in evals] == want
-    assert evals.packed == plan.pack(want)
+    assert modres.chain_evaluate(diag, plan) == plan.pack(point_chain(diag, plan))
     f = rand_bivar(ring, rng, 2, 3, min_d2=1)
     collapsing = ring.poly([ring.inner.one(), ring.inner.x(plan.work_ctx.m) - 1])
     for h in (f, f_bad, collapsing):

@@ -264,6 +264,19 @@ def test_op_log_serializes_to_json():
     assert "op_log" in payload
 
 
+def test_op_records_compare_hash_and_print_by_fields():
+    ring = ring_for(3, 2, 1)
+    q = ring.x() + 1
+    add, swap = skewdet.AddMulOp(0, 2, q), skewdet.SwapSignedOp(1, 2)
+    assert add == skewdet.AddMulOp(src=0, dst=2, q=ring.x() + 1)
+    assert hash(add) == hash(skewdet.AddMulOp(0, 2, ring.x() + 1))
+    assert add != skewdet.AddMulOp(2, 0, q) and swap != skewdet.SwapSignedOp(2, 1)
+    assert repr(add) == f"AddMulOp(src=0, dst=2, q={q!r})"
+    assert repr(swap) == "SwapSignedOp(i=1, j=2)"
+    assert add.to_jsonable() == {"op": "addmul", "src": 0, "dst": 2, "q": [1, 1]}
+    assert swap.to_jsonable() == {"op": "swap_signed", "i": 1, "j": 2}
+
+
 # -- packed rows against the OrePoly-level reference ---------------------------
 
 # (p, m, backend): p = 2 and odd p, every backend's kernel loop, and m > 1
