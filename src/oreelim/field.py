@@ -55,11 +55,17 @@ log * p^t mod (q - 1) once per distinct exponent t = i*e mod m (a dict the
 caller passes memoizes the twists), multiplies by adding logs and adds by
 one XOR (p = 2) or one Zech lookup (odd p), with no method call per
 coefficient.  The ``bits`` and ``poly`` backends run the same loop
-over `add`, `mul` and `frob`.  For p = 2 and q <= 256 a context also
-supplies byte tables, built on first use (`byte_tables`): a 256-byte table
-of c*a for each constant c and one per Frobenius power, so that
-`bytes.translate` multiplies or twists a whole byte string of packed values
-in one C call; `skewdet` triangularizes on whole-row integers with them.
+over `add`, `mul` and `frob`.  GF(2^m) and GF(3^m) up to GF(2^8) and
+GF(3^4), and GF(p) for p < 128, also supply byte tables, built on first
+use (`byte_tables`, a `ByteTables`).  Each value has a one-byte code: two
+bits per digit for GF(3^m) with m > 1, the packed value itself otherwise.
+A 256-byte table of c*a for each constant c, one per Frobenius power and
+one for negation let `bytes.translate` multiply, twist or negate a whole
+byte string of codes in one C call, and the field sums two such strings as
+integers: an XOR for p = 2, six logical operations on the two bit planes
+of the GF(3) digits (Kawahara, Aoki and Takagi, Pairing 2008), and one
+SWAR step for GF(p).  `skewdet` triangularizes on whole-row integers with
+them.
 
 The package's one Gauss-Jordan elimination builds the inverse of the
 embedding: `FieldEmbedding` reduces [A | I] over GF(p), for A the
@@ -82,8 +88,10 @@ and ``poly`` arithmetic, which works on integers of any width.
 from __future__ import annotations
 
 import threading
-from functools import cache
+from functools import cache, partial
 from math import gcd
+from operator import xor
+from typing import NamedTuple
 
 from .errors import (
     ContextMismatch,
@@ -359,6 +367,60 @@ def _default_modulus(p, m):
 
 
 # ---------------------------------------------------------------------------
+
+
+class ByteTables(NamedTuple):
+    """A field's tables for whole rows of values, one value per byte.
+
+    Each value is stored as its code: the packed value itself for GF(2^m)
+    and GF(p), and for GF(3^m) with m > 1 two bits per digit, 0 -> 00,
+    1 -> 01, 2 -> 10, so the code of sum c_i 3^i is sum c_i 4^i.  `enc`
+    maps a packed value to its code and `dec` a code back.  For the code
+    of a, mul[c] gives the code of c*a (c a code), frob[t] that of
+    frob(a, t) and `neg` that of -a; each is 256 bytes long and zero at
+    every byte that is not a code.  adder(nbytes) returns the sum of two
+    integers of at most nbytes bytes, code by code, byte i holding the code
+    of slot i."""
+
+    enc: bytes
+    dec: bytes
+    mul: list
+    frob: list
+    neg: bytes
+    adder: object
+
+
+def _xor_rows(nbytes):
+    """The sum of two rows of GF(2^m) codes: one XOR, whatever the width."""
+    return xor
+
+
+def _ternary_rows(nbytes):
+    """The sum of two rows of GF(3^m) codes, digit by digit, in six logical
+    operations on the low and high bit planes of the 2-bit slots (Kawahara,
+    Aoki, Takagi, Pairing 2008)."""
+    low = int.from_bytes(b"\x55" * nbytes, "little")
+
+    def add(x, y):
+        x1, x2, y1, y2 = x & low, x >> 1 & low, y & low, y >> 1 & low
+        t = (x1 | y2) ^ (x2 | y1)
+        return ((x2 | y2) ^ t) | ((x1 | y1) ^ t) << 1
+
+    return add
+
+
+def _residue_rows(p, nbytes):
+    """The sum of two rows of GF(p) values, p < 128, byte by byte: each
+    byte sum is below 2p - 1 < 256, and one SWAR step subtracts p from the
+    bytes whose sum reached p, found as bit 7 of sum + 128 - p."""
+    ones = int.from_bytes(b"\x01" * nbytes, "little")
+    lift = (128 - p) * ones
+
+    def add(x, y):
+        s = x + y
+        return s - p * ((s + lift) >> 7 & ones)
+
+    return add
 
 
 class FieldCtx:
@@ -667,30 +729,50 @@ class FieldCtx:
     # -- byte tables for whole-row arithmetic ------------------------------------
 
     def byte_tables(self):
-        """For p = 2 and q <= 256, the tables that act on a byte string of
-        packed values at once through `bytes.translate`: mul[c] maps each
-        value a to c*a, frob[t] maps a to frob(a, t), each 256 bytes long
-        and zero past q; None for every other field.  Built on first use:
-        mul[g^k] is mul[g^(k-1)] translated by mul[g], and frob[t] is
-        frob[t-1] translated by the squaring table, for g the generator."""
-        if self.p != 2 or self.q > 256:
-            return None
+        """The `ByteTables` of this field, which act on a byte string of its
+        values at once, one value per byte, through `bytes.translate`; None
+        outside their domain: GF(2^m) with m <= 8, GF(3^m) with m <= 4 and
+        GF(p) with p < 128.  Built on the first call (`_build_byte_tables`),
+        not with the context."""
         if self._byte_tables is None:
-            q, g = self.q, self.generator.val
-            pad = bytes(256 - q)
-            ident = bytes(range(q)) + pad
-            mulg = bytes(self.mul(g, a) for a in range(q)) + pad
-            mul = [bytes(256)] * q
-            cur = ident
-            for _ in range(q - 1):
-                mul[cur[1]] = cur  # cur[1] = g^k
-                cur = cur.translate(mulg)
-            square = bytes(mul[a][a] for a in range(q)) + pad
-            frob = [ident]
-            for _ in range(self.m - 1):
-                frob.append(frob[-1].translate(square))
-            self._byte_tables = (mul, frob)
+            p, m = self.p, self.m
+            if not (p == 2 and m <= 8 or p == 3 and m <= 4 or m == 1 and p < 128):
+                return None
+            self._byte_tables = self._build_byte_tables()
         return self._byte_tables
+
+    def _build_byte_tables(self):
+        """Every table from q products by the generator g: mul[g^k] is
+        mul[g^(k-1)] translated by mul[g], the p-th power table is read off
+        mul, and frob[t] is frob[t-1] translated by it."""
+        p, m, q, g = self.p, self.m, self.q, self.generator.val
+        if p == 3 and m > 1:  # two bits per digit: the code of u is sum c_i 4^i
+            codes = [
+                sum(c << 2 * i for i, c in enumerate(self.coords(u))) for u in range(q)
+            ]
+            adder = _ternary_rows
+        else:  # each value is its own code
+            codes = list(range(q))
+            adder = _xor_rows if p == 2 else partial(_residue_rows, p)
+        pad = bytes(256 - q)
+        ident, dec, mulg = bytearray(256), bytearray(256), bytearray(256)
+        for u, c in enumerate(codes):
+            ident[c], dec[c], mulg[c] = c, u, codes[self.mul(g, u)]
+        mul = [bytes(256)] * 256
+        cur = bytes(ident)
+        for _ in range(q - 1):
+            mul[cur[1]] = cur  # 1 is the code of 1, so cur[1] is that of g^k
+            cur = cur.translate(mulg)
+        frob = [bytes(ident)]
+        if m > 1:
+            power = frob[0]
+            for _ in range(p - 1):
+                power = bytes(mul[c][a] for c, a in enumerate(power))
+            for _ in range(m - 1):
+                frob.append(frob[-1].translate(power))
+        return ByteTables(
+            bytes(codes) + pad, bytes(dec), mul, frob, mul[codes[p - 1]], adder
+        )
 
     # -- GF(p)-linear maps given by the images of the power basis ---------------
 

@@ -25,16 +25,20 @@ replayed or serialized for audit.
 
 `triangularize_with_log` works on one of two row stores, not on `OrePoly`
 values; `OrePoly` values are built only for the logged multipliers and the
-returned matrix.  The field decides which store runs: when it supplies byte
-tables (`FieldCtx.byte_tables`: p = 2 and q <= 256) each row is one
-integer, coefficient i of entry j at byte j*S + i for a stride S, and a
-quotient term q_i x^i updates the remainder and the whole tail of a row at
-once, the pivot row's bytes twisted by frob^(i*e) and multiplied by q_i
-through `bytes.translate`, then XORed in i bytes up; the stride grows when
-an entry would outgrow it.  Every other field keeps rows of packed
-coefficient tuples, updated by `ore_uni`'s packed helpers.  The pivot
-rules, the signed swap and the no-progress fallback are one driver over
-either store, so both give the same op log and the same matrix.
+returned matrix.  The field decides which store runs, and `skewdet` reads
+no characteristic: when the field supplies byte tables
+(`FieldCtx.byte_tables`: GF(2^m) and GF(3^m) up to GF(2^8) and GF(3^4),
+and GF(p) for p < 128) each row is one integer of one-byte value codes,
+coefficient i of entry j at byte j*S + i for a stride S, and a quotient
+term q_i x^i updates the remainder and the whole tail of a row at once:
+the pivot row's bytes are twisted by frob^(i*e) and multiplied by -q_i
+through `bytes.translate`, then added i bytes up by the field's row sum
+(an XOR for p = 2, bitsliced GF(3) digits for GF(3^m) with m > 1, one
+SWAR step for GF(p)); the stride grows when an entry would outgrow it.
+Every other field keeps rows of packed coefficient tuples, updated by
+`ore_uni`'s packed helpers.  The pivot rules, the signed swap and the
+no-progress fallback are one driver over either store, so both give the
+same op log and the same matrix.
 
 Row signs are lazy: the matrix is kept as per-row signs times stored rows,
 a signed swap exchanges two stored rows and flips one sign, and no entry is
@@ -226,7 +230,10 @@ class _TupleRows:
         rows = self.rows
         rows[i], rows[j] = rows[j], rows[i]
 
-    def reduce_below(self, col, lengths):
+    def reduce_below(self, col, lengths, signs):
+        """Every stored row k below col whose entry is not shorter than the
+        pivot becomes rows[k] - q*rows[col], for q the quotient of the
+        entries; returns (k, -s_k*s_col*q), the true multiplier, for each."""
         ctx, e, n, rows = self.ctx, self.e, self.n, self.rows
         prow = rows[col]
         pivot, ptwists = prow[col], {}
@@ -241,7 +248,7 @@ class _TupleRows:
             nq = neg_packed(ctx, q)
             for j, a, a_twists in tail:
                 row[j] = addmul_packed(ctx, e, row[j], nq, a, a_twists)
-            done.append((k, q, nq))
+            done.append((k, nq if signs[k] == signs[col] else q))
         return done
 
     def entries(self):
@@ -249,42 +256,58 @@ class _TupleRows:
 
 
 class _ByteRows:
-    """The row store for p = 2 and q <= 256, where the field supplies byte
-    tables: row k is one integer, and coefficient i of entry j is its byte
-    j*S + i, for the stride S.  width[k] bounds the length of every entry
-    of row k, so a pass can tell whether its products fit the stride.  A
-    quotient step updates the remainder and the whole tail of a row with
-    one `bytes.translate` and one XOR."""
+    """The row store for every field that supplies byte tables
+    (`FieldCtx.byte_tables`): row k is one integer of value codes, and the
+    code of coefficient i of entry j is its byte j*S + i, for the stride S.
+    width[k] bounds the length of every entry of row k, so a pass can tell
+    whether its products fit the stride.  A quotient term q_i x^i updates
+    the remainder and the whole tail of a row at once: the pivot row's
+    bytes, twisted by frob^(i*e) and multiplied by -q_i through
+    `bytes.translate`, are added i bytes up by the field's row sum, so the
+    store only adds.  The entries are encoded on entry, and the logged
+    multipliers and the result are decoded, each by one `bytes.translate`
+    per row."""
 
     def __init__(self, matrix, tables):
         ring = matrix.ring
         self.ctx, self.e, self.n = ring.ctx, ring.sigma.e, matrix.n
-        self.mul, self.frob = tables
+        self.enc, self.dec, self.mul, self.frob, self.neg, self.adder = tables
+        self.negdec = self.neg.translate(self.dec)  # code -> packed negative
         self.width = [max((len(a.coeffs) for a in r), default=0) for r in matrix.rows]
-        self.stride = stride = 2 * max(self.width, default=0) or 1
+        stride = 2 * max(self.width, default=0) or 1
         self.rows = [
             int.from_bytes(
-                b"".join(bytes(a.coeffs).ljust(stride, b"\0") for a in r), "little"
+                b"".join(bytes(a.coeffs).ljust(stride, b"\0") for a in r).translate(
+                    self.enc
+                ),
+                "little",
             )
             for r in matrix.rows
         ]
+        self._set_stride(stride)
+
+    def _set_stride(self, stride):
+        self.stride = stride
+        self.add = self.adder(self.n * stride)
 
     def lengths(self, col):
+        # the rows above col count as 0: no caller reads them
         shift, mask = 8 * col * self.stride, (1 << 8 * self.stride) - 1
-        return [((r >> shift) & mask).bit_length() + 7 >> 3 for r in self.rows]
+        rows = self.rows[col:]
+        return [0] * col + [((r >> shift) & mask).bit_length() + 7 >> 3 for r in rows]
 
     def swap(self, i, j):
         rows, width = self.rows, self.width
         rows[i], rows[j] = rows[j], rows[i]
         width[i], width[j] = width[j], width[i]
 
-    def reduce_below(self, col, lengths):
+    def reduce_below(self, col, lengths, signs):
         """Every stored row k below col whose entry is not shorter than the
         pivot becomes rows[k] - q*rows[col]: for each quotient term q_i x^i,
         from the top, the pivot row twisted by frob^(i*e) and multiplied by
-        q_i is XORed in i bytes up."""
-        n, mul, frob, m, e = self.n, self.mul, self.frob, self.ctx.m, self.e
-        rows, width = self.rows, self.width
+        -q_i is added i bytes up, to the part of row k from entry col on.
+        Returns (k, -s_k*s_col*q), the true multiplier, for each such row."""
+        n, rows, width = self.n, self.rows, self.width
         lp = lengths[col]
         below = [k for k in range(col + 1, n) if lengths[k] >= lp]
         if not below:
@@ -293,40 +316,42 @@ class _ByteRows:
         need = max(lengths[k] for k in below) - lp + wp
         if need > self.stride:
             _restride(self, max(need, 2 * self.stride))
-        s = self.stride
+        e, s, add, mul, frob = self.e, self.stride, self.add, self.mul, self.frob
+        m = len(frob)
         base = 8 * col * s
-        prow = (rows[col] >> base).to_bytes((n - col) * s, "little")
-        inv = self.ctx.inv(prow[lp - 1])
-        twisted = {}  # t -> (the pivot row through frob[t], frob(inv, t))
+        prow = rows[col] >> base
+        prow = prow.to_bytes(prow.bit_length() + 7 >> 3, "little")  # no zero top
+        ninv = self.neg[self.enc[self.ctx.inv(self.dec[prow[lp - 1]])]]
+        twisted = {}  # t -> (the pivot row through frob[t], frob(-inv, t))
         done = []
         for k in below:
-            row = rows[k]
+            tail = rows[k] >> base  # entries left of col are zero below col
             dq = lengths[k] - lp
-            q = bytearray(dq + 1)
+            nq = bytearray(dq + 1)  # -q
             for i in range(dq, -1, -1):
-                top = row >> base + 8 * (i + lp - 1) & 255
+                top = tail >> 8 * (i + lp - 1) & 255
                 if top:
                     t = i * e % m
                     tw = twisted.get(t)
                     if tw is None:
-                        tw = twisted[t] = (prow.translate(frob[t]), frob[t][inv])
-                    qi = q[i] = mul[top][tw[1]]
-                    row ^= int.from_bytes(tw[0].translate(mul[qi]), "little") << (
-                        base + 8 * i
-                    )
-            rows[k] = row
+                        tw = twisted[t] = (prow.translate(frob[t]), frob[t][ninv])
+                    nqi = nq[i] = mul[top][tw[1]]
+                    product = int.from_bytes(tw[0].translate(mul[nqi]), "little")
+                    tail = add(tail, product << 8 * i)
+            rows[k] = tail << base
             width[k] = max(width[k], dq + wp)
-            q = tuple(q)
-            done.append((k, q, q))  # -q = q for p = 2
+            logged = self.dec if signs[k] == signs[col] else self.negdec
+            done.append((k, tuple(nq.translate(logged))))
         return done
 
-    def _entries(self, row):
+    def _entries(self, row, table=None):
+        # the entries of a row as byte strings, read through `table`
         s = self.stride
-        b = row.to_bytes(self.n * s, "little")
+        b = row.to_bytes(self.n * s, "little").translate(table)
         return [b[j : j + s].rstrip(b"\0") for j in range(0, len(b), s)]
 
     def entries(self):
-        return [[tuple(a) for a in self._entries(r)] for r in self.rows]
+        return [[tuple(a) for a in self._entries(r, self.dec)] for r in self.rows]
 
 
 def _restride(store, stride):
@@ -337,7 +362,7 @@ def _restride(store, stride):
         )
         for r in store.rows
     ]
-    store.stride = stride
+    store._set_stride(stride)
 
 
 def triangularize_with_log(matrix, rule="min_degree", seed=0):
@@ -371,10 +396,9 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
         """One full division pass of every below-diagonal entry against the
         diagonal; returns True if any row changed.  The stored row k becomes
         rows[k] - q*rows[col] for the division q, r of the stored entries,
-        so the true multiplier, logged, is -s_k*s_col*q."""
-        done = store.reduce_below(col, lengths)
-        for k, q, nq in done:
-            logged = nq if signs[k] == signs[col] else q
+        and the store returns the true multiplier -s_k*s_col*q, logged."""
+        done = store.reduce_below(col, lengths, signs)
+        for k, logged in done:
             ops.append(AddMulOp(col, k, OrePoly(ring, logged)))
         return bool(done)
 

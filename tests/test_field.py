@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,11 +22,16 @@ from oreelim import (
     ZeroElement,
     extend_field,
     field_new,
+    make_rings,
     parse_element,
+    plan_modular,
+    res_x2_direct,
     sigma_norm,
 )
+from oreelim import field
 from oreelim.field import (
     FieldBatch,
+    FieldCtx,
     _default_modulus,
     _is_irreducible,
     _is_irreducible_gf2,
@@ -760,23 +766,97 @@ def test_poly_mul_equals_schoolbook(case):
     assert ctx.mul(u, v) == mul_schoolbook(ctx, u, v)
 
 
+def _check_byte_tables(ctx):
+    """Decoding through each table gives the field's own product, Frobenius
+    power and negation of every element; bytes that are no code map to 0."""
+    tables = ctx.byte_tables()
+    q, enc, dec = ctx.q, tables.enc, tables.dec
+    codes = set(enc[:q])
+    assert len(codes) == q and [dec[enc[u]] for u in range(q)] == list(range(q))
+    assert len(tables.frob) == ctx.m
+    for table in (*tables.mul, *tables.frob, tables.neg):
+        assert len(table) == 256
+        assert not any(table[c] for c in range(256) if c not in codes)
+    for c in range(q):
+        assert [dec[tables.mul[enc[c]][enc[a]]] for a in range(q)] == [
+            ctx.mul(c, a) for a in range(q)
+        ]
+    for t in range(ctx.m):
+        assert [dec[tables.frob[t][enc[a]]] for a in range(q)] == [
+            ctx.frob(a, t) for a in range(q)
+        ]
+    assert [dec[tables.neg[enc[a]]] for a in range(q)] == [ctx.neg(a) for a in range(q)]
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_byte_tables_multiply_and_twist(m):
-    # every p = 2 field with q <= 256, on log tables and carry-less alike
+    # every p = 2 field with q <= 256, on log tables and carry-less alike;
+    # each value is its own code
     for ctx in (field_new(2, m), _untabled(2, m)):
-        mul, frob = ctx.byte_tables()
-        assert len(mul) == ctx.q and len(frob) == m
-        for table in (*mul, *frob):
-            assert len(table) == 256 and not any(table[ctx.q :])
-        for c in range(ctx.q):
-            assert list(mul[c][: ctx.q]) == [ctx.mul(c, a) for a in range(ctx.q)]
-        for t in range(m):
-            assert list(frob[t][: ctx.q]) == [ctx.frob(a, t) for a in range(ctx.q)]
+        assert ctx.byte_tables().enc[: ctx.q] == bytes(range(ctx.q))
+        _check_byte_tables(ctx)
 
 
-@pytest.mark.parametrize("p, m", [(2, 9), (2, 16), (3, 4), (3, 5), (5, 3), (7, 1)])
+ODD_BYTE_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (7, 1), (127, 1)]
+
+
+@pytest.mark.parametrize("p, m", ODD_BYTE_FIELDS)
+def test_odd_byte_tables_multiply_twist_and_negate(p, m):
+    for ctx in (field_new(p, m), _untabled(p, m)):
+        _check_byte_tables(ctx)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 8)] + ODD_BYTE_FIELDS)
+def test_row_sum_adds_every_slot(p, m):
+    """The row sum of two rows of codes, the q^2 pairs of values side by
+    side, is the code of `ctx.add` in every byte.  Pairs that reach the
+    largest byte sum lie next to pairs that do not, so a carry or borrow
+    that leaks into the next byte shows: GF(127) 126 + 126 beside 126 + 1."""
+    ctx = field_new(p, m)
+    tables = ctx.byte_tables()
+    q, enc = ctx.q, tables.enc
+    top = q - 1
+    pairs = [(top, top), (top, 1), (top, top), (1, top)]
+    pairs += [(u, v) for u in range(q) for v in range(q)]
+    xs, ys = (bytes(enc[pair[k]] for pair in pairs) for k in (0, 1))
+    add = tables.adder(len(pairs))
+    s = add(int.from_bytes(xs, "little"), int.from_bytes(ys, "little"))
+    sums = [enc[ctx.add(u, v)] for u, v in pairs]
+    assert list(s.to_bytes(len(pairs), "little")) == sums
+
+
+@pytest.mark.parametrize(
+    "p, m", [(2, 9), (2, 16), (3, 5), (5, 2), (5, 3), (7, 2), (131, 1)]
+)
 def test_no_byte_tables_past_characteristic_two_and_q_256(p, m):
+    # byte tables exist for GF(2^m), m <= 8, GF(3^m), m <= 4, and GF(p),
+    # p < 128, only: GF(3^5) has q = 243 but five digits, too many for
+    # 2-bit slots in a byte
     assert field_new(p, m).byte_tables() is None
+
+
+def test_byte_tables_wait_for_the_first_triangularization():
+    # the set-up of a field, its rings and a modular plan builds no byte
+    # tables; the first triangularization builds them once
+    with (
+        mock.patch.dict(field._CTX_CACHE, clear=True),
+        mock.patch.object(
+            FieldCtx,
+            "_build_byte_tables",
+            autospec=True,
+            side_effect=FieldCtx._build_byte_tables,
+        ) as build,
+    ):
+        ctx = field_new(3, 4)
+        ring = make_rings(ctx, 1, 2)
+        inner = ring.inner
+        f = ring.poly([inner.from_packed((1, 2)), inner.from_packed((0, 1))])
+        g = ring.poly([inner.from_packed((5, 0, 1)), inner.from_packed((7, 1))])
+        plan_modular(f, g)
+        assert not build.called
+        res_x2_direct(f, g)
+        res_x2_direct(g, f)
+        assert build.call_count == 1
 
 
 @pytest.mark.parametrize("p, m, g", [(3, 4, 3), (2, 8, 3), (7, 2, 9), (5, 6, 5)])

@@ -123,3 +123,22 @@ def test_modres_evaluates_and_embeds_in_one_place():
             if isinstance(node, ast.Attribute) and node.attr in readers:
                 readers[node.attr].add(func.name)
     assert readers == {"actions": {"chain_evaluate"}, "map_packed": {"embed_uni"}}
+
+
+def test_skewdet_chooses_no_arithmetic_by_characteristic():
+    # the field decides whether rows are bytes and how bytes add, so
+    # `skewdet` reads no characteristic and has one byte store for every
+    # field with byte tables, beside the tuple store for the rest
+    tree = _tree("skewdet")
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Attribute) and node.attr == "p"), (
+            f"skewdet.py line {node.lineno} reads '.p'"
+        )
+    stores = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for f in node.body
+        if isinstance(f, ast.FunctionDef) and f.name == "reduce_below"
+    }
+    assert stores == {"_ByteRows", "_TupleRows"}

@@ -279,22 +279,35 @@ def test_op_records_compare_hash_and_print_by_fields():
 
 # -- packed rows against the OrePoly-level reference ---------------------------
 
-# (p, m, backend): p = 2 and odd p, every backend's kernel loop, and m > 1
-# so that sigma can be a nontrivial Frobenius power.  Fields with p = 2 and
-# q <= 256 triangularize on byte rows, GF(2^8) at the largest q and GF(2^4)
-# with e = 0..3; GF(2^9) keeps p = 2 on coefficient tuples.
-REFERENCE_FIELDS = (
+# (p, m, backend): p = 2 and odd p, the log tables and the arithmetic
+# outside them, and m > 1 so that sigma can be a nontrivial Frobenius power.
+# Fields with byte tables triangularize on byte rows: GF(2^m) up to GF(2^8),
+# GF(3^m) up to GF(3^4) with e = 0..3, and GF(p) up to GF(127).  The others
+# keep coefficient tuples: GF(2^9), GF(3^5) (q = 243 but m = 5), GF(7^2)
+# and GF(131).
+BYTE_FIELDS = (
     (2, 1, "table"),
     (2, 3, "table"),
     (2, 3, "bits"),
     (2, 4, "table"),
     (2, 8, "table"),
-    (2, 9, "table"),
+    (3, 1, "table"),
     (3, 2, "table"),
     (3, 2, "poly"),
+    (3, 3, "table"),
+    (3, 4, "table"),
     (5, 1, "table"),
-    (7, 2, "table"),
+    (7, 1, "table"),
+    (127, 1, "table"),
 )
+TUPLE_FIELDS = (
+    (2, 9, "table"),
+    (3, 5, "table"),
+    (3, 5, "poly"),
+    (7, 2, "table"),
+    (131, 1, "table"),
+)
+REFERENCE_FIELDS = BYTE_FIELDS + TUPLE_FIELDS
 
 
 @cache
@@ -302,6 +315,12 @@ def _reference_ring(p, m, backend, e):
     ctx = field_new(p, m) if backend == "table" else untabled(p, m)
     assert ctx.backend == backend
     return OreRing(ctx, Automorphism(ctx, e))
+
+
+@pytest.mark.parametrize("p, m, backend", REFERENCE_FIELDS)
+def test_reference_fields_run_both_stores(p, m, backend):
+    tables = _reference_ring(p, m, backend, 0).ctx.byte_tables()
+    assert (tables is not None) == ((p, m, backend) in BYTE_FIELDS)
 
 
 @st.composite
