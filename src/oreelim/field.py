@@ -16,17 +16,20 @@ A context's arithmetic is fixed by p and the field order q = p^m, and
    g^a + g^b = g^(a + zech[b - a]), and a negation table uses
    -1 = g^((q-1)/2) (Huber, IEEE Trans. IT 1990).  Other odd-p fields add
    digit by digit; p == 2 adds by XOR everywhere.
-*  ``bits``  (p == 2, q > 65536): carry-less arithmetic on bit-packed ints.
-*  ``poly``  (odd p, q > 65536): digit-by-digit sums, an extended-Euclid
-   inverse and cached Frobenius basis images, so that sigma costs about one
-   mul.
+*  ``bits``  (p == 2, q > 65536): XOR sums on bit-packed ints.
+*  ``poly``  (odd p, q > 65536): digit-by-digit sums and cached Frobenius
+   basis images, so that sigma costs about one mul.
 
-Outside the log tables the product and the inverse depend on p alone:
-carry-less (`_mul_bits`, `_inv_bits`) for p = 2; for odd p, the product of
-a one-value `FieldBatch` held by the context, v's digits in slots times the
-constant u, one pass per digit plane, and the inverse by extended Euclid
-on coefficient lists.  Powers, Frobenius images, the generator search and
-the table build multiply by that product too.
+Outside the log tables the product and the inverse are those of GF(p)[t]
+mod the modulus, on one core for every p (`_GFpT`): a polynomial is one
+integer with one base-p digit per w-bit slot, so for p = 2 (w = 1) a
+packed value is one as it is.  The product is one integer product of the
+slot-packed factors (carry-less for p = 2), then the remainder by the
+modulus; the inverse is extended Euclid, its cofactor carried in the low
+slots of each remainder.  Ben-Or's irreducibility test, run by the modulus
+search and on a given modulus, works on the same core.  Powers, Frobenius
+images, the generator search and the table build multiply by that product
+too.
 
 Every GF(p)-linear map between packed values -- a Frobenius power, the
 multiplication-by-generator step of the table build, the embedding
@@ -235,134 +238,176 @@ def _format_terms(terms, var):
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[t] on little-endian coefficient lists (internal; used by Ben-Or's
-# irreducibility test and the odd-p extended-Euclid inverse).
+# GF(p)[t] on slot-packed integers (internal; Ben-Or's irreducibility test,
+# the modulus search, and the product and inverse outside the log tables).
 
 
-def _gfp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _barrett(p, m, slots, bound=None, w=None):
+    """(w, reduce) for an odd prime p: reduce(x) takes each of the lowest
+    `slots` w-bit slots of x, each at most `bound`, mod p in one Barrett
+    step (`_GFpT`, `FieldBatch`).  s and mu make floor(x * mu / 2^s) =
+    floor(x / p) for every x <= bound (x * (p - 1) < 2^s suffices), and w,
+    by default the least width that does, holds x * mu in one slot.  The
+    default bound, max(m * (p - 1)^2, p * (p - 1)), covers a sum of m
+    products of two digits, and a digit plus one such product."""
+    if bound is None:
+        bound = max(m * (p - 1) ** 2, p * (p - 1))
+    s = (bound * (p - 1)).bit_length()
+    mu = -(-(1 << s) // p)
+    least = (bound * mu).bit_length()
+    if w is None:
+        w = least
+    elif w < least:  # pragma: no cover
+        raise AssertionError(f"{w}-bit slots cannot hold {bound} * {mu}")
+    qmask = ((1 << slots * w) - 1) // ((1 << w) - 1) * ((1 << (w - s)) - 1)
+
+    def reduce(x):
+        return x - p * ((x * mu >> s) & qmask)
+
+    return w, reduce
 
 
-def _gfp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _gfp_trim([c % p for c in out])
+def _spread(u, p, w):
+    """The base-p digits of packed u, one per w-bit slot, lowest first."""
+    if p == 2:
+        return u
+    out = shift = 0
+    while u:
+        u, c = divmod(u, p)
+        out |= c << shift
+        shift += w
+    return out
 
 
-def _gfp_sub(a, b, p):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _gfp_trim([c % p for c in out])
+def _slots(coeffs, w):
+    """The polynomial with the coefficients `coeffs`, lowest first, one per
+    w-bit slot."""
+    return sum(c << i * w for i, c in enumerate(coeffs))
 
 
-def _gfp_divmod(a, b, p):
-    """(q, r) with a = q*b + r and deg r < deg b; b trimmed and nonzero."""
-    r = [c % p for c in a]
-    db = len(b) - 1
-    lead_inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(r) - db, 0)
-    while len(r) > db:
-        c = (r.pop() * lead_inv) % p
-        if c:
-            k = len(r) - db
-            q[k] = c
-            for i in range(db):
-                r[k + i] = (r[k + i] - c * b[i]) % p
-    return _gfp_trim(q), _gfp_trim(r)
+class _GFpT:
+    """GF(p)[t] for polynomials of degree at most 2m: coefficient i is the
+    w-bit slot i of one integer.  For p = 2, w = 1, so a polynomial is its
+    bit-packed int and a packed GF(2^m) value is one as it is.  For odd p a
+    slot holds the product of two polynomials of degree below m, and one
+    Barrett step (`_reduce`) brings every slot back below p.
+
+    Each operation is written once for every p.  p = 2 differs only in the
+    slot steps: an XOR where odd p adds and reduces, a carry-less product,
+    no reduction, and squaring by spreading the bits apart."""
+
+    __slots__ = ("p", "w", "_reduce")
+
+    def __init__(self, p, m):
+        self.p = p
+        if p == 2:
+            self.w = 1
+        else:
+            self.w, self._reduce = _barrett(p, m, 2 * m + 1)
+
+    def rem(self, a, b):
+        """a mod b, for b != 0 and a with every slot below p.  Each step
+        adds the multiple of b that clears the top slot of a."""
+        if self.p == 2:
+            db = b.bit_length()
+            while (sh := a.bit_length() - db) >= 0:
+                a ^= b << sh
+            return a
+        p, w, reduce = self.p, self.w, self._reduce
+        top = (b.bit_length() - 1) // w * w
+        nb = reduce((p - pow(b >> top, -1, p)) * b)  # -b / lead(b)
+        while (sh := (a.bit_length() - 1) // w * w - top) >= 0:
+            a = reduce(a + ((a >> sh + top) * nb << sh))
+        return a
+
+    def _mulmod(self, f, x, y):
+        """x * y mod f for slot-packed x and y of degree below m (odd p)."""
+        return self.rem(self._reduce(x * y), f)
+
+    def mul(self, f, u, v):
+        """u * v mod f, for packed u and v: carry-less for p = 2; for odd p
+        one integer product of the slot-packed factors, whose slots hold
+        the coefficients of the product (Kronecker substitution)."""
+        if self.p == 2:
+            r = 0
+            while u:
+                low = u & -u  # one set bit of u at a time: v times it is a shift
+                r ^= v * low
+                u ^= low
+            return self.rem(r, f)
+        p, w = self.p, self.w
+        return _gather(self._mulmod(f, _spread(u, p, w), _spread(v, p, w)), p, w)
+
+    def inv(self, f, u):
+        """The inverse of packed u != 0 mod the irreducible f, by extended
+        Euclid on pairs r_i * t^m + s_i with s_i * u = r_i mod f: the
+        remainder of one pair by the next, whose steps read the r parts
+        only, is the next pair, and deg s_i < m keeps the s part in its
+        slots.  It ends at a constant r = c, and u^-1 = s / c."""
+        p, w = self.p, self.w
+        k = (f.bit_length() - 1) // w * w
+        a, b = f << k, _spread(u, p, w) << k | 1
+        while b >> k + w:
+            a, b = b, self.rem(a, b)
+        s, c = b & ((1 << k) - 1), b >> k
+        if p == 2:
+            return s
+        return _gather(self._reduce(s * pow(c, -1, p)), p, w)
+
+    def is_irreducible(self, f):
+        """Ben-Or's test for a monic f of degree m over GF(p) (FOCS 1981):
+        f is irreducible exactly when gcd(f, t^(p^i) - t) = 1 for
+        i = 1 .. m/2, since a reducible f has an irreducible factor of
+        degree at most m/2.  Most reducible candidates have a small factor
+        and are rejected after a step or two.  h runs through t^(p^i) mod
+        f; for p = 2 it is squared by spreading its bits apart (its binary
+        digits read in base 4)."""
+        p, w, rem = self.p, self.w, self.rem
+        t = 1 << w
+        h = t
+        for _ in range((f.bit_length() - 1) // w // 2):
+            if p == 2:
+                h = rem(int(format(h, "b"), 4), f)
+                b = h ^ t
+            else:
+                h = _pow(partial(self._mulmod, f), 1, h, p)
+                b = self._reduce(h + (p - 1) * t)
+            a = f
+            while b:
+                a, b = b, rem(a, b)
+            if a >> w:  # a gcd of positive degree
+                return False
+        return True
 
 
-def _gfp_mod(a, f, p):
-    return _gfp_divmod(a, f, p)[1]
-
-
-def _gfp_gcd(a, b, p):
-    a, b = _gfp_trim(list(a)), _gfp_trim(list(b))
-    while b:
-        a, b = b, _gfp_mod(a, b, p)
-    return a
-
-
-def _gfp_powmod(base, e, f, p):
-    return _pow(lambda a, b: _gfp_mod(_gfp_mul(a, b, p), f, p), [1], base, e)
-
-
-def _is_irreducible(f, p):
-    """Ben-Or's test for a monic polynomial f of degree m over GF(p) (FOCS
-    1981): f is irreducible exactly when gcd(f, x^(p^i) - x) = 1 for
-    i = 1 .. m/2, since a reducible f has an irreducible factor of degree at
-    most m/2.  Most reducible candidates have a small factor and are rejected
-    after a step or two.  `_is_irreducible_gf2` is the same test on
-    bit-packed ints for p = 2."""
-    x = [0, 1]
-    h = x
-    for _ in range((len(f) - 1) // 2):
-        h = _gfp_powmod(h, p, f, p)
-        if len(_gfp_gcd(f, _gfp_sub(h, x, p), p)) != 1:
-            return False
-    return True
-
-
-def _is_irreducible_gf2(f):
-    """Ben-Or's test for f in GF(2)[t], bit i the coefficient of t^i: h runs
-    through x^(2^i) mod f, squared by spreading its bits apart (its binary
-    digits read in base 4) and reduced by XOR, as are the gcds.  For p = 2
-    the modulus search and the check of a given modulus run it; it answers
-    as the list test does."""
-    m = f.bit_length() - 1
-    h = 2
-    for _ in range(m // 2):
-        h = _gf2_mod(int(format(h, "b"), 4), f)
-        a, b = f, h ^ 2
-        while b:
-            a, b = b, _gf2_mod(a, b)
-        if a != 1:
-            return False
-    return True
-
-
-def _gf2_mod(a, b):
-    """a mod b in GF(2)[t], for bit-packed a and b != 0."""
-    db = b.bit_length()
-    da = a.bit_length()
-    while da >= db:
-        a ^= b << (da - db)
-        da = a.bit_length()
-    return a
+def _is_irreducible(coeffs, p):
+    """Ben-Or's test (`_GFpT.is_irreducible`) for the monic polynomial over
+    GF(p) with the coefficients `coeffs`, lowest first."""
+    core = _GFpT(p, len(coeffs) - 1)
+    return core.is_irreducible(_slots(coeffs, core.w))
 
 
 def _default_modulus(p, m):
     """Least monic irreducible of degree m: the lower coefficients are the
     base-p digits of the smallest counter that passes Ben-Or's test.
 
-    Counters below p are the binomials t^m + c.  For odd p none of them is
+    Counters below p are the binomials t^m + c.  None of them is
     irreducible when a prime factor of m does not divide p - 1, or when
     4 | m and p = 3 mod 4 (Lidl-Niederreiter, Finite Fields, Thm 3.75), and
-    the search then starts at p; otherwise it would test about p of them."""
-    if p == 2:
-        for f in range(1 << m, 2 << m):
-            if _is_irreducible_gf2(f):
-                return tuple((f >> i) & 1 for i in range(m + 1))
-        raise AssertionError("no irreducible polynomial found")  # pragma: no cover
+    the search then starts at p; otherwise it would test about p of them.
+    When m > 1 the counters divisible by p are skipped too: t divides
+    their polynomials."""
     no_binomial = any((p - 1) % r for r in _prime_factors(m)) or (
         m % 4 == 0 and p % 4 == 3
     )
+    core = _GFpT(p, m)
+    w = core.w
     for counter in range(p if no_binomial else 0, p**m):
-        low = []
-        c = counter
-        for _ in range(m):
-            c, r = divmod(c, p)
-            low.append(r)
-        f = low + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
+        if m > 1 and not counter % p:  # t divides f
+            continue
+        f = _spread(counter, p, w) | 1 << m * w
+        if core.is_irreducible(f):
+            return tuple((f >> i * w) & ((1 << w) - 1) for i in range(m + 1))
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
@@ -438,9 +483,8 @@ class FieldCtx:
         "_neg",
         "_pe",
         "_generator",
-        "_modbits",
-        "_batch",
         "_mul",
+        "_inv",
         "_frob_images",
         "_byte_tables",
         "_zero_elem",
@@ -461,11 +505,7 @@ class FieldCtx:
                 raise DegreeMismatch(
                     f"modulus must be monic of degree {m}, got {tuple(modulus)}"
                 )
-            if p == 2:
-                irreducible = _is_irreducible_gf2(self.pack(mod))
-            else:
-                irreducible = _is_irreducible(mod, p)
-            if not irreducible:
+            if not _is_irreducible(mod, p):
                 raise ReducibleModulus(f"modulus {tuple(mod)} is reducible over GF({p})")
             self.modulus = tuple(mod)
         if q <= _TABLE_MAX:
@@ -482,14 +522,12 @@ class FieldCtx:
         self._generator = None
         self._frob_images = {}
         self._byte_tables = None
-        # the product outside the log tables, chosen by p alone
-        self._modbits = self._batch = None
-        if p == 2:
-            self._modbits = self.pack(self.modulus)
-            self._mul = self._mul_bits
-        else:
-            self._batch = FieldBatch(self, 1)
-            self._mul = self._mul_batch
+        # the product and the inverse outside the log tables, mod the
+        # slot-packed modulus
+        core = _GFpT(p, m)
+        f = _slots(self.modulus, core.w)
+        self._mul = partial(core.mul, f)
+        self._inv = partial(core.inv, f)
         if self.backend == "table":
             self._build_tables()
         self._zero_elem = FieldElem(self, 0)
@@ -638,9 +676,7 @@ class FieldCtx:
             raise DivisionByZero("inverse of zero field element")
         if self.backend == "table":
             return self._exp[self.q - 1 - self._log[u]]
-        if self.p == 2:
-            return self._inv_bits(u)
-        return self._inv_poly(u)
+        return self._inv(u)
 
     def pow_packed(self, u, k):
         if u == 0:
@@ -779,20 +815,9 @@ class FieldCtx:
     def _columns(self, values):
         """Column list of the GF(p)-linear map sending the i-th power basis
         element of its source to the packed value values[i] of this field."""
-        w = _slot_bits(self.p, len(values))
-        return [self._spread(v, w) for v in values]
-
-    def _spread(self, u, w):
-        """The base-p digits of packed u, one per w-bit slot, lowest first."""
         p = self.p
-        if p == 2:
-            return u
-        out = shift = 0
-        while u:
-            u, c = divmod(u, p)
-            out |= c << shift
-            shift += w
-        return out
+        w = _slot_bits(p, len(values))
+        return [_spread(v, p, w) for v in values]
 
     def _combine(self, cols, u):
         """The map with columns `cols` applied to packed u: the sum of
@@ -831,57 +856,6 @@ class FieldCtx:
             self, len(rows[0]), _slot_bits(p, len(rows) * self.m), p * (p - 1)
         )
         return [col for row in rows for col in batch.t_columns(batch.spread(row))]
-
-    # -- the odd-p multiplier and inverse -----------------------------------------
-
-    def _mul_batch(self, u, v):
-        """u * v as the product of a one-value batch by a constant, the
-        factor of lower degree: its times-t steps wrap no top digit until
-        its degree reaches m - 1, and `t_columns` skips those reductions."""
-        if u > v:
-            u, v = v, u
-        b = self._batch
-        return b.packed(b.mul(u, b.spread((v,))))
-
-    def _inv_poly(self, u):
-        p = self.p
-        r0 = list(self.modulus)
-        r1 = _gfp_trim(list(self.coords(u)))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q, r = _gfp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _gfp_sub(s0, _gfp_mul(q, s1, p), p)
-        c_inv = pow(r1[0], p - 2, p)
-        return self.pack([(c * c_inv) % p for c in s1])
-
-    # -- the p = 2 multiplier and inverse -----------------------------------------
-
-    def _mul_bits(self, u, v):
-        r = 0
-        while u:
-            if u & 1:
-                r ^= v
-            u >>= 1
-            v <<= 1
-        return _gf2_mod(r, self._modbits)
-
-    def _inv_bits(self, u):
-        # s * u = r mod the modulus throughout, so s can stay reduced
-        r0, r1 = self._modbits, u
-        s0, s1 = 0, 1
-        while r1 not in (0, 1):
-            q = 0
-            d1 = r1.bit_length()
-            while r0.bit_length() >= d1:
-                sh = r0.bit_length() - d1
-                q ^= 1 << sh
-                r0 ^= r1 << sh
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0 ^ self._mul_bits(q, s1)
-        if r1 == 0:  # pragma: no cover - modulus irreducible
-            raise DivisionByZero("inverse of zero field element")
-        return s1
 
     # -- cached structure -------------------------------------------------------
 
@@ -960,9 +934,8 @@ class FieldBatch:
     back below p.
 
     `bound` is the largest slot value `_reduce` must handle, by default that
-    of a plane pass; s and mu make floor(x * mu / 2^s) = floor(x / p) for
-    every x <= bound (x * (p - 1) < 2^s suffices), and w, by default the
-    least that does, holds x * mu in one slot."""
+    of a plane pass or a times-t step; w is by default the least slot width
+    for it (`_barrett`)."""
 
     __slots__ = (
         "ctx",
@@ -971,9 +944,7 @@ class FieldBatch:
         "_digits",
         "_top",
         "_negf",
-        "_s",
-        "_mu",
-        "_qmask",
+        "_reduce",
         "_frob_cols",
     )
 
@@ -983,26 +954,13 @@ class FieldBatch:
         if p == 2:
             w = 1
         else:
-            if bound is None:
-                bound = max(m * (p - 1) ** 2, p * (p - 1))  # planes and times t
-            s = (bound * (p - 1)).bit_length()
-            mu = -(-(1 << s) // p)
-            least = (bound * mu).bit_length()
-            if w is None:
-                w = least
-            elif w < least:  # pragma: no cover
-                raise AssertionError(f"{w}-bit slots cannot hold {bound} * {mu}")
-            self._s = s
-            self._mu = mu
+            w, self._reduce = _barrett(p, m, n * m, bound, w)
         self.w = w
         self._elem = elem = m * w
         bits = n * elem
         self._digits = ((1 << bits) - 1) // ((1 << elem) - 1) * ((1 << w) - 1)
         self._top = self._digits << (elem - w)
-        self._negf = ctx._spread(ctx.pack(-c for c in ctx.modulus[:m]), w)
-        if p != 2:
-            slots = ((1 << bits) - 1) // ((1 << w) - 1)
-            self._qmask = slots * ((1 << (w - s)) - 1)
+        self._negf = _slots([-c % p for c in ctx.modulus[:m]], w)
         self._frob_cols = {}
 
     def spread(self, values):
@@ -1010,7 +968,7 @@ class FieldBatch:
         ctx, w, elem = self.ctx, self.w, self._elem
         x = 0
         for v in reversed(values):
-            x = (x << elem) | ctx._spread(v, w)
+            x = (x << elem) | _spread(v, ctx.p, w)
         return x
 
     def packed(self, x):
@@ -1029,14 +987,15 @@ class FieldBatch:
         columns c * t^k, which `t_columns` builds with no field mul."""
         if c == 1:
             return x
-        return self._apply(self.t_columns(self.ctx._spread(c, self.w)), x)
+        return self._apply(self.t_columns(_spread(c, self.ctx.p, self.w)), x)
 
     def frob(self, x, e):
         """Every value of batch x raised to the p^e power."""
         cols = self._frob_cols.get(e)
         if cols is None:
             ctx = self.ctx
-            cols = [ctx._spread(ctx.frob(ctx.p**k, e), self.w) for k in range(ctx.m)]
+            p, w = ctx.p, self.w
+            cols = [_spread(ctx.frob(p**k, e), p, w) for k in range(ctx.m)]
             self._frob_cols[e] = cols
         return self._apply(cols, x)
 
@@ -1073,10 +1032,6 @@ class FieldBatch:
             out += (x & digits) * col
             x >>= w
         return self._reduce(out)
-
-    def _reduce(self, x):
-        """Every slot of x, each at most `bound`, reduced mod p."""
-        return x - self.ctx.p * ((x * self._mu >> self._s) & self._qmask)
 
 
 def _gather(acc, p, w):

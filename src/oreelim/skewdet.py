@@ -37,8 +37,11 @@ through `bytes.translate`, then added i bytes up by the field's row sum
 SWAR step for GF(p)); the stride grows when an entry would outgrow it.
 Every other field keeps rows of packed coefficient tuples, updated by
 `ore_uni`'s packed helpers.  The pivot rules, the signed swap and the
-no-progress fallback are one driver over either store, so both give the
-same op log and the same matrix.
+no-progress fallback are one elimination loop over either store, so both
+give the same op log and the same matrix.  The loop also checks that the
+division passes for each pivot leave every entry below it shorter than the pivot,
+so a fault in a store's arithmetic raises an AssertionError instead of
+dividing forever.
 
 Row signs are lazy: the matrix is kept as per-row signs times stored rows,
 a signed swap exchanges two stored rows and flips one sign, and no entry is
@@ -403,10 +406,8 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
         return bool(done)
 
     for col in range(n):
-        while True:
-            lengths = store.lengths(col)
-            if not any(lengths[col + 1 :]):
-                break
+        lengths = store.lengths(col)
+        while any(lengths[col + 1 :]):
             cands = [(d, k) for k, d in enumerate(lengths[col:], col) if d]
             k = _pick_pivot(cands, rule, rng)
             if k != col:
@@ -419,6 +420,9 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
                     break
                 swap(min(below)[1], col, lengths)
                 reduce_below(col, lengths)
+            lengths = store.lengths(col)
+            if max(lengths[col + 1 :]) >= lengths[col]:  # a fault in the store
+                raise AssertionError("division pass made no progress")
     out = [
         [OrePoly(ring, c if s > 0 else neg_packed(ctx, c)) for c in row]
         for s, row in zip(signs, store.entries())

@@ -354,7 +354,7 @@ def kernel_basis_mod_p(rows, p):
 def mul_schoolbook(ctx, u, v):
     """Packed u * v in ctx by coordinate convolution and reduction mod the
     modulus, one digit at a time: the `poly` backend's former product, kept
-    as the reference for the one-value `FieldBatch` product."""
+    as the reference for the product outside the log tables."""
     if u == 0 or v == 0:
         return 0
     p, m = ctx.p, ctx.m

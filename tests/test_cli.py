@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oreelim import field_new, make_rings, modres, parse_ore_poly
+from oreelim import FieldCtx, field_new, make_rings, modres, parse_ore_poly
 from oreelim.cli import _find_acceptance_tests, main
 
 
@@ -266,3 +266,22 @@ def test_coefficient_outside_base_field_is_internal_error(capsys, monkeypatch):
     )
     assert code == 5
     assert err.startswith("error[coefficient-outside-base-field]")
+
+
+def test_a_division_pass_that_makes_no_progress_is_an_internal_error(
+    capsys, monkeypatch
+):
+    # a row sum that drops its second operand is a fault in the arithmetic:
+    # triangularization stops at the elimination loop's progress check, exit code 5
+    tables = field_new(3, 4).byte_tables()
+    broken = tables._replace(adder=lambda nbytes: lambda x, y: x)
+    monkeypatch.setattr(FieldCtx, "byte_tables", lambda ctx: broken)
+    code, _, err = run_cli(
+        capsys,
+        "eliminate", "--field", "GF(3^4)", "--sigma1", "1", "--sigma2", "2",
+        "--f", "x1^2*x2 + x1", "--g", "x1*x2^2 + 1", "--method", "direct",
+    )
+    assert code == 5
+    assert err.startswith(
+        "error[internal]: AssertionError('division pass made no progress')"
+    )

@@ -34,7 +34,6 @@ from oreelim.field import (
     FieldCtx,
     _default_modulus,
     _is_irreducible,
-    _is_irreducible_gf2,
     _is_prime,
     _prime_factors,
 )
@@ -168,23 +167,17 @@ def _irreducibles(p, d):
     return (f for f in _monic_polys(p, d) if is_irreducible_rabin(f, p))
 
 
-@pytest.mark.parametrize("p, max_deg", [(2, 8), (3, 5), (5, 3), (7, 3)])
+@pytest.mark.parametrize("p, max_deg", [(2, 10), (3, 5), (5, 3), (7, 3)])
 def test_ben_or_matches_rabin_exhaustive(p, max_deg):
     for d in range(1, max_deg + 1):
         for f in _monic_polys(p, d):
             assert _is_irreducible(f, p) == is_irreducible_rabin(f, p), f
 
 
-def test_gf2_ben_or_matches_the_list_test_exhaustive():
-    for d in range(1, 11):
-        for f in _monic_polys(2, d):
-            bits = sum(c << i for i, c in enumerate(f))
-            assert _is_irreducible_gf2(bits) == _is_irreducible(f, 2), f
-
-
 def test_gf2_modulus_search_picks_the_list_path_modulus():
-    # the search for p = 2 runs Ben-Or on bit-packed ints; the list test, run
-    # over the same candidates in the same order, picks the same modulus
+    # the search skips candidates that cannot be irreducible (binomials,
+    # multiples of t); Ben-Or on coefficient lists, run over every
+    # candidate in counter order, picks the same modulus
     for m in range(2, 73):
         want = next(f for f in _monic_polys(2, m) if _is_irreducible(f, 2))
         assert _default_modulus(2, m) == tuple(want), m
@@ -688,7 +681,8 @@ def test_backends_agree(case):
     ],
 )
 def test_backend_is_chosen_by_order_and_characteristic(p, m, backend):
-    # log tables up to q = 2^16, then carry-less for p = 2 and digit lists
+    # log tables up to q = 2^16, then XOR sums on bit-packed values for
+    # p = 2 and digit-by-digit sums for odd p
     assert field_new(p, m).backend == backend
 
 
@@ -737,7 +731,7 @@ def test_zech_add_largest_tables(p, m, data):
 
 
 POLY_FIELDS = [
-    # m = 1 across the slot widths of the one-value batch, up to p near 2^62
+    # m = 1 across the slot widths of the GF(p)[t] core, up to p near 2^62
     *((p, 1) for p in (3, 5, 13, 251, 65537, 2**31 - 1, 2**61 - 1, 2**62 - 57)),
     (3037000493, 2),  # p^2 just below 2^63
     (5, 27),
@@ -764,6 +758,8 @@ def test_poly_mul_equals_schoolbook(case):
     (p, m), u, v = case
     ctx = _untabled(p, m)
     assert ctx.mul(u, v) == mul_schoolbook(ctx, u, v)
+    # the inverse too, up to the widest slots
+    assert not u or mul_schoolbook(ctx, u, ctx.inv(u)) == 1
 
 
 def _check_byte_tables(ctx):

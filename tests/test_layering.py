@@ -1,8 +1,9 @@
 """The package's import structure, read from its source with `ast`: the
 runtime needs only the standard library, each module imports only from the
 modules below it in one fixed order, no module runs the recorded
-Gauss-Jordan elimination, only `field` knows how arithmetic is chosen, and
-`modres` evaluates and embeds in one function each."""
+Gauss-Jordan elimination, only `field` knows how arithmetic is chosen,
+`modres` evaluates and embeds in one function each, and GF(p)[t] is written
+once, for every p."""
 
 import ast
 import sys
@@ -90,6 +91,35 @@ def test_modres_runs_no_gauss_jordan():
             assert name not in ("_eliminate", "_replay"), (
                 f"{path.name} line {node.lineno} names {name!r}"
             )
+
+
+# names of per-characteristic copies of GF(p)[t] arithmetic (Ben-Or, the
+# remainder, the product and the inverse), which `field._GFpT` does once
+RETIRED_GFPT = {
+    "_is_irreducible_gf2",
+    "_gf2_mod",
+    "_inv_bits",
+    "_inv_poly",
+    "_mul_bits",
+    "_mul_batch",
+}
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_gf_p_t_is_written_once(name):
+    # Ben-Or, the remainder, the product and the inverse outside the log
+    # tables run on one slot-packed core for every p; no module defines a
+    # second copy for one characteristic
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined = node.id
+        else:
+            continue
+        assert not (defined.startswith("_gfp_") or defined in RETIRED_GFPT), (
+            f"{name}.py line {node.lineno} defines {defined!r}"
+        )
 
 
 @pytest.mark.parametrize(

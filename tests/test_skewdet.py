@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oreelim import (
     Automorphism,
     EqualRows,
+    FieldCtx,
     IndexOutOfRange,
     OreMatrix,
     OreRing,
@@ -386,3 +387,28 @@ def test_triangularize_equals_reference(rule, case, seed):
         assert triangularize_with_log(matrix, rule=rule, seed=seed) == expected
     if shape == "outgrow" and matrix.ring.ctx.byte_tables():
         assert restride.called
+
+
+def _dropping_row_sum(nbytes):
+    """A broken row sum: it returns its first operand and drops the second."""
+    return lambda x, y: x
+
+
+def test_a_division_pass_that_makes_no_progress_raises():
+    # with the products dropped, every row stays as it was, and the descent
+    # would divide the same entries forever; the elimination loop's check
+    # after the pass raises instead
+    ring = ring_for(3, 4, 1)
+    broken = ring.ctx.byte_tables()._replace(adder=_dropping_row_sum)
+    matrix = OreMatrix(
+        ring,
+        [
+            [ring.from_packed((1, 1)), ring.one()],
+            [ring.from_packed((2, 0, 1)), ring.x()],
+        ],
+    )
+    with (
+        mock.patch.object(FieldCtx, "byte_tables", return_value=broken),
+        pytest.raises(AssertionError, match="division pass made no progress"),
+    ):
+        triangularize_with_log(matrix)
