@@ -6,7 +6,6 @@ from .errors import (
     BadEvaluation,
     BothConstant,
     BothZero,
-    CoefficientOutsideBaseField,
     ContextMismatch,
     DegreeMismatch,
     DivisionByZero,

@@ -80,11 +80,6 @@ class SingularMooreSystem(OreError):
     exit_code = 5
 
 
-class CoefficientOutsideBaseField(OreError):
-    code = "coefficient-outside-base-field"
-    exit_code = 5
-
-
 class ParseError(OreError):
     code = "parse-error"
     exit_code = 3

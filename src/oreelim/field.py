@@ -32,11 +32,9 @@ images, the generator search and the table build multiply by that product
 too.
 
 Every GF(p)-linear map between packed values -- a Frobenius power, the
-multiplication-by-generator step of the table build, the embedding
-GF(p^m) -> GF(p^M) and its inverse, and the modular route's recovery map
-from all chain values at once to all coefficients -- is stored as the images
-of the power basis (`FieldCtx._columns`, or `FieldCtx._matrix_columns` for a
-matrix over the field) and applied by one kernel, `FieldCtx._combine`, to
+multiplication-by-generator step of the table build and the embedding
+GF(p^m) -> GF(p^M) -- is stored as the images of the power basis
+(`FieldCtx._columns`) and applied by one kernel, `FieldCtx._combine`, to
 packed values of any width.  For p = 2 a column is a packed value and the
 kernel XORs one column per set bit; for odd p a column holds one digit per
 slot of a few bits, the kernel does one integer multiply-add per nonzero
@@ -46,8 +44,7 @@ A map that acts alike on n values -- a Frobenius power, a product by a
 constant -- has a second kernel, `FieldBatch`: the n values sit side by
 side in one integer, and the map is applied to all of them at once, one
 multiply-add per digit plane (m in all, whatever n is).  The modular
-route's Frobenius-regime chain runs on it, and `_matrix_columns` builds its
-columns with the batch's times-t step.
+route's Frobenius-regime chain runs on it.
 
 The package's one skew-product loop is `FieldCtx.skew_addmul`: it adds
 q*a into a packed coefficient list, for q and a in GF(q)[x; frob^e], and
@@ -70,12 +67,14 @@ of the GF(3) digits (Kawahara, Aoki and Takagi, Pairing 2008), and one
 SWAR step for GF(p).  `skewdet` triangularizes on whole-row integers with
 them.
 
-The package's one Gauss-Jordan elimination builds the inverse of the
-embedding: `FieldEmbedding` reduces [A | I] over GF(p), for A the
-coordinates of the powers of the root, with each row one `FieldBatch` of
-GF(p) values, so clearing a column in a row is one batch multiply-add.
-Recovery in `modres` has closed-form inverses.  Which working field to
-embed into, and the root t goes to, are chosen in `modres`.
+The package's one elimination, `GFpSolver`, inverts a GF(p)-linear map
+of full column rank on its image: built once from the map's columns as
+`FieldBatch` values, it solves on the earliest rows of full rank and
+checks the answer on every row, so clearing a slot of a column is one
+multiply-add.  It serves the inverse of the embedding, on the root's
+powers, and the modular route's recovery, on the map from the
+eliminant's base-field coordinates to all chain values.  Which working
+field to embed into, and the root t goes to, are chosen in `modres`.
 
 The package's one square-and-multiply loop, `_pow` (field, GF(p)[t] and
 skew-polynomial powers), and its one term printer, `_format_terms` (field
@@ -102,6 +101,7 @@ from .errors import (
     DivisionByZero,
     NotPrime,
     ReducibleModulus,
+    SingularMooreSystem,
     ZeroElement,
 )
 
@@ -197,11 +197,10 @@ def _rho_factor(n):
 def _slot_bits(p, n):
     """Slot width in bits of the columns of an n-column GF(p)-linear map: 1
     for p = 2, where a column is a packed value; for odd p wide enough that
-    a sum of n products of two digits fits in a slot, and so does the
-    Barrett step of its times-t steps in `_matrix_columns` (under 2 * p^4)."""
+    a sum of n products of two digits fits in a slot."""
     if p == 2:
         return 1
-    return max(n * (p - 1) ** 2, 2 * p**4).bit_length()
+    return (n * (p - 1) ** 2).bit_length()
 
 
 def _pow(mul, one, base, k):
@@ -242,16 +241,15 @@ def _format_terms(terms, var):
 # the modulus search, and the product and inverse outside the log tables).
 
 
-def _barrett(p, m, slots, bound=None, w=None):
+def _barrett(p, m, slots, w=None):
     """(w, reduce) for an odd prime p: reduce(x) takes each of the lowest
-    `slots` w-bit slots of x, each at most `bound`, mod p in one Barrett
-    step (`_GFpT`, `FieldBatch`).  s and mu make floor(x * mu / 2^s) =
-    floor(x / p) for every x <= bound (x * (p - 1) < 2^s suffices), and w,
-    by default the least width that does, holds x * mu in one slot.  The
-    default bound, max(m * (p - 1)^2, p * (p - 1)), covers a sum of m
-    products of two digits, and a digit plus one such product."""
-    if bound is None:
-        bound = max(m * (p - 1) ** 2, p * (p - 1))
+    `slots` w-bit slots of x, each at most max(m * (p - 1)^2, p * (p - 1))
+    -- a sum of m products of two digits, or a digit plus one such product
+    -- mod p in one Barrett step (`_GFpT`, `FieldBatch`, `GFpSolver`).  s
+    and mu make floor(x * mu / 2^s) = floor(x / p) for every x up to that
+    bound (x * (p - 1) < 2^s suffices), and w, by default the least width
+    that does, holds x * mu in one slot."""
+    bound = max(m * (p - 1) ** 2, p * (p - 1))
     s = (bound * (p - 1)).bit_length()
     mu = -(-(1 << s) // p)
     least = (bound * mu).bit_length()
@@ -307,17 +305,25 @@ class _GFpT:
 
     def rem(self, a, b):
         """a mod b, for b != 0 and a with every slot below p.  Each step
-        adds the multiple of b that clears the top slot of a."""
+        adds the multiple of b that clears the top slot of a, so deg a -
+        deg b + 1 steps end it; for odd p a step that leaves the top slot
+        set (a fault in the slot reduction) raises AssertionError after
+        them.  For p = 2 the XOR clears the top bit by itself."""
         if self.p == 2:
             db = b.bit_length()
             while (sh := a.bit_length() - db) >= 0:
                 a ^= b << sh
             return a
         p, w, reduce = self.p, self.w, self._reduce
-        top = (b.bit_length() - 1) // w * w
+        db = (b.bit_length() - 1) // w
+        top = db * w
         nb = reduce((p - pow(b >> top, -1, p)) * b)  # -b / lead(b)
-        while (sh := (a.bit_length() - 1) // w * w - top) >= 0:
+        for _ in range((a.bit_length() - 1) // w - db + 1):
+            if (sh := (a.bit_length() - 1) // w * w - top) < 0:
+                return a
             a = reduce(a + ((a >> sh + top) * nb << sh))
+        if (a.bit_length() - 1) // w >= db:
+            raise AssertionError("a remainder step left the top slot set")
         return a
 
     def _mulmod(self, f, x, y):
@@ -844,19 +850,6 @@ class FieldCtx:
             i += 1
         return _gather(acc, p, _slot_bits(p, len(cols)))
 
-    def _matrix_columns(self, rows):
-        """Columns of the GF(p)-linear map sending the values v_0, v_1, ...,
-        packed as sum(v_j * q^j), to the values sum_j rows[j][i] * v_j,
-        packed likewise, for a matrix of packed values with one row per
-        input; `_combine` applies it.  Column j*m + k is the image of v_j =
-        t^k, the row j times t^k: each row is held as one `FieldBatch` and
-        multiplied by t with `FieldBatch.t_columns`, in `_combine`'s slots."""
-        p = self.p
-        batch = FieldBatch(
-            self, len(rows[0]), _slot_bits(p, len(rows) * self.m), p * (p - 1)
-        )
-        return [col for row in rows for col in batch.t_columns(batch.spread(row))]
-
     # -- cached structure -------------------------------------------------------
 
     def _build_frob_images(self, e):
@@ -933,9 +926,8 @@ class FieldBatch:
     m * (p - 1)^2, and one SWAR Barrett step (`_reduce`) brings every slot
     back below p.
 
-    `bound` is the largest slot value `_reduce` must handle, by default that
-    of a plane pass or a times-t step; w is by default the least slot width
-    for it (`_barrett`)."""
+    w is the least slot width for which `_reduce` handles the slots of a
+    plane pass and of a times-t step (`_barrett`)."""
 
     __slots__ = (
         "ctx",
@@ -948,13 +940,13 @@ class FieldBatch:
         "_frob_cols",
     )
 
-    def __init__(self, ctx, n, w=None, bound=None):
+    def __init__(self, ctx, n):
         p, m = ctx.p, ctx.m
         self.ctx = ctx
         if p == 2:
             w = 1
         else:
-            w, self._reduce = _barrett(p, m, n * m, bound, w)
+            w, self._reduce = _barrett(p, m, n * m)
         self.w = w
         self._elem = elem = m * w
         bits = n * elem
@@ -1257,7 +1249,78 @@ def sigma_norm(sigma, a):
 
 
 # ---------------------------------------------------------------------------
-# The embedding of a subfield
+# GF(p)-linear systems and the embedding of a subfield
+
+
+class GFpSolver:
+    """The inverse of a GF(p)-linear map A of full column rank, on its
+    image: built once from A's columns, given as values of a `FieldBatch`
+    (one digit of A's output per slot, column i the image of the i-th unit
+    vector), `solve(v)` is the unique packed x with A * x = v for a packed
+    v, or None when v is outside the image.  It is the package's one
+    elimination.
+
+    The build finds the earliest digits (rows of A) of full rank, the
+    pivots r_j, and the inverse of A on them.  Each column carries its unit
+    vector in the slots above A's; it is reduced at its lowest nonzero slot
+    while that slot is a pivot, and then pivots there, and back-substitution
+    clears every pivot slot but its own.  Reduced column j is then 1 at r_j
+    and 0 at every other pivot, and its upper slots hold x_j, the preimage
+    of that unit on the pivot rows.  The reduction reads the first `keep`
+    slots of A, doubled until they have full rank; a column that is zero on
+    all of them leaves A rank-deficient, and the build raises
+    SingularMooreSystem.  A solve sums v[r_j] * x_j over the pivot digits
+    of v and re-applies A to check the answer against every digit of v.
+    For odd p each multiply-add is followed by one Barrett step (bound
+    p * (p - 1)), which the batch's slots hold."""
+
+    __slots__ = ("_batch", "_reduce", "_cols", "_pivots", "_inv")
+
+    def __init__(self, batch, cols):
+        p, w, n = batch.ctx.p, batch.w, len(cols)
+        size = -(-max(c.bit_length() for c in cols) // w)  # slots of A's columns
+        reduce = None if p == 2 else _barrett(p, 1, size + n, w)[1]
+        mask = (1 << w) - 1
+        keep = min(2 * n, size)
+        while True:
+            basis = {}  # pivot slot -> reduced column
+            head = (1 << keep * w) - 1
+            for i, col in enumerate(cols):
+                x = col & head | 1 << (keep + i) * w
+                while (e := basis.get(low := ((x & -x).bit_length() - 1) // w)) is not None:
+                    x = x ^ e if p == 2 else reduce(x + (p - (x >> low * w & mask)) * e)
+                if low >= keep:  # zero on the first `keep` slots
+                    break
+                basis[low] = x if p == 2 else reduce(pow(x >> low * w & mask, -1, p) * x)
+            else:
+                break
+            if keep == size:
+                raise SingularMooreSystem("the columns are linearly dependent")
+            keep = min(2 * keep, size)
+        pivots = sorted(basis)
+        for k, r in enumerate(pivots):
+            e = basis[r]
+            for s in pivots[:k]:
+                if c := basis[s] >> r * w & mask:
+                    basis[s] = basis[s] ^ e if p == 2 else reduce(basis[s] + (p - c) * e)
+        self._batch, self._reduce, self._cols = batch, reduce, cols
+        self._pivots = [r * w for r in pivots]
+        self._inv = [basis[r] >> keep * w for r in pivots]
+
+    def solve(self, v):
+        """The packed x with A * x = v, or None when v is not in A's image."""
+        batch, reduce = self._batch, self._reduce
+        p, w = batch.ctx.p, batch.w
+        mask = (1 << w) - 1
+        u = _spread(v, p, w)
+        x = ax = 0
+        for r, inv in zip(self._pivots, self._inv):
+            if c := u >> r & mask:
+                x = x ^ inv if p == 2 else reduce(x + c * inv)
+        for i, col in enumerate(self._cols):
+            if c := x >> i * w & mask:
+                ax = ax ^ col if p == 2 else reduce(ax + c * col)
+        return batch.packed(x) if ax == u else None
 
 
 class FieldEmbedding:
@@ -1265,7 +1328,7 @@ class FieldEmbedding:
     to `root`, a root of the small modulus in the big field (commutes with
     Frobenius, as any field embedding does)."""
 
-    __slots__ = ("small", "big", "root", "_cols", "_inv_cols")
+    __slots__ = ("small", "big", "root", "_cols", "_solver")
 
     def __init__(self, small, big, root):
         self.small = small
@@ -1275,27 +1338,8 @@ class FieldEmbedding:
         for _ in range(small.m - 1):
             powers.append(big.mul(powers[-1], root))
         self._cols = big._columns(powers)
-        # Gauss-Jordan over GF(p) on [A | I], for A the big.m x small.m
-        # matrix of root-power coordinates, leaves [T * A | T] with
-        # T * A = [I; 0], so T * v has zero coordinates past small.m exactly
-        # when v is an image.  Each row is one `FieldBatch` of GF(p) values;
-        # the pivot is the first nonzero entry at or below the diagonal.
-        p, m, n = big.p, small.m, big.m
-        b = FieldBatch(field_new(p, 1), m + n)
-        w, mask = b.w, (1 << b.w) - 1
-        a = zip(*(big.coords(v) for v in powers))  # row i of A
-        rows = [b.spread(r) | 1 << (m + i) * w for i, r in enumerate(a)]
-        for col in range(m):
-            sel = next(k for k in range(col, n) if rows[k] >> col * w & mask)
-            row = rows[sel]
-            rows[sel] = rows[col]
-            rows[col] = pivot = b.mul(pow(row >> col * w & mask, p - 2, p), row)
-            for k, row in enumerate(rows):
-                c = row >> col * w & mask
-                if c and k != col:
-                    rows[k] = b.add(row, b.mul(p - c, pivot))
-        t_cols = [big.pack([r >> (m + j) * w & mask for r in rows]) for j in range(n)]
-        self._inv_cols = big._columns(t_cols)
+        batch = FieldBatch(big, 1)
+        self._solver = GFpSolver(batch, [batch.spread([v]) for v in powers])
 
     def map_packed(self, u):
         return self.big._combine(self._cols, u)
@@ -1307,8 +1351,7 @@ class FieldEmbedding:
 
     def inverse_packed(self, v):
         """Preimage of a packed big-field value, or None if outside the image."""
-        w = self.big._combine(self._inv_cols, v)
-        return w if w < self.small.q else None
+        return self._solver.solve(v)
 
     def inverse(self, b):
         if not isinstance(b, FieldElem) or b.ctx != self.big:

@@ -34,15 +34,14 @@ down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
      the plug-in regime x1's multiplier differs per point, and the chain
      runs point by point.  Either way the chain values leave as one integer,
      sum(v_j * q^j) in point order;
-  5. recover the coefficients from that integer and map them back through
-     the inverse embedding (a coefficient outside the base field is an
-     internal error).  The system of rows [S^i(start)] has a closed-form
-     inverse, the trace-dual basis for a Moore system and the Lagrange basis
-     for a Vandermonde one, so no elimination runs.  Recovery is
-     GF(p)-linear in the chain values, and the plan builds its map once, on
-     its first recovery, as the images of the unit inputs
-     (`FieldCtx._matrix_columns`); each `ModularPlan.recover` is then one
-     pass of `FieldCtx._combine` over all chain values at once.
+  5. recover the coefficients, in the base field, from that integer.  The
+     chain values are a GF(p)-linear image of the base-field coordinates
+     of r_0..r_D, and the plan builds that forward map once, on its first
+     recovery, in one pass over its actions (`_forward_columns`), and
+     reduces it with the package's one elimination (`field.GFpSolver`).  Each
+     `ModularPlan.recover` then solves on the shortest leading run of
+     points that determines the coefficients and checks the answer at
+     every point; chain values it does not reproduce are inconsistent.
 
 The action of x1 has two regimes, and only `plan_modular` and the plan
 itself tell them apart; every later step runs one loop for both.  With
@@ -53,7 +52,7 @@ exceeds D; distinct powers sigma1^0..sigma1^D are then distinct
 automorphisms, which are linearly independent maps, so a well-formed plan
 admits no bad evaluation and no singular Moore system (the route asserts
 both: the first as the leading coefficients' x1-degree being at most D, the
-second through recovery's leftover equations).  With sigma1 the identity,
+second through the solver's rank).  With sigma1 the identity,
 x1 acts as multiplication by the point started at 1, and the points are
 D + 1 distinct field values: the chain is plain evaluation of the
 diagonal's product and the rows are a Vandermonde system.
@@ -61,9 +60,9 @@ diagonal's product and the rows are a Vandermonde system.
 
 In either regime the route is the direct triangularization plus an
 independent chain-and-recovery check: the diagonal's product is not
-multiplied out but recovered from the chain values, and the leftover
-equations and the map back to the base field must be consistent.  It costs
-more than the direct route, never less.
+multiplied out but recovered from the chain values, which must all be those
+of one base-field polynomial.  It costs more than the direct route, never
+less.
 
 The Frobenius-regime chain costs Theta(D * M^3 * w) bit operations: about
 D maps, each M plane passes over a batch of M values of M digits of w bits.
@@ -80,7 +79,6 @@ from math import gcd
 
 from .errors import (
     BadEvaluation,
-    CoefficientOutsideBaseField,
     NotAnExtension,
     PlanFailure,
     RingMismatch,
@@ -93,6 +91,7 @@ from .field import (
     FieldBatch,
     FieldElem,
     FieldEmbedding,
+    GFpSolver,
     _context,
 )
 from .ore_bivar import BivarOrePoly, BivarRing
@@ -167,34 +166,28 @@ class ModularPlan:
         return packed
 
     @cached_property
-    def _recovery(self):
-        """The columns of the recovery map, a GF(p)-linear map from the chain
-        values to the coefficients followed by the leftovers, whose matrix
-        over the working field is the closed-form inverse of the system:
-        `_moore_rows` or `_lagrange_rows`.  Built on the first recovery, so
-        planning stays cheap, and shared by every pair of this plan."""
-        ctx, e1 = self.work_ctx, self.work_ring.sigma1.e
-        if e1:
-            rows = _moore_rows(ctx, e1, self.degree_bound, self.points)
-        else:
-            rows = _lagrange_rows(ctx, self.degree_bound, self.points)
-        return ctx._matrix_columns(rows)
+    def _solver(self):
+        """The `GFpSolver` of the forward map (`_forward_columns`), built on
+        the first recovery, so planning stays cheap, and shared by every
+        pair of this plan.  Raises SingularMooreSystem when the points do
+        not determine the coefficients."""
+        return GFpSolver(self._batch, _forward_columns(self))
 
     def recover(self, packed):
-        """The coefficients r_0..r_D (packed) with sum(r_i * S^i(start)) equal
-        to the chain value v_j at every point j, from all chain values packed
-        as sum(v_j * q^j) (`pack`, or `chain_evaluate`).  One pass of the
-        recovery map gives sum(r_i * q^i) plus the leftovers times
-        q^(D + 1); the system is consistent exactly when the leftovers are
-        all zero."""
-        ctx = self.work_ctx
-        q = ctx.q
-        out = ctx._combine(self._recovery, packed)
-        if out >= q ** (self.degree_bound + 1):
+        """The coefficients r_0..r_D, packed base-field values, with
+        sum(emb(r_i) * S^i(start)) equal to the chain value v_j at every
+        point j, from all chain values packed as sum(v_j * q^j) (`pack`, or
+        `chain_evaluate`).  The solver reads the chain values of the
+        shortest leading run of points that determines the coefficients and
+        checks its answer at every point: chain values it does not
+        reproduce are inconsistent."""
+        x = self._solver.solve(packed)
+        if x is None:
             raise SingularMooreSystem("chain values are inconsistent")
+        q = self.base_ring.ctx.q
         coeffs = []
         for _ in range(self.degree_bound + 1):
-            out, r = divmod(out, q)
+            x, r = divmod(x, q)
             coeffs.append(r)
         return coeffs
 
@@ -206,77 +199,6 @@ class ModularPlan:
             "degree_bound": self.degree_bound,
             "points": [str(pt) for pt in self.points],
         }
-
-
-def _deflate(ctx, poly, a):
-    """The quotient of a monic polynomial (packed coefficients, lowest
-    first) by x - a, for a root a, by synthetic division."""
-    add, mul = ctx.add, ctx.mul
-    quo = [1]
-    for c in poly[-2:0:-1]:
-        quo.append(add(c, mul(a, quo[-1])))
-    return quo[::-1]
-
-
-def _trace_dual_basis(ctx):
-    """The trace-dual basis b_0*, ..., b_{m-1}* of the power basis t^j, with
-    Tr(b_j* * t^k) = delta_jk.  If the modulus is f(x) = (x - t) * g(x), g =
-    beta_0 + ... + beta_{m-1} x^{m-1}, then b_j* = beta_j / f'(t) and
-    f'(t) = g(t) (Lidl-Niederreiter, Finite Fields, ch. 2)."""
-    t = ctx.t_packed
-    beta = _deflate(ctx, ctx.modulus, t)
-    scale = ctx.inv(apply_formal(ctx, ctx.mul, t, beta, 1))
-    return [ctx.mul(b, scale) for b in beta]
-
-
-def _moore_rows(ctx, e1, bound, points):
-    """The inverse of the Moore system, one row per point t^j: its entries
-    are phi(b_j*) for the automorphisms phi = sigma1^0..sigma1^D, then for
-    the other Frobenius powers in increasing order (the leftovers).  Since
-    sum_j phi(t^j) * psi(b_j*) = delta_{phi, psi}, the values v_j =
-    sum_i r_i * sigma1^i(t^j) give r_i = sum_j sigma1^i(b_j*) * v_j and a
-    zero leftover for every other phi, and they are of that form exactly
-    when every leftover is zero."""
-    p, m = ctx.p, ctx.m
-    exps = [i * e1 % m for i in range(bound + 1)]
-    if len(set(exps)) <= bound:
-        raise SingularMooreSystem(
-            "evaluation points do not determine the coefficients"
-        )
-    exps += sorted(set(range(m)) - set(exps))
-    basis = {p**j: j for j in range(m)}
-    index = [basis.get(pt.val) for pt in points]
-    if len(index) != m or set(index) != set(range(m)):
-        raise PlanFailure("Frobenius-mode points must be the power basis")
-    conj = [_trace_dual_basis(ctx)]  # conj[e][j] = frob(b_j*, e)
-    for _ in range(m - 1):
-        conj.append([ctx.frob(b, 1) for b in conj[-1]])
-    return [[conj[e][j] for e in exps] for j in index]
-
-
-def _lagrange_rows(ctx, bound, points):
-    """The inverse of the Vandermonde system, one row per point a_k: the
-    coefficients of L_k(x) = P(x) / ((x - a_k) * P'(a_k)) for P the product
-    of all (x - a_l), so that r = sum_k v_k * L_k.  Coefficients past D are
-    leftovers, present only when a plan has more than D + 1 points."""
-    mul, sub = ctx.mul, ctx.sub
-    pts = [pt.val for pt in points]
-    if len(pts) <= bound:
-        raise SingularMooreSystem(
-            "evaluation points do not determine the coefficients"
-        )
-    prod = [1]
-    for a in pts:
-        prod = [sub(x, mul(a, y)) for x, y in zip([0] + prod, prod + [0])]
-    rows = []
-    for a in pts:
-        quo = _deflate(ctx, prod, a)
-        deriv = apply_formal(ctx, mul, a, quo, 1)  # P'(a)
-        if not deriv:
-            raise SingularMooreSystem("evaluation points are not distinct")
-        scale = ctx.inv(deriv)
-        rows.append([mul(scale, c) for c in quo])
-    return rows
 
 
 @dataclass(frozen=True)
@@ -463,6 +385,29 @@ def chain_evaluate(diag, plan):
     return plan.pack(results)
 
 
+def _forward_columns(plan):
+    """The columns of the forward map, from the base-field coordinates of
+    r_0..r_D to the chain values of sum(emb(r_i) * x1^i): column i*m + k is
+    emb(t^k) * S^i(start) at every plan point, as one value of the plan's
+    `FieldBatch`, so the solver's x is sum(r_i * p^(m i)).  One pass over the
+    actions takes each S-power once and multiplies it by each embedded
+    basis element, where (D + 1) * m one-entry chains through
+    `chain_evaluate` would take S^1..S^i again for every column."""
+    emb = plan.embedding.map_packed
+    basis = [emb(b.val) for b in plan.base_ring.ctx.prime_basis()]
+    per_action = []
+    for ctx, step, arg, u in plan.actions:
+        out = []
+        for i in range(plan.degree_bound + 1):
+            if i:
+                u = step(u, arg)
+            out += [ctx.mul(b, u) for b in basis]
+        per_action.append(out)
+    if plan.mode == "frobenius":
+        return per_action[0]
+    return [plan._batch.spread(col) for col in zip(*per_action)]
+
+
 def _pipeline(f, g, rule, seed):
     """Steps 1-3: triangularize the Sylvester matrix in the base field, plan,
     then embed the diagonal.  Returns the plan, the diagonal (inner
@@ -491,8 +436,9 @@ def res_x2_modular(f, g, rule="min_degree", seed=0) -> DetResult:
 
     Equals the direct representative coefficient-for-coefficient when both
     use the same pivot rule: the diagonal is the direct route's, embedded,
-    and Moore recovery is exact for degree bound < working degree.  The op
-    log is the direct route's too.
+    and recovery returns the base-field coefficients of the one polynomial
+    of degree at most D with those chain values.  The op log is the direct
+    route's too.
 
     In the Frobenius regime (sigma1 not the identity) this is the direct
     triangularization plus an independent chain-and-recovery check of its
@@ -515,11 +461,5 @@ def res_x2_modular(f, g, rule="min_degree", seed=0) -> DetResult:
         raise PlanFailure(
             f"diagonal degree {deg_r} exceeds the planned bound {plan.degree_bound}"
         )
-    coeffs = plan.recover(chain_evaluate(diag, plan))
-    back = [plan.embedding.inverse_packed(c) for c in coeffs]
-    if any(b is None for b in back):
-        raise CoefficientOutsideBaseField(
-            "a recovered coefficient has no preimage in the base field"
-        )
-    rep = base_inner.from_packed(back)
+    rep = base_inner.from_packed(plan.recover(chain_evaluate(diag, plan)))
     return DetResult(rep=rep, is_zero=rep.is_zero, degree=rep.degree, op_log=ops)

@@ -13,14 +13,16 @@ replacements:
 `least_modulus_root_enum`, the embedding-root search by subfield
 enumeration, `mul_schoolbook`, the `poly` backend's former product,
 `default_modulus_full_scan`, the default-modulus search without its
-binomial skip, `recorded_elimination_recover`, recovery by a recorded
-Gauss-Jordan elimination (`_eliminate`/`_replay`, the field layer's
-former elimination), `recorded_elimination_inverse_columns`, the
-embedding's inverse by the same elimination replayed on unit vectors,
+binomial skip, `recorded_elimination_recover`, recovery in the working
+field by a recorded Gauss-Jordan elimination (`_eliminate`/`_replay`, the
+field layer's former elimination), `recorded_elimination_inverse`, the
+embedding's inverse by the same elimination replayed on a value,
+`trace_dual_basis`, the closed form of the former Moore recovery,
 `point_chain`/`point_bad_eval`, the chain and the bad-evaluation check one
 plan point at a time, and
 `triangularize_reference`, triangularization on `OrePoly` entries with
-eagerly negated swaps.
+eagerly negated swaps.  The first three and `solve_dense` are the
+references for the package's one elimination, `field.GFpSolver`.
 """
 
 
@@ -453,10 +455,12 @@ def _replay(ctx, steps, rhs):
     return v
 
 
-def recorded_elimination_inverse_columns(small, big, root):
-    """The columns of `FieldEmbedding(small, big, root)`'s inverse map by
-    the recorded elimination of the root-power coordinates over GF(p),
-    replayed on the unit vectors: the embedding's former inverse build."""
+def recorded_elimination_inverse(small, big, root):
+    """The inverse of `FieldEmbedding(small, big, root)` by the recorded
+    elimination of the root-power coordinates over GF(p), replayed on the
+    coordinates of a value: the embedding's former inverse.  Returns a
+    function from a packed big-field value to its packed preimage, or None
+    when the leftover entries are not all zero."""
     from oreelim import field_new
 
     powers = [1]
@@ -464,13 +468,27 @@ def recorded_elimination_inverse_columns(small, big, root):
         powers.append(big.mul(powers[-1], root))
     gfp = field_new(big.p, 1)
     steps = _eliminate(gfp, zip(*(big.coords(v) for v in powers)), small.m)
-    unit = [0] * big.m
-    t_cols = []
-    for j in range(big.m):
-        unit[j] = 1
-        t_cols.append(big.pack(_replay(gfp, steps, unit)))
-        unit[j] = 0
-    return big._columns(t_cols)
+
+    def inverse(v):
+        out = _replay(gfp, steps, big.coords(v))
+        return None if any(out[small.m :]) else small.pack(out[: small.m])
+
+    return inverse
+
+
+def trace_dual_basis(ctx):
+    """The trace-dual basis b_0*, ..., b_{m-1}* of the power basis t^j, with
+    Tr(b_j* * t^k) = delta_jk, in closed form: for the modulus f(x) =
+    (x - t) * g(x), g = beta_0 + ... + beta_{m-1} x^{m-1}, b_j* = beta_j /
+    f'(t) and f'(t) = g(t) (Lidl-Niederreiter, Finite Fields, ch. 2).  The
+    former Moore recovery's basis, on FieldElem values."""
+    t = ctx.elem(ctx.t_packed)
+    beta = [ctx.one]  # g by synthetic division, highest coefficient first
+    for c in ctx.modulus[-2:0:-1]:
+        beta.append(c + t * beta[-1])
+    beta.reverse()
+    deriv = sum((b * t**j for j, b in enumerate(beta)), ctx.zero)
+    return [b / deriv for b in beta]
 
 
 # -- the modular route's former working-field pipeline -------------------------
@@ -488,12 +506,13 @@ def working_field_triangularization(f, g, plan, rule, seed):
 
 
 def recorded_elimination_recover(plan, values):
-    """The coefficients r_0..r_D (packed) with sum(r_i * S^i(start)) equal to
-    the packed chain value at every plan point, by the recorded Gauss-Jordan
-    elimination of the rows [S^i(start)], i = 0..D, replayed on the values:
-    the modular route's former recovery, kept as the reference for its
-    closed-form inverses.  Raises SingularMooreSystem when the leftover
-    equations do not reduce to zero."""
+    """The working-field coefficients r_0..r_D (packed) with
+    sum(r_i * S^i(start)) equal to the packed chain value at every plan
+    point, by the recorded Gauss-Jordan elimination of the rows
+    [S^i(start)], i = 0..D, replayed on the values: the modular route's
+    recovery before its closed-form inverses, kept as the reference for
+    the solver.  Raises SingularMooreSystem when the leftover equations do
+    not reduce to zero."""
     from oreelim import SingularMooreSystem
 
     rows = []

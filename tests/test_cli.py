@@ -253,19 +253,18 @@ def test_verify_locates_acceptance_suite():
     assert _find_acceptance_tests() is not None
 
 
-def test_coefficient_outside_base_field_is_internal_error(capsys, monkeypatch):
-    def outside(plan, values):
-        inverse = plan.embedding.inverse_packed
-        return [next(v for v in range(plan.work_ctx.q) if inverse(v) is None)]
-
-    monkeypatch.setattr(modres.ModularPlan, "recover", outside)
+def test_inconsistent_chain_is_internal_error(capsys, monkeypatch):
+    # a chain value with one digit flipped is no chain value of a base-field
+    # eliminant: recovery refuses it, exit code 5
+    chain = modres.chain_evaluate
+    monkeypatch.setattr(modres, "chain_evaluate", lambda diag, plan: chain(diag, plan) ^ 1)
     code, _, err = run_cli(
         capsys,
         "eliminate", "--field", "GF(2^2)", "--sigma1", "1", "--sigma2", "1",
         "--f", "x1^2*x2 + x1", "--g", "x1^2*x2 + 1", "--method", "modular",
     )
     assert code == 5
-    assert err.startswith("error[coefficient-outside-base-field]")
+    assert err.startswith("error[singular-moore-system]: chain values are inconsistent")
 
 
 def test_a_division_pass_that_makes_no_progress_is_an_internal_error(

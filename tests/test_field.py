@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import time
 from math import gcd
 from unittest import mock
 
@@ -15,10 +16,10 @@ from oreelim import (
     Automorphism,
     ContextMismatch,
     DegreeMismatch,
-    FieldEmbedding,
     NotAnExtension,
     NotPrime,
     ReducibleModulus,
+    SingularMooreSystem,
     ZeroElement,
     extend_field,
     field_new,
@@ -32,6 +33,9 @@ from oreelim import field
 from oreelim.field import (
     FieldBatch,
     FieldCtx,
+    GFpSolver,
+    _GFpT,
+    _barrett,
     _default_modulus,
     _is_irreducible,
     _is_prime,
@@ -47,7 +51,8 @@ from oracles import (
     mul_schoolbook,
     pmul,
     prime_factors_trial,
-    recorded_elimination_inverse_columns,
+    recorded_elimination_inverse,
+    solve_dense,
 )
 from support import untabled
 
@@ -195,6 +200,24 @@ def test_ben_or_matches_sympy(case):
     p, low = case
     f = low + [1]
     assert _is_irreducible(f, p) == gf_irreducible_p(f[::-1], p, ZZ)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [lambda p, m: lambda x: x, lambda p, m: _barrett(p, m, m)[1]],
+    ids=["no reduction", "m slots of 2m + 1"],
+)
+def test_remainder_with_a_broken_reduction_raises(broken):
+    # a slot reduction that leaves the top slot set stops the remainder at
+    # its step bound instead of looping
+    core = _GFpT(3, 8)
+    core._reduce = broken(3, 8)
+    f = field._slots(field_new(3, 8).modulus, core.w)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="top slot"):
+        for u in range(2, 3**8):
+            core.mul(f, u, u + 1)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(
@@ -538,15 +561,101 @@ EMBEDDING_SHAPES = [
 
 @pytest.mark.parametrize("p, m, M, modulus", EMBEDDING_SHAPES)
 def test_embedding_inverse_is_the_recorded_elimination(p, m, M, modulus):
-    """The inverse's columns from one Gauss-Jordan on batch rows equal those
-    of the recorded elimination replayed on the unit vectors: the same
-    pivots give the same T, so every `inverse_packed` answer is unchanged."""
+    """`inverse_packed`, the solver of the root-power columns, answers what
+    the recorded elimination replayed on the value answers: the preimage of
+    every image, and None off the subfield, on sampled values (every value
+    of two small extensions below)."""
     if modulus == "greatest":
         *_, modulus = _irreducibles(p, m)
     small = field_new(p, m, modulus)
     big, emb = extend_field(small, M)
-    want = recorded_elimination_inverse_columns(small, big, emb.root)
-    assert FieldEmbedding(small, big, emb.root)._inv_cols == want
+    want = recorded_elimination_inverse(small, big, emb.root)
+    rng = random.Random(f"{p}^{m}/{M}")
+    images = [emb.map_packed(rng.randrange(small.q)) for _ in range(50)]
+    values = images + [rng.randrange(big.q) for _ in range(50)]
+    for v in values:
+        assert emb.inverse_packed(v) == want(v), v
+    assert all(emb.inverse_packed(v) is not None for v in images)
+
+
+@pytest.mark.parametrize("p, m, M", [(2, 4, 8), (3, 2, 4)])
+def test_embedding_inverse_on_every_value(p, m, M):
+    small = field_new(p, m)
+    big, emb = extend_field(small, M)
+    want = recorded_elimination_inverse(small, big, emb.root)
+    assert [emb.inverse_packed(v) for v in range(big.q)] == [
+        want(v) for v in range(big.q)
+    ]
+
+
+def _solver_of(p, rows):
+    """The solver of the GF(p) matrix `rows`, its columns as batches of
+    GF(p) values, one per row."""
+    batch = FieldBatch(field_new(p, 1), len(rows))
+    return GFpSolver(batch, [batch.spread(col) for col in zip(*rows)])
+
+
+def _packed(p, digits):
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
+def test_solver_equals_dense_solve(p):
+    # random systems of full column rank, tall and square, against the
+    # dense Gauss-Jordan on FieldElem values; a vector off the image is
+    # refused
+    gfp = field_new(p, 1)
+    rng = random.Random(p)
+    done = 0
+    while done < 12:
+        n = rng.randrange(1, 9)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n + rng.randrange(6))]
+        x = [rng.randrange(p) for _ in range(n)]
+        v = [sum(a * b for a, b in zip(row, x)) % p for row in rows]
+        try:
+            want = solve_dense([[gfp.elem(a) for a in row] for row in rows], [gfp.elem(c) for c in v])
+        except ValueError:  # rank-deficient: the solver refuses it too
+            with pytest.raises(SingularMooreSystem):
+                _solver_of(p, rows)
+            continue
+        solver = _solver_of(p, rows)
+        assert solver.solve(_packed(p, v)) == _packed(p, [c.val for c in want])
+        assert [c.val for c in want] == x
+        off = list(v)
+        k = rng.randrange(len(rows))
+        off[k] = (off[k] + 1) % p
+        try:
+            solve_dense([[gfp.elem(a) for a in row] for row in rows], [gfp.elem(c) for c in off])
+        except ValueError:
+            assert solver.solve(_packed(p, off)) is None
+        else:  # every vector is an image of a square system
+            assert solver.solve(_packed(p, off)) is not None
+        done += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
+def test_solver_refuses_dependent_columns(p):
+    # the third column is the sum of the first two, whatever the rows below
+    rows = [[1, 0, 1], [0, 1, 1], [2 % p, 3 % p, 5 % p], [1, 1, 2 % p]]
+    with pytest.raises(SingularMooreSystem):
+        _solver_of(p, rows)
+    # a zero column, and more columns than rows
+    with pytest.raises(SingularMooreSystem):
+        _solver_of(p, [[1, 0], [1, 0]])
+    with pytest.raises(SingularMooreSystem):
+        _solver_of(p, [[1, 0, 1], [0, 1, 1]])
+
+
+def test_solver_reads_the_earliest_rows_of_full_rank():
+    # rows 1 and 2 are multiples of row 0 and row 3 raises the rank: the
+    # pivots are rows 0 and 3, and a solve still checks rows 4 and 5
+    rows = [[1, 1], [1, 1], [2, 2], [0, 1], [1, 0], [1, 2]]
+    solver = _solver_of(3, rows)
+    assert [r // solver._batch.w for r in solver._pivots] == [0, 3]
+    v = [sum(a * b for a, b in zip(row, (2, 1))) % 3 for row in rows]
+    assert solver.solve(_packed(3, v)) == _packed(3, [2, 1])
+    v[5] = (v[5] + 1) % 3
+    assert solver.solve(_packed(3, v)) is None
 
 
 def test_working_fields_exceed_the_input_domain():

@@ -2,8 +2,8 @@
 runtime needs only the standard library, each module imports only from the
 modules below it in one fixed order, no module runs the recorded
 Gauss-Jordan elimination, only `field` knows how arithmetic is chosen,
-`modres` evaluates and embeds in one function each, and GF(p)[t] is written
-once, for every p."""
+`modres` evaluates and embeds in one function each, besides the one that
+builds the recovery map, and GF(p)[t] is written once, for every p."""
 
 import ast
 import sys
@@ -73,8 +73,8 @@ def test_package_imports_point_down_the_order(name):
 
 
 def test_modres_runs_no_gauss_jordan():
-    # recovery applies closed-form inverses and the embedding's inverse is
-    # one elimination on batch rows; the recorded elimination is test
+    # recovery and the embedding's inverse share the package's one
+    # elimination, `field.GFpSolver`; the recorded elimination is test
     # equipment (`tests/oracles.py`), named by no module of the package
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(_tree(path.stem)):
@@ -143,8 +143,10 @@ def test_only_field_names_the_backend(name):
 def test_modres_evaluates_and_embeds_in_one_place():
     # `chain_evaluate` is the one evaluation loop and `embed_uni` the one
     # coefficient map: the bad-evaluation check and the bivariate embedding
-    # go through them, so no other function reads the plan's actions or the
-    # embedding's packed map
+    # go through them.  The one other reader of the plan's actions and of
+    # the embedding's packed map is `_forward_columns`, which builds the
+    # recovery solver's columns in one pass over the actions, where one-entry
+    # chains through `chain_evaluate` would take each S-power m times
     readers = {"actions": set(), "map_packed": set()}
     for func in ast.walk(_tree("modres")):
         if not isinstance(func, ast.FunctionDef):
@@ -152,7 +154,10 @@ def test_modres_evaluates_and_embeds_in_one_place():
         for node in ast.walk(func):
             if isinstance(node, ast.Attribute) and node.attr in readers:
                 readers[node.attr].add(func.name)
-    assert readers == {"actions": {"chain_evaluate"}, "map_packed": {"embed_uni"}}
+    assert readers == {
+        "actions": {"chain_evaluate", "_forward_columns"},
+        "map_packed": {"embed_uni", "_forward_columns"},
+    }
 
 
 def test_skewdet_chooses_no_arithmetic_by_characteristic():

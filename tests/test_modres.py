@@ -13,7 +13,6 @@ from oreelim import (
     Automorphism,
     BadEvaluation,
     BothConstant,
-    CoefficientOutsideBaseField,
     ModularPlan,
     PlanFailure,
     RingMismatch,
@@ -32,7 +31,7 @@ from oreelim import (
     res_x2_modular,
 )
 from oreelim import modres
-from oreelim.field import FieldCtx
+from oreelim.field import FieldBatch, FieldCtx, GFpSolver
 from oreelim.skewdet import PIVOT_RULES
 from oracles import (
     bivar_to_lists,
@@ -43,6 +42,7 @@ from oracles import (
     recorded_elimination_recover,
     sigma_apply,
     solve_dense,
+    trace_dual_basis,
     uni_to_list,
     working_field_triangularization,
 )
@@ -439,17 +439,17 @@ def test_modular_op_log_equals_direct():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """A fresh plan memo, and a list that grows by one per recovery map
+    """A fresh plan memo, and a list that grows by one per recovery solver
     built."""
     monkeypatch.setattr(modres, "_plan", functools.cache(modres._plan.__wrapped__))
     built = []
 
-    def counting(ctx, rows):
-        built.append(rows)
-        return matrix_columns(ctx, rows)
+    def counting(batch, cols):
+        built.append(cols)
+        return solver(batch, cols)
 
-    matrix_columns = FieldCtx._matrix_columns
-    monkeypatch.setattr(FieldCtx, "_matrix_columns", counting)
+    solver = modres.GFpSolver
+    monkeypatch.setattr(modres, "GFpSolver", counting)
     return built
 
 
@@ -482,10 +482,12 @@ def test_cached_recovery_equals_solve_exact(p, m, e1, builds):
         rows = system_rows(plan)
         rhs = [pe.value for pe in evals]
         want = solve_dense(rows, rhs)
-        # the first call builds the plan's recovery map, later ones apply it
-        assert plan.recover(plan.pack([b.val for b in rhs])) == [x.val for x in want]
         for row, b in zip(rows, rhs):
             assert sum((a * x for a, x in zip(row, want)), ctx.zero) == b
+        # the first call builds the plan's solver, later ones reuse it; the
+        # working-field solution lies in the base field
+        back = [plan.embedding.inverse_packed(x.val) for x in want]
+        assert plan.recover(plan.pack([b.val for b in rhs])) == back
     assert len(builds) == 1
 
 
@@ -507,7 +509,7 @@ def test_perturbed_chain_value_is_inconsistent():
 def test_recovery_cache_key_separates_plan_shapes(builds):
     # D = 10 and D = 12 over GF(2^8) with sigma1 = Frobenius share the working
     # field GF(2^16) and its power basis; only the degree bound tells the
-    # two Moore systems apart, so they are two plans with one recovery map
+    # two Moore systems apart, so they are two plans with one solver
     # each.  A hand-built plan with the basis reversed differs from the first
     # shape in its points alone and builds its own.
     ring = bivar_for(2, 8, 1, 1)
@@ -540,30 +542,52 @@ RECOVERY_SHAPES = [
 ]
 
 
-def plan_and_values(p, m, e1, bound):
-    """The plan of one shape, random working-field coefficients r_0..r_D and
-    the chain values sum(r_i * S^i(start)) at its points."""
-    ring = bivar_for(p, m, e1, e1)
-    plan = modres._plan(ring, bound)
-    ctx = plan.work_ctx
-    rng = random.Random(f"{p}^{m}/{e1}/{bound}")
-    coeffs = [rng.randrange(ctx.q) for _ in range(bound + 1)]
-    values = [
-        modres.apply_formal(ctx, step, arg, coeffs, start)
+def chain_values(plan, coeffs):
+    """The chain values sum(emb(r_i) * S^i(start)) at the plan's points, for
+    base-field coefficients r_0..r_D."""
+    ctx, emb = plan.work_ctx, plan.embedding.map_packed
+    work = [emb(c) for c in coeffs]
+    return [
+        modres.apply_formal(ctx, step, arg, work, start)
         for step, arg, start in point_actions(plan)
     ]
-    return plan, coeffs, values
+
+
+def plan_and_values(p, m, e1, bound):
+    """The plan of one shape, random base-field coefficients r_0..r_D and
+    the chain values of their embeddings at its points."""
+    ring = bivar_for(p, m, e1, e1)
+    plan = modres._plan(ring, bound)
+    rng = random.Random(f"{p}^{m}/{e1}/{bound}")
+    coeffs = [rng.randrange(ring.ctx.q) for _ in range(bound + 1)]
+    return plan, coeffs, chain_values(plan, coeffs)
 
 
 @pytest.mark.parametrize("p, m, e1, bound", RECOVERY_SHAPES)
 def test_recovery_equals_recorded_elimination_and_dense_solve(p, m, e1, bound):
+    # the references solve in the working field; their answers map back
     plan, coeffs, values = plan_and_values(p, m, e1, bound)
-    ctx = plan.work_ctx
+    ctx, back = plan.work_ctx, plan.embedding.inverse_packed
     assert plan.mode == ("frobenius" if e1 else "plugin")
     assert plan.recover(plan.pack(values)) == coeffs
-    assert recorded_elimination_recover(plan, values) == coeffs
+    assert [back(v) for v in recorded_elimination_recover(plan, values)] == coeffs
     dense = solve_dense(system_rows(plan), [ctx.elem(v) for v in values])
-    assert [x.val for x in dense] == coeffs
+    assert [back(x.val) for x in dense] == coeffs
+
+
+@pytest.mark.parametrize("p, m, e1, bound", RECOVERY_SHAPES[:2] + RECOVERY_SHAPES[3:5])
+def test_forward_columns_are_one_entry_chains(p, m, e1, bound):
+    # column i*m + k of the recovery map is the chain of the one entry
+    # emb(t^k) * x1^i, which the one pass builds without running the chain
+    plan = modres._plan(bivar_for(p, m, e1, e1), bound)
+    inner, emb = plan.work_ring.inner, plan.embedding.map_packed
+    basis = [emb(b.val) for b in plan.base_ring.ctx.prime_basis()]
+    want = [
+        modres.chain_evaluate([inner.from_packed([0] * i + [b])], plan)
+        for i in range(bound + 1)
+        for b in basis
+    ]
+    assert [plan._batch.packed(c) for c in modres._forward_columns(plan)] == want
 
 
 @pytest.mark.parametrize("p, m, e1, bound", [s for s in RECOVERY_SHAPES if s[2]])
@@ -599,66 +623,70 @@ def test_one_digit_perturbation_is_inconsistent(p, m, e1, bound):
     ids=str,
 )
 def test_trace_dual_basis(ctx):
-    # Tr(b_j* * t^k) = delta_jk, the trace the sum of all Frobenius images
-    dual = modres._trace_dual_basis(ctx)
+    # the former Moore recovery's closed form, b_j* = beta_j / f'(t), is the
+    # solver's answer for the trace form b -> (Tr(b * t^k))_k at the units
     t = ctx.elem(ctx.t_packed)
-    for j, b in enumerate(dual):
+
+    def trace_form(b):
+        traces = []
         for k in range(ctx.m):
-            x = ctx.elem(b) * t**k
+            x = b * t**k
             trace = sum((Automorphism(ctx, e)(x) for e in range(ctx.m)), ctx.zero)
-            assert trace == (1 if j == k else 0)
+            traces.append(trace.val)  # in GF(p): one digit
+        return ctx.pack(traces)
+
+    batch = FieldBatch(ctx, 1)
+    solver = GFpSolver(batch, [batch.spread([trace_form(b)]) for b in ctx.prime_basis()])
+    dual = trace_dual_basis(ctx)
+    assert [solver.solve(ctx.p**j) for j in range(ctx.m)] == [b.val for b in dual]
 
 
 def test_frobenius_plan_off_the_power_basis_is_refused():
-    # a hand-built Frobenius plan recovers only over the power basis, in any
-    # order, and with sigma1^0..sigma1^D distinct; anything else is a typed
-    # error on its first recovery, never a wrong answer
-    plan, _, values = plan_and_values(2, 8, 1, 24)
+    # a hand-built Frobenius plan recovers from any points whose chain
+    # values determine the base-field coefficients, and checks them all:
+    # another basis, one point fewer (31 points, 992 digits for 200
+    # unknowns) and a repeated point give the coefficients.  Six points
+    # (192 digits) and D = M, where sigma1^M = id makes two columns equal,
+    # do not determine them, and the power basis's values read at another
+    # basis are inconsistent: a typed error on the first recovery, never a
+    # wrong answer
+    plan, coeffs, values = plan_and_values(2, 8, 1, 24)
     basis = plan.points
     one = plan.work_ctx.one
-    for points in (
-        basis[:1] + tuple(b + one for b in basis[1:]),  # another basis
-        basis[:-1],  # too few points
-        basis[:-1] + basis[:1],  # a repeated point
-    ):
-        bad = dataclasses.replace(plan, points=points)
-        with pytest.raises(PlanFailure):
-            bad.recover(bad.pack(values[: len(points)]))
-    wide = dataclasses.replace(plan, degree_bound=len(basis))  # sigma1^M = id
-    with pytest.raises(SingularMooreSystem):
-        wide.recover(wide.pack(values))
+    other_basis = basis[:1] + tuple(b + one for b in basis[1:])
+    for points in (other_basis, basis[:-1], basis[:-1] + basis[:1]):
+        other = dataclasses.replace(plan, points=points)
+        assert other.recover(other.pack(chain_values(other, coeffs))) == coeffs
+    other = dataclasses.replace(plan, points=other_basis)
+    with pytest.raises(SingularMooreSystem, match="inconsistent"):
+        other.recover(other.pack(values))
+    few = dataclasses.replace(plan, points=basis[:6])
+    wide = dataclasses.replace(plan, degree_bound=len(basis))
+    for bad in (few, wide):
+        with pytest.raises(SingularMooreSystem, match="dependent"):
+            padded = (coeffs + [0] * len(basis))[: bad.degree_bound + 1]
+            bad.recover(bad.pack(chain_values(bad, padded)))
 
 
 def test_plugin_plan_with_extra_points_checks_them():
-    # with more points than D + 1 the Lagrange coefficients past D are the
-    # leftovers: zero on consistent values, and a repeated point is refused
+    # with more points than D + 1 the extra ones are checked: consistent
+    # values give the coefficients and a perturbed one is refused.  Base-
+    # field coefficients need fewer points than D + 1: a repeated point
+    # leaves 40 distinct ones, which determine them, while 20 points, 7 of
+    # them in GF(7), give 33 digits for 41 unknowns and do not
     plan, coeffs, _ = plan_and_values(7, 1, 0, 40)
     ctx = plan.work_ctx
     more = dataclasses.replace(plan, points=plan.points + (ctx.elem(41), ctx.elem(42)))
-    values = [
-        modres.apply_formal(ctx, step, arg, coeffs, start)
-        for step, arg, start in point_actions(more)
-    ]
+    values = chain_values(more, coeffs)
     assert more.recover(more.pack(values)) == coeffs
     values[-1] = ctx.add(values[-1], 1)
-    with pytest.raises(SingularMooreSystem):
+    with pytest.raises(SingularMooreSystem, match="inconsistent"):
         more.recover(more.pack(values))
     repeated = dataclasses.replace(plan, points=plan.points[:-1] + plan.points[:1])
-    with pytest.raises(SingularMooreSystem):
-        repeated.recover(repeated.pack(values[: len(plan.points)]))
-
-
-def test_recovered_coefficient_outside_base_field_raises(monkeypatch):
-    ring = bivar_for(2, 8, 1, 1)
-    f, g = full_pair(ring, random.Random(12), 1, 5)
-    plan = plan_modular(f, g)
-    emb = plan.embedding
-    outside = next(v for v in range(plan.work_ctx.q) if emb.inverse_packed(v) is None)
-    monkeypatch.setattr(ModularPlan, "recover", lambda plan, values: [outside])
-    with pytest.raises(CoefficientOutsideBaseField) as info:
-        res_x2_modular(f, g)
-    assert info.value.code == "coefficient-outside-base-field"
-    assert info.value.exit_code == 5
+    assert repeated.recover(repeated.pack(chain_values(repeated, coeffs))) == coeffs
+    few = dataclasses.replace(plan, points=plan.points[:20])
+    with pytest.raises(SingularMooreSystem, match="dependent"):
+        few.recover(few.pack(chain_values(few, coeffs)))
 
 
 def test_route_asserts_the_degree_bound_without_evaluating(monkeypatch):
