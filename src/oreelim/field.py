@@ -429,9 +429,9 @@ class ByteTables(NamedTuple):
     maps a packed value to its code and `dec` a code back.  For the code
     of a, mul[c] gives the code of c*a (c a code), frob[t] that of
     frob(a, t) and `neg` that of -a; each is 256 bytes long and zero at
-    every byte that is not a code.  adder(nbytes) returns the sum of two
-    integers of at most nbytes bytes, code by code, byte i holding the code
-    of slot i."""
+    every byte that is not a code.  adder(nbytes) returns the row sum of
+    width nbytes: the sum, code by code, of two integers of at most nbytes
+    bytes, byte i holding the code of slot i."""
 
     enc: bytes
     dec: bytes

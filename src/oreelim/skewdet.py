@@ -29,19 +29,21 @@ returned matrix.  The field decides which store runs, and `skewdet` reads
 no characteristic: when the field supplies byte tables
 (`FieldCtx.byte_tables`: GF(2^m) and GF(3^m) up to GF(2^8) and GF(3^4),
 and GF(p) for p < 128) each row is one integer of one-byte value codes,
-coefficient i of entry j at byte j*S + i for a stride S, and a quotient
-term q_i x^i updates the remainder and the whole tail of a row at once:
-the pivot row's bytes are twisted by frob^(i*e) and multiplied by -q_i
-through `bytes.translate`, then added i bytes up by the field's row sum
-(an XOR for p = 2, bitsliced GF(3) digits for GF(3^m) with m > 1, one
-SWAR step for GF(p)); the stride grows when an entry would outgrow it.
-Every other field keeps rows of packed coefficient tuples, updated by
-`ore_uni`'s packed helpers.  The pivot rules, the signed swap and the
-no-progress fallback are one elimination loop over either store, so both
-give the same op log and the same matrix.  The loop also checks that the
-division passes for each pivot leave every entry below it shorter than the pivot,
-so a fault in a store's arithmetic raises an AssertionError instead of
-dividing forever.
+interleaved: while column col is eliminated, coefficient i of entry col + j
+is byte i*W + j for W = n - col, so an entry grows into higher bytes and
+never into its neighbour.  A quotient term q_i x^i updates the remainder
+and the whole tail of a row at once: the pivot row's bytes are twisted by
+frob^(i*e) and multiplied by -q_i through `bytes.translate`, then added
+i*W bytes up by the field's row sum (an XOR for p = 2, bitsliced GF(3)
+digits for GF(3^m) with m > 1, one SWAR step for GF(p)), whose width
+doubles when a product would outgrow it.  Every other field keeps rows of
+packed coefficient tuples, updated by `ore_uni`'s packed helpers.  The
+pivot rules, the signed swap and the no-progress fallback are one
+elimination loop over either store, so both give the same op log and the
+same matrix.  Each store's pass writes the new length of every entry it
+divides, read from the row, and the loop checks after each pass that
+every entry below the pivot is now shorter, so a fault in a store's
+arithmetic raises an AssertionError instead of dividing forever.
 
 Row signs are lazy: the matrix is kept as per-row signs times stored rows,
 a signed swap exchanges two stored rows and flips one sign, and no entry is
@@ -226,7 +228,7 @@ class _TupleRows:
         self.ctx, self.e, self.n = ring.ctx, ring.sigma.e, matrix.n
         self.rows = [[a.coeffs for a in r] for r in matrix.rows]
 
-    def lengths(self, col):
+    def column(self, col):
         return [len(r[col]) for r in self.rows]
 
     def swap(self, i, j):
@@ -236,7 +238,8 @@ class _TupleRows:
     def reduce_below(self, col, lengths, signs):
         """Every stored row k below col whose entry is not shorter than the
         pivot becomes rows[k] - q*rows[col], for q the quotient of the
-        entries; returns (k, -s_k*s_col*q), the true multiplier, for each."""
+        entries; writes the new entry length of each such row k into
+        lengths and returns (k, -s_k*s_col*q), the true multiplier."""
         ctx, e, n, rows = self.ctx, self.e, self.n, self.rows
         prow = rows[col]
         pivot, ptwists = prow[col], {}
@@ -251,6 +254,7 @@ class _TupleRows:
             nq = neg_packed(ctx, q)
             for j, a, a_twists in tail:
                 row[j] = addmul_packed(ctx, e, row[j], nq, a, a_twists)
+            lengths[k] = len(row[col])
             done.append((k, nq if signs[k] == signs[col] else q))
         return done
 
@@ -260,79 +264,82 @@ class _TupleRows:
 
 class _ByteRows:
     """The row store for every field that supplies byte tables
-    (`FieldCtx.byte_tables`): row k is one integer of value codes, and the
-    code of coefficient i of entry j is its byte j*S + i, for the stride S.
-    width[k] bounds the length of every entry of row k, so a pass can tell
-    whether its products fit the stride.  A quotient term q_i x^i updates
-    the remainder and the whole tail of a row at once: the pivot row's
-    bytes, twisted by frob^(i*e) and multiplied by -q_i through
-    `bytes.translate`, are added i bytes up by the field's row sum, so the
-    store only adds.  The entries are encoded on entry, and the logged
+    (`FieldCtx.byte_tables`): row k is one integer of value codes, one per
+    byte, interleaved: while column col is eliminated, byte i*W + j holds
+    coefficient i of entry col + j, for W = n - col.  A quotient term
+    q_i x^i updates the remainder and the whole tail of a row at once: the
+    pivot row's bytes, twisted by frob^(i*e) and multiplied by -q_i through
+    `bytes.translate`, are added i*W bytes up by the field's row sum.  The
+    sum spans `nbytes`, which bounds every row, and doubles when a product
+    would outgrow it.  The entries are encoded on entry, and the logged
     multipliers and the result are decoded, each by one `bytes.translate`
     per row."""
 
     def __init__(self, matrix, tables):
-        ring = matrix.ring
-        self.ctx, self.e, self.n = ring.ctx, ring.sigma.e, matrix.n
+        ring, n = matrix.ring, matrix.n
+        self.ctx, self.e, self.n = ring.ctx, ring.sigma.e, n
         self.enc, self.dec, self.mul, self.frob, self.neg, self.adder = tables
         self.negdec = self.neg.translate(self.dec)  # code -> packed negative
-        self.width = [max((len(a.coeffs) for a in r), default=0) for r in matrix.rows]
-        stride = 2 * max(self.width, default=0) or 1
-        self.rows = [
-            int.from_bytes(
-                b"".join(bytes(a.coeffs).ljust(stride, b"\0") for a in r).translate(
-                    self.enc
-                ),
-                "little",
-            )
-            for r in matrix.rows
-        ]
-        self._set_stride(stride)
+        codes = []
+        for r in matrix.rows:
+            b = bytearray(n * max((len(a.coeffs) for a in r), default=0))
+            for j, a in enumerate(r):
+                b[j : len(a.coeffs) * n : n] = bytes(a.coeffs)
+            codes.append(b.translate(self.enc))
+        self.rows = [int.from_bytes(b, "little") for b in codes]
+        self.nbytes = max(map(len, codes), default=0)
 
-    def _set_stride(self, stride):
-        self.stride = stride
-        self.add = self.adder(self.n * stride)
+    def _span(self, nbytes, w):
+        # the row sum, and the mask of the bytes of entry col, over nbytes
+        self.nbytes, self.add = nbytes, self.adder(nbytes)
+        mask = b"\xff".ljust(w, b"\0") * (nbytes // w + 1)
+        self.first = int.from_bytes(mask, "little")
 
-    def lengths(self, col):
-        # the rows above col count as 0: no caller reads them
-        shift, mask = 8 * col * self.stride, (1 << 8 * self.stride) - 1
-        rows = self.rows[col:]
-        return [0] * col + [((r >> shift) & mask).bit_length() + 7 >> 3 for r in rows]
+    def column(self, col):
+        """Start column col and return its entry lengths (the rows above
+        col count as 0: no caller reads them)."""
+        rows, w = self.rows, self.n - col
+        if col:  # each row below col - 1 drops entry col - 1, left zero
+            for k in range(col, self.n):
+                b = bytearray(_bytes(rows[k]))
+                del b[:: w + 1]
+                rows[k] = int.from_bytes(b, "little")
+        self._span(self.nbytes, w)
+        first, s = self.first, 8 * w
+        return [0] * col + [((r & first).bit_length() + s - 1) // s for r in rows[col:]]
 
     def swap(self, i, j):
-        rows, width = self.rows, self.width
+        rows = self.rows
         rows[i], rows[j] = rows[j], rows[i]
-        width[i], width[j] = width[j], width[i]
 
     def reduce_below(self, col, lengths, signs):
         """Every stored row k below col whose entry is not shorter than the
         pivot becomes rows[k] - q*rows[col]: for each quotient term q_i x^i,
         from the top, the pivot row twisted by frob^(i*e) and multiplied by
-        -q_i is added i bytes up, to the part of row k from entry col on.
-        Returns (k, -s_k*s_col*q), the true multiplier, for each such row."""
-        n, rows, width = self.n, self.rows, self.width
+        -q_i is added i*W bytes up.  Writes the new entry length of each
+        such row k into lengths, read from the row, and returns
+        (k, -s_k*s_col*q), the true multiplier."""
+        n, rows = self.n, self.rows
         lp = lengths[col]
         below = [k for k in range(col + 1, n) if lengths[k] >= lp]
         if not below:
             return []
-        wp = width[col]
-        need = max(lengths[k] for k in below) - lp + wp
-        if need > self.stride:
-            _restride(self, max(need, 2 * self.stride))
-        e, s, add, mul, frob = self.e, self.stride, self.add, self.mul, self.frob
-        m = len(frob)
-        base = 8 * col * s
-        prow = rows[col] >> base
-        prow = prow.to_bytes(prow.bit_length() + 7 >> 3, "little")  # no zero top
-        ninv = self.neg[self.enc[self.ctx.inv(self.dec[prow[lp - 1]])]]
+        w = n - col
+        prow = _bytes(rows[col])
+        need = len(prow) + (max(lengths[col + 1 :]) - lp) * w  # the longest product
+        if need > self.nbytes:
+            self._span(max(need, 2 * self.nbytes), w)
+        e, add, mul, frob, first = self.e, self.add, self.mul, self.frob, self.first
+        m, s = len(frob), 8 * w
+        ninv = self.neg[self.enc[self.ctx.inv(self.dec[prow[(lp - 1) * w]])]]
         twisted = {}  # t -> (the pivot row through frob[t], frob(-inv, t))
         done = []
         for k in below:
-            tail = rows[k] >> base  # entries left of col are zero below col
+            row = rows[k]
             dq = lengths[k] - lp
             nq = bytearray(dq + 1)  # -q
             for i in range(dq, -1, -1):
-                top = tail >> 8 * (i + lp - 1) & 255
+                top = row >> s * (i + lp - 1) & 255
                 if top:
                     t = i * e % m
                     tw = twisted.get(t)
@@ -340,32 +347,26 @@ class _ByteRows:
                         tw = twisted[t] = (prow.translate(frob[t]), frob[t][ninv])
                     nqi = nq[i] = mul[top][tw[1]]
                     product = int.from_bytes(tw[0].translate(mul[nqi]), "little")
-                    tail = add(tail, product << 8 * i)
-            rows[k] = tail << base
-            width[k] = max(width[k], dq + wp)
+                    row = add(row, product << s * i)
+            rows[k] = row
+            lengths[k] = ((row & first).bit_length() + s - 1) // s
             logged = self.dec if signs[k] == signs[col] else self.negdec
             done.append((k, tuple(nq.translate(logged))))
         return done
 
-    def _entries(self, row, table=None):
-        # the entries of a row as byte strings, read through `table`
-        s = self.stride
-        b = row.to_bytes(self.n * s, "little").translate(table)
-        return [b[j : j + s].rstrip(b"\0") for j in range(0, len(b), s)]
-
     def entries(self):
-        return [[tuple(a) for a in self._entries(r, self.dec)] for r in self.rows]
+        # row k was finished at column k: entry k + j is b[j::n - k]
+        n, out = self.n, []
+        for k, r in enumerate(self.rows):
+            b = _bytes(r).translate(self.dec)
+            tail = [tuple(b[j :: n - k].rstrip(b"\0")) for j in range(n - k)]
+            out.append([()] * k + tail)
+        return out
 
 
-def _restride(store, stride):
-    """Lay out every row of a `_ByteRows` again with the larger stride."""
-    store.rows[:] = [
-        int.from_bytes(
-            b"".join(a.ljust(stride, b"\0") for a in store._entries(r)), "little"
-        )
-        for r in store.rows
-    ]
-    store._set_stride(stride)
+def _bytes(row):
+    """A row's bytes, with no zero top."""
+    return row.to_bytes(row.bit_length() + 7 >> 3, "little")
 
 
 def triangularize_with_log(matrix, rule="min_degree", seed=0):
@@ -398,15 +399,15 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
     def reduce_below(col, lengths):
         """One full division pass of every below-diagonal entry against the
         diagonal; returns True if any row changed.  The stored row k becomes
-        rows[k] - q*rows[col] for the division q, r of the stored entries,
-        and the store returns the true multiplier -s_k*s_col*q, logged."""
+        rows[k] - q*rows[col] for the division q, r of the stored entries;
+        the store updates lengths and returns -s_k*s_col*q, logged."""
         done = store.reduce_below(col, lengths, signs)
         for k, logged in done:
             ops.append(AddMulOp(col, k, OrePoly(ring, logged)))
         return bool(done)
 
     for col in range(n):
-        lengths = store.lengths(col)
+        lengths = store.column(col)
         while any(lengths[col + 1 :]):
             cands = [(d, k) for k, d in enumerate(lengths[col:], col) if d]
             k = _pick_pivot(cands, rule, rng)
@@ -420,7 +421,6 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
                     break
                 swap(min(below)[1], col, lengths)
                 reduce_below(col, lengths)
-            lengths = store.lengths(col)
             if max(lengths[col + 1 :]) >= lengths[col]:  # a fault in the store
                 raise AssertionError("division pass made no progress")
     out = [

@@ -21,12 +21,13 @@ from oreelim import (
     field_new,
     res_x2_direct,
     surrogates_equal,
+    sylvester_matrix,
     triangularize_with_log,
 )
 from oreelim import skewdet
 from oreelim.skewdet import PIVOT_RULES
 from oracles import det_poly_matrix, triangularize_reference, uni_to_list
-from support import bivar_for, rand_orepoly, ring_for, untabled
+from support import bivar_for, rand_orepoly, rand_orepoly_exact, ring_for, untabled
 
 
 def rand_matrix(ring, rng, n, max_deg=3):
@@ -335,9 +336,9 @@ def reference_matrices(draw):
         [c x^3,   0,     0      ]
         [0,       d,     f x^3  ]
 
-    for nonzero constants a..f, whose entries outgrow the first stride of
-    the byte rows under every pivot rule: column 0 leaves an entry of
-    degree 6 in row 1, which the constant d then divides."""
+    for nonzero constants a..f, whose products outgrow the first width of
+    the byte rows' row sum under every pivot rule: column 0 leaves an entry
+    of degree 6 in row 1, which the constant d then divides."""
     p, m, backend = draw(st.sampled_from(REFERENCE_FIELDS))
     ring = _reference_ring(p, m, backend, draw(st.integers(0, m - 1)))
     shape = draw(
@@ -383,10 +384,45 @@ def _fresh_copy(matrix):
 def test_triangularize_equals_reference(rule, case, seed):
     shape, matrix = case
     expected = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=seed)
-    with mock.patch.object(skewdet, "_restride", wraps=skewdet._restride) as restride:
+    tables = matrix.ring.ctx.byte_tables()
+    widths = []  # every width the byte store asks of the row sum
+
+    def adder(nbytes):
+        widths.append(nbytes)
+        return tables.adder(nbytes)
+
+    spied = tables and tables._replace(adder=adder)
+    with mock.patch.object(FieldCtx, "byte_tables", return_value=spied):
         assert triangularize_with_log(matrix, rule=rule, seed=seed) == expected
-    if shape == "outgrow" and matrix.ring.ctx.byte_tables():
-        assert restride.called
+    if shape == "outgrow" and tables:
+        assert max(widths) > widths[0]
+
+
+# (p, m, e1, e2, deg x2, deg x1): the benchmark's shapes, with full degrees,
+# whose Sylvester matrices reach entries of degree ~40 and descents of 20-36
+# division passes in one column, far past the small matrices drawn above.
+BENCHMARK_SHAPES = (
+    (3, 4, 1, 2, 5, 4),
+    (2, 8, 1, 1, 4, 3),
+    (7, 1, 0, 0, 5, 4),
+    (127, 1, 0, 0, 4, 4),
+)
+
+
+@pytest.mark.parametrize("p, m, e1, e2, d2, d1", BENCHMARK_SHAPES)
+def test_benchmark_sized_matrices_equal_reference(p, m, e1, e2, d2, d1):
+    ring = bivar_for(p, m, e1, e2)
+    rng = random.Random(f"benchmark-sized/{p}/{m}")
+
+    def full():  # full x2-degree, and full x1-degree in every coefficient
+        coeffs = [rand_orepoly_exact(ring.inner, rng, d1) for _ in range(d2 + 1)]
+        return ring.poly(coeffs)
+
+    for _ in range(3):
+        matrix = sylvester_matrix(full(), full())
+        for rule in PIVOT_RULES:
+            expected = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=1)
+            assert triangularize_with_log(matrix, rule=rule, seed=1) == expected
 
 
 def _dropping_row_sum(nbytes):
