@@ -40,11 +40,12 @@ kernel XORs one column per set bit; for odd p a column holds one digit per
 slot of a few bits, the kernel does one integer multiply-add per nonzero
 digit and reduces each slot mod p once, at the end.
 
-A map that acts alike on n values -- a Frobenius power, a product by a
-constant -- has a second kernel, `FieldBatch`: the n values sit side by
-side in one integer, and the map is applied to all of them at once, one
-multiply-add per digit plane (m in all, whatever n is).  The modular
-route's Frobenius-regime chain runs on it.
+A map that acts alike on n values has a second kernel, `FieldBatch`: the
+n values sit side by side in one integer.  A Frobenius power acts on all
+of them by one multiply-add per digit plane (m in all, whatever n is), a
+sum of products by constants (`dot`) by one addition per nonzero digit of
+each constant and one Horner pass in t.  The modular route's
+Frobenius-regime chain runs on it.
 
 The package's one skew-product loop is `FieldCtx.skew_addmul`: it adds
 q*a into a packed coefficient list, for q and a in GF(q)[x; frob^e], and
@@ -677,6 +678,14 @@ class FieldCtx:
             return self._exp[self._log[u] + self._log[v]]
         return self._mul(u, v)
 
+    def dot(self, coeffs, xs):
+        """sum(c_i * x_i) by one `mul` and one `add` per nonzero c_i."""
+        acc = 0
+        for c, x in zip(coeffs, xs, strict=True):
+            if c:
+                acc = self.add(acc, self.mul(c, x))
+        return acc
+
     def inv(self, u):
         if u == 0:
             raise DivisionByZero("inverse of zero field element")
@@ -913,21 +922,19 @@ class FieldCtx:
 
 class FieldBatch:
     """n values of one field side by side in one integer, so that a
-    GF(p)-linear map that acts alike on every value -- a sum, a product by a
-    constant, a Frobenius power -- acts on all n at once.
+    GF(p)-linear map that acts alike on every value -- a sum, a sum of
+    products by constants, a Frobenius power -- acts on all n at once.
 
     Value j takes bits [j*m*w, (j+1)*m*w), one base-p digit per w-bit slot,
     lowest first.  For p = 2, w = 1 and the batch is the packed integer
-    sum(v_j * q^j).  A map with columns col_k, the images of t^k spread into
-    slots, sends X to sum_k ((X >> k*w) & digits) * col_k: digit plane k
-    holds digit k of every value in that value's lowest slot, so each
-    product is one copy of col_k per value and reaches no other value.  For
-    p = 2 the sum is an XOR; for odd p a slot of the sum is at most
-    m * (p - 1)^2, and one SWAR Barrett step (`_reduce`) brings every slot
-    back below p.
-
-    w is the least slot width for which `_reduce` handles the slots of a
-    plane pass and of a times-t step (`_barrett`)."""
+    sum(v_j * q^j).  A Frobenius power, with columns col_k, the images of
+    t^k spread into slots, sends X to sum_k ((X >> k*w) & digits) * col_k:
+    digit plane k holds digit k of every value in that value's lowest slot,
+    so each product is one copy of col_k per value and reaches no other
+    value.  For p = 2 every sum is an XOR.  For odd p one SWAR Barrett
+    step (`_reduce`) brings every slot back below p; w is the least slot
+    width for which it handles a sum of m + 2 products of two digits
+    (`_barrett`), the most a plane pass or a Horner step of `dot` leaves."""
 
     __slots__ = (
         "ctx",
@@ -943,10 +950,7 @@ class FieldBatch:
     def __init__(self, ctx, n):
         p, m = ctx.p, ctx.m
         self.ctx = ctx
-        if p == 2:
-            w = 1
-        else:
-            w, self._reduce = _barrett(p, m, n * m)
+        w, self._reduce = (1, None) if p == 2 else _barrett(p, m + 2, n * m)
         self.w = w
         self._elem = elem = m * w
         bits = n * elem
@@ -975,11 +979,47 @@ class FieldBatch:
         return self._reduce(x + y)
 
     def mul(self, c, x):
-        """Every value of batch x times the packed constant c, through the
-        columns c * t^k, which `t_columns` builds with no field mul."""
-        if c == 1:
-            return x
-        return self._apply(self.t_columns(_spread(c, self.ctx.p, self.w)), x)
+        """Every value of batch x times the packed constant c."""
+        return self.dot((c,), (x,))
+
+    def dot(self, coeffs, xs):
+        """sum(c_i * x_i), value by value, for packed constants c_i and
+        batches x_i: with c_i = sum_k d_ik t^k, accumulator a_k takes d_ik x_i
+        for each nonzero digit, and one Horner pass, x <- t*x + a_k from the
+        top digit down, takes the products by t: every digit moves up one
+        slot, and each value's top digit c comes back as c times the negated
+        low part of the modulus.  For odd p the accumulators are reduced
+        every m terms."""
+        p, m, w = self.ctx.p, self.ctx.m, self.w
+        top, negf, down = self._top, self._negf, self._elem - w
+        acc, reduce, length = [0] * m, self._reduce, 1  # digits of the longest c_i
+        for i, (c, v) in enumerate(zip(coeffs, xs, strict=True)):
+            if p == 2:
+                length = max(length, c.bit_length())
+                while c:
+                    low = c & -c
+                    acc[low.bit_length() - 1] ^= v
+                    c ^= low
+            else:
+                if i and not i % m:  # each accumulator holds at most m terms
+                    acc = [reduce(a) for a in acc]
+                k = 0
+                while c:
+                    c, d = divmod(c, p)
+                    if d:
+                        acc[k] += d * v
+                    k += 1
+                length = max(length, k)
+        x = acc[length - 1] if p == 2 else reduce(acc[length - 1])
+        for a in reversed(acc[: length - 1]):
+            c = x & top
+            if p == 2:
+                x = ((x ^ c) << 1) ^ (c >> down) * negf ^ a
+            else:
+                x = ((x - c) << w) + (c >> down) * negf + a
+                if c or a:  # else every slot stays below p
+                    x = reduce(x)
+        return x
 
     def frob(self, x, e):
         """Every value of batch x raised to the p^e power."""
@@ -990,24 +1030,6 @@ class FieldBatch:
             cols = [_spread(ctx.frob(p**k, e), p, w) for k in range(ctx.m)]
             self._frob_cols[e] = cols
         return self._apply(cols, x)
-
-    def t_columns(self, x):
-        """x, t*x, ..., t^(m-1)*x for a batch x.  Times t moves every digit
-        up one slot; each value's top digit c moves out, and c times the
-        negated low part of the modulus comes back in."""
-        top, negf, w = self._top, self._negf, self.w
-        down = self._elem - w
-        out = [x]
-        for _ in range(self.ctx.m - 1):
-            c = x & top
-            if not c:  # no value wraps: every slot stays below p
-                x <<= w
-            elif w == 1:  # p = 2
-                x = ((x ^ c) << 1) ^ (c >> down) * negf
-            else:
-                x = self._reduce(((x - c) << w) + (c >> down) * negf)
-            out.append(x)
-        return out
 
     def _apply(self, cols, x):
         """The map with columns `cols` applied to every value of batch x."""
@@ -1338,8 +1360,7 @@ class FieldEmbedding:
         for _ in range(small.m - 1):
             powers.append(big.mul(powers[-1], root))
         self._cols = big._columns(powers)
-        batch = FieldBatch(big, 1)
-        self._solver = GFpSolver(batch, [batch.spread([v]) for v in powers])
+        self._solver = None
 
     def map_packed(self, u):
         return self.big._combine(self._cols, u)
@@ -1350,7 +1371,12 @@ class FieldEmbedding:
         return FieldElem(self.big, self.map_packed(a.val))
 
     def inverse_packed(self, v):
-        """Preimage of a packed big-field value, or None if outside the image."""
+        """Preimage of a packed big-field value, or None if outside the image.
+        The solver of the root's powers is built on the first call."""
+        if self._solver is None:
+            batch = FieldBatch(self.big, 1)
+            powers = [self.map_packed(self.small.p**i) for i in range(self.small.m)]
+            self._solver = GFpSolver(batch, [batch.spread([v]) for v in powers])
         return self._solver.solve(v)
 
     def inverse(self, b):

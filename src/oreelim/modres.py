@@ -30,8 +30,10 @@ down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
      evaluation loop: the bad-evaluation check runs it on a one-entry chain.
      In the Frobenius regime sigma1 and a product by a diagonal coefficient
      are the same GF(p)-linear map at every point, so all points are
-     evaluated at once, on one `FieldBatch` holding every chain value; in
-     the plug-in regime x1's multiplier differs per point, and the chain
+     evaluated at once, on one `FieldBatch` holding every chain value: an
+     entry takes its sigma1-powers, then sums its coefficients' products
+     with them by digit planes, in one Horner pass in t (`FieldBatch.dot`);
+     in the plug-in regime x1's multiplier differs per point, and the chain
      runs point by point.  Either way the chain values leave as one integer,
      sum(v_j * q^j) in point order;
   5. recover the coefficients, in the base field, from that integer.  The
@@ -65,10 +67,11 @@ of one base-field polynomial.  It costs more than the direct route, never
 less.
 
 The Frobenius-regime chain costs Theta(D * M^3 * w) bit operations: about
-D maps, each M plane passes over a batch of M values of M digits of w bits.
-A working field may exceed `field_new`'s domain p^m < 2^63: GF(2^72) for
-D = 64 over GF(2^8), where a warm pair took 3x the direct route's time, or
-GF(3^44) for D = 40 over GF(3^4), 17x (README).
+D Frobenius maps, each M plane passes over a batch of M values of M digits
+of w bits; each diagonal entry then takes one Horner pass in t
+(`FieldBatch.dot`).  A working field may exceed `field_new`'s domain
+p^m < 2^63: GF(2^72) for D = 64 over GF(2^8), where a warm pair took 4x the
+direct route's time, or GF(3^44) for D = 40 over GF(3^4), 25x (README).
 """
 
 from __future__ import annotations
@@ -103,19 +106,14 @@ from .skewdet import DetResult, triangularize_with_log
 def apply_formal(ctx, step, arg, coeffs, u):
     """sum(c_i * S^i(u)), where S(v) = step(v, arg) is how x acts on the
     field: a Frobenius power (`ctx.frob`, e), or multiplication by a point
-    (`ctx.mul`, a), which makes the sum the plain value f(a) * u.  The sum is
-    taken by ctx's add and mul: a `FieldCtx` on packed values, or a
-    `FieldBatch` on a batch of them, whose mul multiplies every value by the
-    coefficient."""
-    add, mul = ctx.add, ctx.mul
-    acc = 0
-    cur = u
-    for i, c in enumerate(coeffs):
-        if i:
-            cur = step(cur, arg)
-        if c:
-            acc = add(acc, mul(c, cur))
-    return acc
+    (`ctx.mul`, a), which makes the sum the plain value f(a) * u.  It takes
+    u, S(u), ..., S^d(u) and returns ctx's `dot` of the coefficients with
+    them: on a `FieldCtx` one mul and one add per nonzero coefficient, on a
+    `FieldBatch` every value's sum at once, with one Horner pass in t."""
+    powers = [u]
+    for _ in coeffs[1:]:
+        powers.append(u := step(u, arg))
+    return ctx.dot(coeffs, powers) if coeffs else 0
 
 
 @dataclass(frozen=True)

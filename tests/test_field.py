@@ -998,8 +998,9 @@ BATCH_FIELDS = [(2, 32), (2, 16), (3, 16), (5, 27), (251, 4), (1000003, 2), (7, 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_field_batch_acts_on_every_value(p, m, seed):
-    # add, mul by a constant, frob and the products by t^k on a batch equal
-    # the field's own operations value by value, products the schoolbook's
+    # add, mul by a constant, frob and dot on a batch equal the field's own
+    # operations value by value, products and sums of products the
+    # schoolbook's; every slot of a result is a digit below p
     ctx = field_new(p, m)
     rng = random.Random(seed)
     n = rng.randrange(1, 6)
@@ -1008,29 +1009,76 @@ def test_field_batch_acts_on_every_value(p, m, seed):
     vs = [rng.randrange(ctx.q) for _ in range(n)]
     c, e = rng.randrange(ctx.q), rng.randrange(m)
     x, y = batch.spread(us), batch.spread(vs)
+    if p > 2:  # every slot that reaches the Barrett step is within its bound
+        reduce, w = batch._reduce, batch.w
+        bound = (m + 2) * (p - 1) ** 2
+
+        def checked(z):
+            assert z >> n * m * w == 0
+            assert all(z >> k * w & (1 << w) - 1 <= bound for k in range(n * m))
+            return reduce(z)
+
+        batch._reduce = checked
 
     def values(z):
         packed = batch.packed(z)
         assert packed < ctx.q**n
-        return [packed // ctx.q**j % ctx.q for j in range(n)]
+        out = [packed // ctx.q**j % ctx.q for j in range(n)]
+        assert batch.spread(out) == z
+        return out
 
     assert values(x) == us
     assert values(batch.add(x, y)) == [ctx.add(u, v) for u, v in zip(us, vs)]
     assert values(batch.mul(c, x)) == [mul_schoolbook(ctx, c, u) for u in us]
     assert values(batch.frob(x, e)) == [ctx.frob(u, e) for u in us]
-    powers = batch.t_columns(x)
-    assert len(powers) == m
-    for k, z in enumerate(powers):
-        tk = ctx.pow_packed(ctx.t_packed, k)
-        assert values(z) == [mul_schoolbook(ctx, tk, u) for u in us]
+    # dot of 0 to 2m + 1 terms, coefficients 0, 1, q - 1 (every digit
+    # p - 1, the largest slot sums) and random ones among them
+    size = rng.randrange(2 * m + 2)
+    cs = [rng.choice((0, 1, ctx.q - 1, rng.randrange(ctx.q))) for _ in range(size)]
+    rows = [
+        [rng.choice((ctx.q - 1, rng.randrange(ctx.q))) for _ in range(n)] for _ in range(size)
+    ]
+    want = [0] * n
+    for c, row in zip(cs, rows):
+        want = [ctx.add(s, mul_schoolbook(ctx, c, u)) for s, u in zip(want, row)]
+    xs = [batch.spread(row) for row in rows]
+    assert values(batch.dot(cs, xs)) == want
+    assert [ctx.dot(cs, [row[j] for row in rows]) for j in range(n)] == want
+    column = [row[0] for row in rows]
+    for dot, terms in ((batch.dot, xs), (ctx.dot, column)):
+        with pytest.raises(ValueError):
+            dot(cs, terms + [1])
+        with pytest.raises(ValueError):
+            dot(cs + [1], terms)
 
 
 @pytest.mark.parametrize("p, m", [f for f in BATCH_FIELDS if f[0] > 2])
 def test_field_batch_reduces_its_largest_slot(p, m):
-    # a plane pass leaves at most m * (p - 1)^2 in a slot, times t
-    # p * (p - 1); one Barrett step reduces every slot up to the larger
-    batch = FieldBatch(field_new(p, m), 3)
-    bound = max(m * (p - 1) ** 2, p * (p - 1))
+    # a plane pass leaves at most m * (p - 1)^2 in a slot, a Horner step of
+    # dot (an accumulator of m terms and its residue, t times a reduced
+    # value) (m + 2) * (p - 1)^2; one Barrett step reduces every slot up to
+    # that bound
+    ctx = field_new(p, m)
+    batch = FieldBatch(ctx, 3)
+    bound = (m + 2) * (p - 1) ** 2
     slots = sum(1 << (k * batch.w) for k in range(3 * m))
     for x in (bound, bound - 1, p * (bound // p), p - 1):
         assert batch._reduce(slots * x) == slots * (x % p)
+    # products of q - 1 by q - 1, every digit p - 1: m of them fill every
+    # accumulator, and dot reduces the accumulators before each further m
+    reduce, largest = batch._reduce, []
+
+    def tracked(z):
+        largest.append(max(z >> k * batch.w & (1 << batch.w) - 1 for k in range(3 * m)))
+        return reduce(z)
+
+    batch._reduce = tracked
+    top = batch.spread([ctx.q - 1] * 3)
+    square = mul_schoolbook(ctx, ctx.q - 1, ctx.q - 1)
+    for terms in (m, m + 1, 3 * m + 1):
+        want = 0
+        for _ in range(terms):
+            want = ctx.add(want, square)
+        got = batch.dot([ctx.q - 1] * terms, [top] * terms)
+        assert batch.packed(got) == want * (1 + ctx.q + ctx.q**2)
+    assert max(largest) <= bound

@@ -247,6 +247,24 @@ def test_batched_chain_equals_point_chain(shape, seed):
         assert check_bad_eval(h, plan) == point_bad_eval(h, plan)
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 1, 12), (5, 9, 2, 10)], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_chain_sums_more_terms_than_digits(shape, seed):
+    # for odd p the batch accumulators of the chain's dot are reduced every
+    # M terms: diagonal entries of 2M to 4M terms, many of them q - 1 (every
+    # digit p - 1), push their slots past the Barrett bound without it
+    p, m, e1, bound = shape
+    plan = modres._plan(bivar_for(p, m, e1, e1), bound)
+    big_m, q = plan.work_ctx.m, plan.work_ctx.q
+    rng = random.Random(seed)
+    diag = []
+    for _ in range(2):
+        size = rng.randrange(2 * big_m, 4 * big_m)
+        coeffs = [rng.choice((q - 1, rng.randrange(q))) for _ in range(size)]
+        diag.append(plan.work_ring.inner.from_packed(coeffs))
+    assert modres.chain_evaluate(diag, plan) == plan.pack(point_chain(diag, plan))
+
+
 def test_modular_equals_direct_frobenius():
     ring = bivar_for(2, 8, 1, 1)
     rng = random.Random(1)
