@@ -31,21 +31,21 @@ search and on a given modulus, works on the same core.  Powers, Frobenius
 images, the generator search and the table build multiply by that product
 too.
 
-Every GF(p)-linear map between packed values -- a Frobenius power, the
-multiplication-by-generator step of the table build and the embedding
-GF(p^m) -> GF(p^M) -- is stored as the images of the power basis
-(`FieldCtx._columns`) and applied by one kernel, `FieldCtx._combine`, to
-packed values of any width.  For p = 2 a column is a packed value and the
-kernel XORs one column per set bit; for odd p a column holds one digit per
-slot of a few bits, the kernel does one integer multiply-add per nonzero
-digit and reduces each slot mod p once, at the end.
-
-A map that acts alike on n values has a second kernel, `FieldBatch`: the
-n values sit side by side in one integer.  A Frobenius power acts on all
-of them by one multiply-add per digit plane (m in all, whatever n is), a
-sum of products by constants (`dot`) by one addition per nonzero digit of
-each constant and one Horner pass in t.  The modular route's
-Frobenius-regime chain runs on it.
+Every GF(p)-linear map into a field -- a Frobenius power, the
+multiplication-by-generator step of the table build, the embedding
+GF(p^m) -> GF(p^M) and the trace maps of its root search -- is applied by
+one kernel, `FieldBatch`: n values of the target field side by side in
+one integer, one base-p digit per slot, and a map stored as the images of
+the power basis spread into those slots (`FieldBatch.columns`).  A
+Frobenius power acts on all n values by one multiply-add per digit plane
+(m in all, whatever n is), a sum of products by constants (`dot`) by one
+addition per nonzero digit of each constant and one Horner pass in t; the
+modular route's Frobenius-regime chain runs on it.  A map of one packed
+value (`apply_packed`) XORs one column per set bit for p = 2, and for odd
+p does one integer multiply-add per nonzero digit and reduces each slot
+mod p once, at the end.  Each context holds its one-value batch
+(`FieldCtx.single_batch`), which maps its single values and keeps the
+field's Frobenius columns for every batch of the field.
 
 The package's one skew-product loop is `FieldCtx.skew_addmul`: it adds
 q*a into a packed coefficient list, for q and a in GF(q)[x; frob^e], and
@@ -91,7 +91,7 @@ and ``poly`` arithmetic, which works on integers of any width.
 from __future__ import annotations
 
 import threading
-from functools import cache, partial
+from functools import partial
 from math import gcd
 from operator import xor
 from typing import NamedTuple
@@ -192,16 +192,6 @@ def _rho_factor(n):
                 g = gcd(x - ys, n)
         if g != n:
             return g
-
-
-@cache
-def _slot_bits(p, n):
-    """Slot width in bits of the columns of an n-column GF(p)-linear map: 1
-    for p = 2, where a column is a packed value; for odd p wide enough that
-    a sum of n products of two digits fits in a slot."""
-    if p == 2:
-        return 1
-    return (n * (p - 1) ** 2).bit_length()
 
 
 def _pow(mul, one, base, k):
@@ -492,7 +482,7 @@ class FieldCtx:
         "_generator",
         "_mul",
         "_inv",
-        "_frob_images",
+        "_single",
         "_byte_tables",
         "_zero_elem",
         "_one_elem",
@@ -527,7 +517,7 @@ class FieldCtx:
         self._neg = None
         self._pe = [pow(p, e, q - 1) for e in range(m)] if q > 2 else [0] * m
         self._generator = None
-        self._frob_images = {}
+        self._single = None
         self._byte_tables = None
         # the product and the inverse outside the log tables, mod the
         # slot-packed modulus
@@ -714,8 +704,16 @@ class FieldCtx:
             return u
         if self.backend == "table":
             return self._exp[(self._log[u] * self._pe[e]) % (self.q - 1)]
-        images = self._frob_images.get(e) or self._build_frob_images(e)
-        return self._combine(images, u)
+        single = self._single or self.single_batch()
+        cols = single._frob_cols.get(e) or single.frob_columns(e)
+        return single.apply_packed(cols, u)
+
+    def single_batch(self):
+        """The one-value `FieldBatch` of this field, built on first use: it
+        maps single packed values and keeps the field's Frobenius columns."""
+        if self._single is None:
+            self._single = FieldBatch(self, 1)
+        return self._single
 
     # -- the skew-product kernel ---------------------------------------------------
 
@@ -825,53 +823,7 @@ class FieldCtx:
             bytes(codes) + pad, bytes(dec), mul, frob, mul[codes[p - 1]], adder
         )
 
-    # -- GF(p)-linear maps given by the images of the power basis ---------------
-
-    def _columns(self, values):
-        """Column list of the GF(p)-linear map sending the i-th power basis
-        element of its source to the packed value values[i] of this field."""
-        p = self.p
-        w = _slot_bits(p, len(values))
-        return [_spread(v, p, w) for v in values]
-
-    def _combine(self, cols, u):
-        """The map with columns `cols` applied to packed u: the sum of
-        c_i * cols[i] over the base-p digits c_i of u, packed in this field.
-
-        u and the result may be of any width.  For p = 2 a column is a packed
-        value and the sum is an XOR per set bit; for odd p a column holds one
-        digit per slot of `_slot_bits(p, len(cols))` bits, the sum is one
-        integer multiply-add per nonzero digit, and each slot of the sum is
-        reduced mod p once, at the end."""
-        p = self.p
-        if p == 2:
-            out = 0
-            for i, c in enumerate(f"{u:b}"[::-1]):
-                if c == "1":
-                    out ^= cols[i]
-            return out
-        acc = 0
-        i = 0
-        while u:
-            u, c = divmod(u, p)
-            if c:
-                acc += c * cols[i]
-            i += 1
-        return _gather(acc, p, _slot_bits(p, len(cols)))
-
     # -- cached structure -------------------------------------------------------
-
-    def _build_frob_images(self, e):
-        """Images of the power basis under x -> x^(p^e).
-
-        Lazily memoized; concurrent builds compute identical values, so the
-        benign race keeps contexts shareable across threads."""
-        tau = _pow(self._mul, 1, self.p, self.p**e)  # t^(p^e)
-        images = [1]
-        for _ in range(self.m - 1):
-            images.append(self._mul(images[-1], tau))
-        self._frob_images[e] = cols = self._columns(images)
-        return cols
 
     @property
     def generator(self):
@@ -895,10 +847,11 @@ class FieldCtx:
         self._generator = g
         exp = [0] * max(q - 1, 1)
         exp[0] = 1
-        mulg = self._columns([self._mul(g, self.p**i) for i in range(self.m)])
+        single = self.single_batch()
+        mulg = single.columns([self._mul(g, self.p**i) for i in range(self.m)])
         cur = 1
         for k in range(1, q - 1):
-            cur = self._combine(mulg, cur)
+            cur = single.apply_packed(mulg, cur)
             exp[k] = cur
         log = [0] * q
         for k, v in enumerate(exp):
@@ -927,14 +880,16 @@ class FieldBatch:
 
     Value j takes bits [j*m*w, (j+1)*m*w), one base-p digit per w-bit slot,
     lowest first.  For p = 2, w = 1 and the batch is the packed integer
-    sum(v_j * q^j).  A Frobenius power, with columns col_k, the images of
-    t^k spread into slots, sends X to sum_k ((X >> k*w) & digits) * col_k:
+    sum(v_j * q^j).  A map with columns col_k, the images of t^k spread
+    into slots (`columns`), sends X to sum_k ((X >> k*w) & digits) * col_k:
     digit plane k holds digit k of every value in that value's lowest slot,
     so each product is one copy of col_k per value and reaches no other
     value.  For p = 2 every sum is an XOR.  For odd p one SWAR Barrett
     step (`_reduce`) brings every slot back below p; w is the least slot
     width for which it handles a sum of m + 2 products of two digits
-    (`_barrett`), the most a plane pass or a Horner step of `dot` leaves."""
+    (`_barrett`), the most a plane pass or a Horner step of `dot` leaves.
+    w depends on p and m only, so every batch of a field reads the
+    Frobenius columns that its one-value batch keeps."""
 
     __slots__ = (
         "ctx",
@@ -1021,15 +976,30 @@ class FieldBatch:
                     x = reduce(x)
         return x
 
+    def columns(self, values):
+        """The columns of the GF(p)-linear map sending the i-th power basis
+        element of its source to the packed value values[i] of this field."""
+        p, w = self.ctx.p, self.w
+        return [_spread(v, p, w) for v in values]
+
+    def frob_columns(self, e):
+        """The columns of x -> x^(p^e), the powers of t^(p^e), built once
+        per field and exponent into the one-value batch's memo (a race
+        builds identical columns, so contexts stay shareable)."""
+        ctx = self.ctx
+        memo = ctx.single_batch()._frob_cols
+        cols = memo.get(e)
+        if cols is None:
+            tau = ctx.pow_packed(ctx.t_packed, ctx.p**e)
+            images = [1]
+            for _ in range(ctx.m - 1):
+                images.append(ctx.mul(images[-1], tau))
+            memo[e] = cols = self.columns(images)
+        return cols
+
     def frob(self, x, e):
         """Every value of batch x raised to the p^e power."""
-        cols = self._frob_cols.get(e)
-        if cols is None:
-            ctx = self.ctx
-            p, w = ctx.p, self.w
-            cols = [_spread(ctx.frob(p**k, e), p, w) for k in range(ctx.m)]
-            self._frob_cols[e] = cols
-        return self._apply(cols, x)
+        return self._apply(self.frob_columns(e), x)
 
     def _apply(self, cols, x):
         """The map with columns `cols` applied to every value of batch x."""
@@ -1046,6 +1016,27 @@ class FieldBatch:
             out += (x & digits) * col
             x >>= w
         return self._reduce(out)
+
+    def apply_packed(self, cols, u):
+        """The map with at most m columns `cols` applied to one packed u of
+        any width, packed in this field: an XOR per set bit for p = 2, one
+        integer multiply-add per nonzero digit for odd p, with each slot of
+        the sum reduced mod p once, at the end."""
+        p = self.ctx.p
+        if p == 2:
+            out = 0
+            for i, c in enumerate(f"{u:b}"[::-1]):
+                if c == "1":
+                    out ^= cols[i]
+            return out
+        acc = 0
+        i = 0
+        while u:
+            u, c = divmod(u, p)
+            if c:
+                acc += c * cols[i]
+            i += 1
+        return _gather(acc, p, self.w)
 
 
 def _gather(acc, p, w):
@@ -1348,9 +1339,10 @@ class GFpSolver:
 class FieldEmbedding:
     """Injective ring homomorphism GF(p^m) -> GF(p^M) determined by sending t
     to `root`, a root of the small modulus in the big field (commutes with
-    Frobenius, as any field embedding does)."""
+    Frobenius, as any field embedding does): the big field's one-value
+    batch applies its columns root^i, and their `GFpSolver` inverts it."""
 
-    __slots__ = ("small", "big", "root", "_cols", "_solver")
+    __slots__ = ("small", "big", "root", "_batch", "_cols", "_solver")
 
     def __init__(self, small, big, root):
         self.small = small
@@ -1359,11 +1351,12 @@ class FieldEmbedding:
         powers = [1]  # root^i, the image of t^i
         for _ in range(small.m - 1):
             powers.append(big.mul(powers[-1], root))
-        self._cols = big._columns(powers)
+        self._batch = big.single_batch()
+        self._cols = self._batch.columns(powers)
         self._solver = None
 
     def map_packed(self, u):
-        return self.big._combine(self._cols, u)
+        return self._batch.apply_packed(self._cols, u)
 
     def __call__(self, a):
         if not isinstance(a, FieldElem) or a.ctx != self.small:
@@ -1372,11 +1365,9 @@ class FieldEmbedding:
 
     def inverse_packed(self, v):
         """Preimage of a packed big-field value, or None if outside the image.
-        The solver of the root's powers is built on the first call."""
+        The solver of the map's columns is built on the first call."""
         if self._solver is None:
-            batch = FieldBatch(self.big, 1)
-            powers = [self.map_packed(self.small.p**i) for i in range(self.small.m)]
-            self._solver = GFpSolver(batch, [batch.spread([v]) for v in powers])
+            self._solver = GFpSolver(self._batch, self._cols)
         return self._solver.solve(v)
 
     def inverse(self, b):

@@ -109,7 +109,10 @@ def apply_formal(ctx, step, arg, coeffs, u):
     (`ctx.mul`, a), which makes the sum the plain value f(a) * u.  It takes
     u, S(u), ..., S^d(u) and returns ctx's `dot` of the coefficients with
     them: on a `FieldCtx` one mul and one add per nonzero coefficient, on a
-    `FieldBatch` every value's sum at once, with one Horner pass in t."""
+    `FieldBatch` every value's sum at once, with one Horner pass in t.  A
+    constant takes no powers: it is ctx's `mul` by the coefficient."""
+    if len(coeffs) == 1:
+        return ctx.mul(coeffs[0], u)
     powers = [u]
     for _ in coeffs[1:]:
         powers.append(u := step(u, arg))
@@ -305,6 +308,7 @@ def _least_modulus_root(ctx, big):
     # is the GF(p)-linear map with columns delta^(p^i) applied to u_k
     powers = [ctx.coords(ctx.frob(ctx.t_packed, i)) for i in range(m)]
     us = [ctx.pack(col) for col in zip(*powers)]
+    single = big.single_batch()
     for j in range(M):
         if g.degree == 1:
             break
@@ -317,8 +321,8 @@ def _least_modulus_root(ctx, big):
         conjugates = [delta]
         for _ in range(m - 1):
             conjugates.append(big.frob(conjugates[-1], 1))
-        cols = big._columns(conjugates)
-        trace = ring.from_packed([big._combine(cols, u) for u in us])
+        cols = single.columns(conjugates)
+        trace = ring.from_packed([single.apply_packed(cols, u) for u in us])
         for c in range(p):
             d = gcrd(g, trace - c)
             if d.degree > 0:

@@ -392,15 +392,22 @@ def least_modulus_root_enum(ctx, big):
     """Least packed root in `big` of ctx's modulus, found by enumerating the
     unique subfield of order p^m (kernel of x^(p^m) - x): the field layer's
     former search, kept as the reference for trace splitting.  It costs p^m
-    Horner evaluations."""
+    Horner evaluations, and each element is built from the kernel basis by
+    `add` and `mul`, so it shares no linear-map kernel with the search it
+    checks."""
     p, m, M = ctx.p, ctx.m, big.m
     images = (big.coords(big.sub(big.frob(p**i, m % M), p**i)) for i in range(M))
     kern = kernel_basis_mod_p(list(zip(*images)), p)
     assert len(kern) == m, "subfield has wrong dimension"
-    cols = big._columns([big.pack(v) for v in kern])
+    basis = [big.pack(v) for v in kern]
     roots = []
     for counter in range(p**m):
-        acc = big._combine(cols, counter)
+        # the element with the base-p digits of counter as its coordinates
+        # on the kernel basis, by the field's own add and mul
+        acc = 0
+        for b in basis:
+            counter, d = divmod(counter, p)
+            acc = big.add(acc, big.mul(d, b))
         val = 0
         for coeff in reversed(ctx.modulus):
             val = big.add(big.mul(val, acc), coeff % p)

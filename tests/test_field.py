@@ -36,6 +36,7 @@ from oreelim.field import (
     GFpSolver,
     _GFpT,
     _barrett,
+    _context,
     _default_modulus,
     _is_irreducible,
     _is_prime,
@@ -751,6 +752,34 @@ def _schoolbook_frobs(ctx, u):
     return out
 
 
+@pytest.mark.parametrize("p, m", [(2, 72), (3, 44)])
+def test_frob_past_the_input_domain(p, m):
+    # working fields past 2^63 have only `bits` and `poly` arithmetic: the
+    # single-value frob against p-th powers of the schoolbook product
+    ctx = _context(p, m)
+    rng = random.Random(f"frob {p}^{m}")
+    for u in [p, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(3)]:
+        assert [ctx.frob(u, e) for e in range(m)] == _schoolbook_frobs(ctx, u)
+
+
+@pytest.mark.parametrize("p, m, M", [(2, 8, 72), (3, 4, 44)])
+def test_embedding_past_the_input_domain(p, m, M):
+    # the embedding into a working field past 2^63 is a ring map that
+    # commutes with every Frobenius power; products by the schoolbook
+    small = field_new(p, m)
+    big, emb = extend_field(small, M)
+    assert big.q >= 1 << 63
+    rng = random.Random(f"embed {p}^{m}/{M}")
+    for _ in range(20):
+        u, v = rng.randrange(small.q), rng.randrange(small.q)
+        eu, ev = emb.map_packed(u), emb.map_packed(v)
+        assert emb.map_packed(small.add(u, v)) == big.add(eu, ev)
+        assert emb.map_packed(small.mul(u, v)) == mul_schoolbook(big, eu, ev)
+        e = rng.randrange(M)
+        assert emb.map_packed(small.frob(u, e)) == big.frob(eu, e)
+        assert emb.inverse_packed(eu) == u
+
+
 def _field_case(pm):
     """A field (p, m), two packed values u, v of it and an exponent k."""
     q = pm[0] ** pm[1]
@@ -1030,7 +1059,8 @@ def test_field_batch_acts_on_every_value(p, m, seed):
     assert values(x) == us
     assert values(batch.add(x, y)) == [ctx.add(u, v) for u, v in zip(us, vs)]
     assert values(batch.mul(c, x)) == [mul_schoolbook(ctx, c, u) for u in us]
-    assert values(batch.frob(x, e)) == [ctx.frob(u, e) for u in us]
+    # the schoolbook, not ctx.frob, which reads the same columns
+    assert values(batch.frob(x, e)) == [_schoolbook_frobs(ctx, u)[e] for u in us]
     # dot of 0 to 2m + 1 terms, coefficients 0, 1, q - 1 (every digit
     # p - 1, the largest slot sums) and random ones among them
     size = rng.randrange(2 * m + 2)

@@ -3,7 +3,8 @@ runtime needs only the standard library, each module imports only from the
 modules below it in one fixed order, no module runs the recorded
 Gauss-Jordan elimination, only `field` knows how arithmetic is chosen,
 `modres` evaluates and embeds in one function each, besides the one that
-builds the recovery map, and GF(p)[t] is written once, for every p."""
+builds the recovery map, GF(p)[t] is written once, for every p, and
+GF(p)-linear maps have one kernel."""
 
 import ast
 import sys
@@ -119,6 +120,38 @@ def test_gf_p_t_is_written_once(name):
             continue
         assert not (defined.startswith("_gfp_") or defined in RETIRED_GFPT), (
             f"{name}.py line {node.lineno} defines {defined!r}"
+        )
+
+
+# names of the former single-value kernel for GF(p)-linear maps and its
+# Frobenius memo; `field.FieldBatch` applies every such map
+RETIRED_LINEAR_MAPS = {
+    "_combine",
+    "_columns",
+    "_slot_bits",
+    "_frob_images",
+    "_build_frob_images",
+}
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_linear_maps_have_one_kernel(name):
+    # a Frobenius power, the table build's generator step, the embedding
+    # and the root search's trace maps all run on `FieldBatch`; no module
+    # defines or names a second kernel or a second Frobenius memo
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found = node.name
+        elif isinstance(node, ast.Name):
+            found = node.id
+        elif isinstance(node, ast.Attribute):
+            found = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found = node.value  # a `__slots__` entry
+        else:
+            continue
+        assert found not in RETIRED_LINEAR_MAPS, (
+            f"{name}.py line {node.lineno} names {found!r}"
         )
 
 
