@@ -44,8 +44,9 @@ modular route's Frobenius-regime chain runs on it.  A map of one packed
 value (`apply_packed`) XORs one column per set bit for p = 2, and for odd
 p does one integer multiply-add per nonzero digit and reduces each slot
 mod p once, at the end.  Each context holds its one-value batch
-(`FieldCtx.single_batch`), which maps its single values and keeps the
-field's Frobenius columns for every batch of the field.
+(`FieldCtx.single_batch`), and its Frobenius powers as embeddings of the
+field into itself (`FieldCtx.frobenius`), whose columns every batch of
+the field reads.
 
 The package's one skew-product loop is `FieldCtx.skew_addmul`: it adds
 q*a into a packed coefficient list, for q and a in GF(q)[x; frob^e], and
@@ -70,12 +71,13 @@ them.
 
 The package's one elimination, `GFpSolver`, inverts a GF(p)-linear map
 of full column rank on its image: built once from the map's columns as
-`FieldBatch` values, it solves on the earliest rows of full rank and
-checks the answer on every row, so clearing a slot of a column is one
-multiply-add.  It serves the inverse of the embedding, on the root's
-powers, and the modular route's recovery, on the map from the
-eliminant's base-field coordinates to all chain values.  Which working
-field to embed into, and the root t goes to, are chosen in `modres`.
+`FieldBatch` values, so clearing a slot of a column is one multiply-add,
+it takes a value of that batch, solves on the earliest rows of full rank
+and checks the answer on every row.  It serves the inverse of the
+embedding, on the root's powers, and the modular route's recovery, on the
+map from the eliminant's base-field coordinates to the chain values, in
+the batch the chain leaves.  Which working field to embed into, and the
+root t goes to, are chosen in `modres`.
 
 The package's one square-and-multiply loop, `_pow` (field, GF(p)[t] and
 skew-polynomial powers), and its one term printer, `_format_terms` (field
@@ -483,6 +485,7 @@ class FieldCtx:
         "_mul",
         "_inv",
         "_single",
+        "_frobenius",
         "_byte_tables",
         "_zero_elem",
         "_one_elem",
@@ -518,6 +521,7 @@ class FieldCtx:
         self._pe = [pow(p, e, q - 1) for e in range(m)] if q > 2 else [0] * m
         self._generator = None
         self._single = None
+        self._frobenius = {}
         self._byte_tables = None
         # the product and the inverse outside the log tables, mod the
         # slot-packed modulus
@@ -704,13 +708,22 @@ class FieldCtx:
             return u
         if self.backend == "table":
             return self._exp[(self._log[u] * self._pe[e]) % (self.q - 1)]
-        single = self._single or self.single_batch()
-        cols = single._frob_cols.get(e) or single.frob_columns(e)
-        return single.apply_packed(cols, u)
+        emb = self._frobenius.get(e) or self.frobenius(e)
+        return emb._batch.apply_packed(emb._cols, u)
+
+    def frobenius(self, e):
+        """x -> x^(p^e) as the `FieldEmbedding` of this field into itself
+        that sends t to t^(p^e), built once per exponent (a race builds an
+        equal map, so contexts stay shareable); every batch of the field
+        reads its columns."""
+        e %= self.m
+        if (emb := self._frobenius.get(e)) is None:
+            root = self.pow_packed(self.t_packed, self.p**e)
+            emb = self._frobenius[e] = FieldEmbedding(self, self, root)
+        return emb
 
     def single_batch(self):
-        """The one-value `FieldBatch` of this field, built on first use: it
-        maps single packed values and keeps the field's Frobenius columns."""
+        """The one-value `FieldBatch` of this field, built on first use."""
         if self._single is None:
             self._single = FieldBatch(self, 1)
         return self._single
@@ -796,9 +809,7 @@ class FieldCtx:
         mul, and frob[t] is frob[t-1] translated by it."""
         p, m, q, g = self.p, self.m, self.q, self.generator.val
         if p == 3 and m > 1:  # two bits per digit: the code of u is sum c_i 4^i
-            codes = [
-                sum(c << 2 * i for i, c in enumerate(self.coords(u))) for u in range(q)
-            ]
+            codes = [_spread(u, 3, 2) for u in range(q)]
             adder = _ternary_rows
         else:  # each value is its own code
             codes = list(range(q))
@@ -875,8 +886,8 @@ class FieldCtx:
 
 class FieldBatch:
     """n values of one field side by side in one integer, so that a
-    GF(p)-linear map that acts alike on every value -- a sum, a sum of
-    products by constants, a Frobenius power -- acts on all n at once.
+    GF(p)-linear map that acts alike on every value -- a sum of products
+    by constants, a Frobenius power -- acts on all n at once.
 
     Value j takes bits [j*m*w, (j+1)*m*w), one base-p digit per w-bit slot,
     lowest first.  For p = 2, w = 1 and the batch is the packed integer
@@ -888,19 +899,10 @@ class FieldBatch:
     step (`_reduce`) brings every slot back below p; w is the least slot
     width for which it handles a sum of m + 2 products of two digits
     (`_barrett`), the most a plane pass or a Horner step of `dot` leaves.
-    w depends on p and m only, so every batch of a field reads the
-    Frobenius columns that its one-value batch keeps."""
+    w depends on p and m only, so every batch of a field reads the columns
+    of the field's Frobenius maps (`FieldCtx.frobenius`)."""
 
-    __slots__ = (
-        "ctx",
-        "w",
-        "_elem",
-        "_digits",
-        "_top",
-        "_negf",
-        "_reduce",
-        "_frob_cols",
-    )
+    __slots__ = ("ctx", "w", "_elem", "_digits", "_top", "_negf", "_reduce")
 
     def __init__(self, ctx, n):
         p, m = ctx.p, ctx.m
@@ -912,26 +914,22 @@ class FieldBatch:
         self._digits = ((1 << bits) - 1) // ((1 << elem) - 1) * ((1 << w) - 1)
         self._top = self._digits << (elem - w)
         self._negf = _slots([-c % p for c in ctx.modulus[:m]], w)
-        self._frob_cols = {}
 
     def spread(self, values):
-        """The batch of the packed values, value j in slot j."""
+        """The batch of the packed values, value j in slot j, each in [0, q)."""
         ctx, w, elem = self.ctx, self.w, self._elem
         x = 0
         for v in reversed(values):
+            if not 0 <= v < ctx.q:
+                raise DegreeMismatch(f"packed value {v} out of range for {ctx!r}")
             x = (x << elem) | _spread(v, ctx.p, w)
         return x
 
     def packed(self, x):
-        """The values of batch x packed as sum(v_j * q^j)."""
+        """The values of batch x packed as sum(v_j * q^j), a read-out."""
         if self.ctx.p == 2:
             return x
         return _gather(x, self.ctx.p, self.w)
-
-    def add(self, x, y):
-        if self.ctx.p == 2:
-            return x ^ y
-        return self._reduce(x + y)
 
     def mul(self, c, x):
         """Every value of batch x times the packed constant c."""
@@ -982,24 +980,9 @@ class FieldBatch:
         p, w = self.ctx.p, self.w
         return [_spread(v, p, w) for v in values]
 
-    def frob_columns(self, e):
-        """The columns of x -> x^(p^e), the powers of t^(p^e), built once
-        per field and exponent into the one-value batch's memo (a race
-        builds identical columns, so contexts stay shareable)."""
-        ctx = self.ctx
-        memo = ctx.single_batch()._frob_cols
-        cols = memo.get(e)
-        if cols is None:
-            tau = ctx.pow_packed(ctx.t_packed, ctx.p**e)
-            images = [1]
-            for _ in range(ctx.m - 1):
-                images.append(ctx.mul(images[-1], tau))
-            memo[e] = cols = self.columns(images)
-        return cols
-
     def frob(self, x, e):
         """Every value of batch x raised to the p^e power."""
-        return self._apply(self.frob_columns(e), x)
+        return self._apply(self.ctx.frobenius(e)._cols, x)
 
     def _apply(self, cols, x):
         """The map with columns `cols` applied to every value of batch x."""
@@ -1269,9 +1252,9 @@ class GFpSolver:
     """The inverse of a GF(p)-linear map A of full column rank, on its
     image: built once from A's columns, given as values of a `FieldBatch`
     (one digit of A's output per slot, column i the image of the i-th unit
-    vector), `solve(v)` is the unique packed x with A * x = v for a packed
-    v, or None when v is outside the image.  It is the package's one
-    elimination.
+    vector), `solve(v)` is the unique packed x with A * x = v for a batch
+    v of that `FieldBatch`, or None when v is outside the image or not a
+    batch of digits.  It is the package's one elimination.
 
     The build finds the earliest digits (rows of A) of full rank, the
     pivots r_j, and the inverse of A on them.  Each column carries its unit
@@ -1285,9 +1268,11 @@ class GFpSolver:
     SingularMooreSystem.  A solve sums v[r_j] * x_j over the pivot digits
     of v and re-applies A to check the answer against every digit of v.
     For odd p each multiply-add is followed by one Barrett step (bound
-    p * (p - 1)), which the batch's slots hold."""
+    p * (p - 1)), which the batch's slots hold; w > bits(p) + 1, so a solve
+    refuses a slot of p or more by adding 2^(w-1) - p to every slot at once
+    and reading the slots' top bits."""
 
-    __slots__ = ("_batch", "_reduce", "_cols", "_pivots", "_inv")
+    __slots__ = ("_batch", "_reduce", "_cols", "_pivots", "_inv", "_top", "_fit")
 
     def __init__(self, batch, cols):
         p, w, n = batch.ctx.p, batch.w, len(cols)
@@ -1319,21 +1304,24 @@ class GFpSolver:
         self._batch, self._reduce, self._cols = batch, reduce, cols
         self._pivots = [r * w for r in pivots]
         self._inv = [basis[r] >> keep * w for r in pivots]
+        ones = ((1 << size * w) - 1) // mask  # a 1 in each slot of A's columns
+        self._top, self._fit = ones << w - 1, ones * ((1 << w - 1) - p)
 
     def solve(self, v):
         """The packed x with A * x = v, or None when v is not in A's image."""
         batch, reduce = self._batch, self._reduce
         p, w = batch.ctx.p, batch.w
+        if v < 0 or p > 2 and (v | v + self._fit) & self._top:
+            return None
         mask = (1 << w) - 1
-        u = _spread(v, p, w)
         x = ax = 0
         for r, inv in zip(self._pivots, self._inv):
-            if c := u >> r & mask:
+            if c := v >> r & mask:
                 x = x ^ inv if p == 2 else reduce(x + c * inv)
         for i, col in enumerate(self._cols):
             if c := x >> i * w & mask:
                 ax = ax ^ col if p == 2 else reduce(ax + c * col)
-        return batch.packed(x) if ax == u else None
+        return batch.packed(x) if ax == v else None
 
 
 class FieldEmbedding:
@@ -1364,11 +1352,13 @@ class FieldEmbedding:
         return FieldElem(self.big, self.map_packed(a.val))
 
     def inverse_packed(self, v):
-        """Preimage of a packed big-field value, or None if outside the image.
-        The solver of the map's columns is built on the first call."""
+        """Preimage of a packed big-field value in [0, q), or None if outside
+        the image.  The solver of the map's columns is built on the first call."""
+        if not 0 <= v < self.big.q:
+            return None
         if self._solver is None:
             self._solver = GFpSolver(self._batch, self._cols)
-        return self._solver.solve(v)
+        return self._solver.solve(self._batch.spread((v,)))
 
     def inverse(self, b):
         if not isinstance(b, FieldElem) or b.ctx != self.big:

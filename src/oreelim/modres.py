@@ -34,19 +34,22 @@ down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
      entry takes its sigma1-powers, then sums its coefficients' products
      with them by digit planes, in one Horner pass in t (`FieldBatch.dot`);
      in the plug-in regime x1's multiplier differs per point, and the chain
-     runs point by point.  Either way the chain values leave as one integer,
-     sum(v_j * q^j) in point order;
-  5. recover the coefficients, in the base field, from that integer.  The
-     chain values are a GF(p)-linear image of the base-field coordinates
-     of r_0..r_D, and the plan builds that forward map once, on its first
-     recovery, in one pass over its actions (`_forward_columns`), and
-     reduces it with the package's one elimination (`field.GFpSolver`).  Each
+     runs point by point.  Either way the chain values leave as the plan's
+     `FieldBatch`, value j at point j;
+  5. recover the coefficients, in the base field, from that batch, whose
+     digit slots the solver reads as they are.  The chain values are a
+     GF(p)-linear image of the base-field coordinates of r_0..r_D, and the
+     plan builds that forward map once, on its first recovery, in one pass
+     over its actions (`_forward_columns`), and reduces it with the
+     package's one elimination (`field.GFpSolver`).  Each
      `ModularPlan.recover` then solves on the shortest leading run of
      points that determines the coefficients and checks the answer at
      every point; chain values it does not reproduce are inconsistent.
 
-The action of x1 has two regimes, and only `plan_modular` and the plan
-itself tell them apart; every later step runs one loop for both.  With
+The action of x1 has two regimes, and `plan_modular` and the plan tell
+them apart; every later step runs one loop for both, and only
+`chain_evaluate` and `_forward_columns` read the mode, to collect the
+per-point values of the plug-in regime into one batch.  With
 sigma1 nontrivial, x1 acts as S = sigma1 started at the point, and the points
 are a GF(p)-basis of the working field: the rows are a Moore system.  The
 working degree M is chosen so that M > D and sigma1's order on GF(p^M)
@@ -96,6 +99,7 @@ from .field import (
     FieldEmbedding,
     GFpSolver,
     _context,
+    _pow,
 )
 from .ore_bivar import BivarOrePoly, BivarRing
 from .ore_uni import OreRing, gcrd
@@ -159,12 +163,9 @@ class ModularPlan:
         return FieldBatch(self.work_ctx, len(self.points))
 
     def pack(self, values):
-        """Chain values, one per point, packed as sum(v_j * q^j)."""
-        q = self.work_ctx.q
-        packed = 0
-        for v in reversed(values):
-            packed = packed * q + v
-        return packed
+        """Chain values, one per point, as the plan's `FieldBatch`: the input
+        of `recover`.  DegreeMismatch for a value outside [0, q)."""
+        return self._batch.spread(values)
 
     @cached_property
     def _solver(self):
@@ -174,15 +175,15 @@ class ModularPlan:
         not determine the coefficients."""
         return GFpSolver(self._batch, _forward_columns(self))
 
-    def recover(self, packed):
+    def recover(self, values):
         """The coefficients r_0..r_D, packed base-field values, with
         sum(emb(r_i) * S^i(start)) equal to the chain value v_j at every
-        point j, from all chain values packed as sum(v_j * q^j) (`pack`, or
-        `chain_evaluate`).  The solver reads the chain values of the
+        point j, from all chain values as the plan's `FieldBatch` (`pack`,
+        or `chain_evaluate`).  The solver reads the chain values of the
         shortest leading run of points that determines the coefficients and
         checks its answer at every point: chain values it does not
-        reproduce are inconsistent."""
-        x = self._solver.solve(packed)
+        reproduce, or slots outside [0, p), are inconsistent."""
+        x = self._solver.solve(values)
         if x is None:
             raise SingularMooreSystem("chain values are inconsistent")
         q = self.base_ring.ctx.q
@@ -269,15 +270,15 @@ def extend_field(ctx, M):
     """GF(p^M) together with the deterministic embedding from ctx = GF(p^m).
 
     Requires m | M.  For M = m it returns ctx itself, whatever its modulus,
-    with the identity embedding (t goes to t).  Otherwise GF(p^M) has its
+    with its Frobenius power 0, the identity.  Otherwise GF(p^M) has its
     default modulus and t goes to the least packed root of ctx's modulus
     there, so the embedding is reproducible; that root is found by trace
-    splitting in time polynomial in m, M and p, and memoized per (ctx, M).
-    p^M may exceed `field_new`'s domain p^m < 2^63."""
+    splitting in time polynomial in m, M and log p, and memoized per
+    (ctx, M).  p^M may exceed `field_new`'s domain p^m < 2^63."""
     if M % ctx.m != 0:
         raise NotAnExtension(f"GF({ctx.p}^{M}) does not contain GF({ctx.p}^{ctx.m})")
     if M == ctx.m:
-        return ctx, FieldEmbedding(ctx, ctx, ctx.t_packed)
+        return ctx, ctx.frobenius(0)
     return _extension(ctx, M)
 
 
@@ -294,12 +295,14 @@ def _least_modulus_root(ctx, big):
     The roots of h lie in the subfield S of order p^m, and the relative traces
     delta_j = Tr_{M/m}(t^j) = sum_k (t^j)^(p^(k m)) span S over GF(p).  For
     delta in S, T = sum_i delta^(p^i) * (x^(p^i) mod h) takes the value
-    Tr(delta * r) in GF(p) at every root r of h, so gcd(g, T - c) collects
-    the roots of a factor g with trace value c.  The trace form is
-    nondegenerate, so refining g by each nonzero delta_j in turn leaves a
-    single root r after at most M rounds of at most p gcds, each `gcrd` in
-    big[x] with sigma the identity.  The roots of h are the Frobenius orbit
-    of r, and the least of them is returned."""
+    Tr(delta * r) in GF(p) at every root r of h.  While T mod g is not
+    constant, the roots of a factor g carry two trace values, and g is split
+    by gcd(g, T) for p = 2, by gcd(g, (T + c)^((p-1)/2) - 1 mod g) for odd p
+    and c = 0, 1, ... until the factor is proper; the smaller of it and its
+    cofactor is kept.  The trace form is nondegenerate, so after every
+    nonzero delta_j a single root r is left, every gcd a `gcrd` in big[x]
+    with sigma the identity.  The roots of h are the Frobenius orbit of r,
+    and the least of them is returned."""
     p, m, M = ctx.p, ctx.m, big.m
     ring = OreRing(big, Automorphism(big, 0))
     g = ring.from_packed(ctx.modulus)
@@ -308,7 +311,11 @@ def _least_modulus_root(ctx, big):
     # is the GF(p)-linear map with columns delta^(p^i) applied to u_k
     powers = [ctx.coords(ctx.frob(ctx.t_packed, i)) for i in range(m)]
     us = [ctx.pack(col) for col in zip(*powers)]
-    single = big.single_batch()
+    single, one = big.single_batch(), ring.one()
+
+    def mulmod(a, b):  # mod the current g
+        return (a * b).right_divmod(g)[1]
+
     for j in range(M):
         if g.degree == 1:
             break
@@ -322,12 +329,14 @@ def _least_modulus_root(ctx, big):
         for _ in range(m - 1):
             conjugates.append(big.frob(conjugates[-1], 1))
         cols = single.columns(conjugates)
-        trace = ring.from_packed([single.apply_packed(cols, u) for u in us])
-        for c in range(p):
-            d = gcrd(g, trace - c)
-            if d.degree > 0:
-                g = d
-                break
+        rest = ring.from_packed([single.apply_packed(cols, u) for u in us])
+        # T mod g; g shrinks to a factor, so T mod g is rest mod g after it
+        while g.degree > 1 and (rest := rest.right_divmod(g)[1]).degree > 0:
+            for c in range(p):
+                h = rest if p == 2 else _pow(mulmod, one, rest + c, (p - 1) // 2) - 1
+                if 0 < (d := gcrd(g, h)).degree < g.degree:
+                    break
+            g = d if 2 * d.degree <= g.degree else g.right_divmod(d)[0]
     if g.degree != 1:  # pragma: no cover
         raise AssertionError("modulus does not split in the extension")
     root = least = big.neg(g.coeffs[0])
@@ -370,7 +379,7 @@ def check_bad_eval(f, plan):
 def chain_evaluate(diag, plan):
     """The diagonal chain's values at every plan point, per the composition
     formula (the row-order product d_1 * ... * d_k acts as d_1 applied
-    last), packed as sum(v_j * q^j) in the plan's point order: the input of
+    last), as the plan's `FieldBatch`, value j at point j: the input of
     `ModularPlan.recover`.  The diagonal must lie over the plan's working
     field."""
     inner = plan.work_ring.inner
@@ -382,9 +391,7 @@ def chain_evaluate(diag, plan):
         for coeffs in coeff_rows:
             u = apply_formal(ctx, step, arg, coeffs, u)
         results.append(u)
-    if plan.mode == "frobenius":
-        return plan._batch.packed(results[0])
-    return plan.pack(results)
+    return results[0] if plan.mode == "frobenius" else plan.pack(results)
 
 
 def _forward_columns(plan):
@@ -407,7 +414,7 @@ def _forward_columns(plan):
         per_action.append(out)
     if plan.mode == "frobenius":
         return per_action[0]
-    return [plan._batch.spread(col) for col in zip(*per_action)]
+    return [plan.pack(col) for col in zip(*per_action)]
 
 
 def _pipeline(f, g, rule, seed):
@@ -421,10 +428,10 @@ def _pipeline(f, g, rule, seed):
 
 def partial_evaluations(f, g, rule="min_degree", seed=0):
     """Run the pipeline through step 4 and return (plan, partial evals): the
-    PartialEval of every plan point, in point order, read off the packed
-    chain values."""
+    PartialEval of every plan point, in point order, read off the chain
+    values packed as sum(v_j * q^j)."""
     plan, diag, _ = _pipeline(f, g, rule, seed)
-    rest = chain_evaluate(diag, plan)
+    rest = plan._batch.packed(chain_evaluate(diag, plan))
     work, q = plan.work_ctx, plan.work_ctx.q
     evals = []
     for pt in plan.points:

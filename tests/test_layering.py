@@ -3,8 +3,9 @@ runtime needs only the standard library, each module imports only from the
 modules below it in one fixed order, no module runs the recorded
 Gauss-Jordan elimination, only `field` knows how arithmetic is chosen,
 `modres` evaluates and embeds in one function each, besides the one that
-builds the recovery map, GF(p)[t] is written once, for every p, and
-GF(p)-linear maps have one kernel."""
+builds the recovery map, GF(p)[t] is written once, for every p,
+GF(p)-linear maps have one kernel, and chain values stay in one batch
+from the chain to the solver."""
 
 import ast
 import sys
@@ -131,6 +132,8 @@ RETIRED_LINEAR_MAPS = {
     "_slot_bits",
     "_frob_images",
     "_build_frob_images",
+    "frob_columns",
+    "_frob_cols",
 }
 
 
@@ -191,6 +194,27 @@ def test_modres_evaluates_and_embeds_in_one_place():
         "actions": {"chain_evaluate", "_forward_columns"},
         "map_packed": {"embed_uni", "_forward_columns"},
     }
+
+
+def test_chain_values_stay_in_the_batch():
+    # the chain hands recovery the plan's `FieldBatch` as it leaves it: the
+    # solver spreads nothing, and only `partial_evaluations` reads values
+    # out of the batch as sum(v_j * q^j)
+    solver = next(
+        node
+        for node in ast.walk(_tree("field"))
+        if isinstance(node, ast.ClassDef) and node.name == "GFpSolver"
+    )
+    (solve,) = [f for f in solver.body if isinstance(f, ast.FunctionDef) and f.name == "solve"]
+    assert "_spread" not in {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(solve)}
+    readers = {
+        func.name
+        for func in ast.walk(_tree("modres"))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "packed"
+    }
+    assert readers == {"partial_evaluations"}
 
 
 def test_skewdet_chooses_no_arithmetic_by_characteristic():

@@ -13,6 +13,7 @@ from oreelim import (
     Automorphism,
     BadEvaluation,
     BothConstant,
+    DegreeMismatch,
     ModularPlan,
     PlanFailure,
     RingMismatch,
@@ -605,7 +606,26 @@ def test_forward_columns_are_one_entry_chains(p, m, e1, bound):
         for i in range(bound + 1)
         for b in basis
     ]
-    assert [plan._batch.packed(c) for c in modres._forward_columns(plan)] == want
+    assert modres._forward_columns(plan) == want
+
+
+@pytest.mark.parametrize("p, m, e1, bound", RECOVERY_SHAPES)
+def test_recovery_refuses_what_is_not_a_batch_of_digits(p, m, e1, bound):
+    # recovery reads the chain's batch as it is: a negative batch or a slot
+    # at p or above is inconsistent, never a hang or a wrong answer; `pack`
+    # refuses a value outside [0, q)
+    plan, coeffs, values = plan_and_values(p, m, e1, bound)
+    batch, w, q = plan.pack(values), plan._batch.w, plan.work_ctx.q
+    assert plan.recover(batch) == coeffs
+    bad = [-1, -batch]
+    if p > 2:  # slot 0 congruent to its digit, and slot 1 full
+        bad += [batch + p, batch | (1 << w) - 1 << w]
+    for x in bad:
+        with pytest.raises(SingularMooreSystem, match="inconsistent"):
+            plan.recover(x)
+    for v in (-1, q):
+        with pytest.raises(DegreeMismatch):
+            plan.pack(values[:-1] + [v])
 
 
 @pytest.mark.parametrize("p, m, e1, bound", [s for s in RECOVERY_SHAPES if s[2]])
@@ -656,7 +676,8 @@ def test_trace_dual_basis(ctx):
     batch = FieldBatch(ctx, 1)
     solver = GFpSolver(batch, [batch.spread([trace_form(b)]) for b in ctx.prime_basis()])
     dual = trace_dual_basis(ctx)
-    assert [solver.solve(ctx.p**j) for j in range(ctx.m)] == [b.val for b in dual]
+    units = [batch.spread([ctx.p**j]) for j in range(ctx.m)]
+    assert [solver.solve(u) for u in units] == [b.val for b in dual]
 
 
 def test_frobenius_plan_off_the_power_basis_is_refused():
@@ -758,6 +779,18 @@ def test_plugin_plan_keeps_large_prime_modulus():
     f, g = full_pair(ring, random.Random(14), 1, 2)
     plan = plan_modular(f, g)
     assert plan.work_ctx is ctx
+    assert res_x2_modular(f, g).rep == res_x2_direct(f, g).rep
+
+
+def test_plan_over_a_large_prime_finds_its_root():
+    """sigma1 = Frobenius on GF(1000003^2) with D = 2 needs GF(1000003^4);
+    the root search splits by quadratic characters, with no gcd per trace
+    value in GF(p), and finds the pinned root."""
+    ring = bivar_for(1000003, 2, 1, 1)
+    f, g = full_pair(ring, random.Random(15), 1, 1)
+    plan = plan_modular(f, g)
+    assert plan.degree_bound == 2 and plan.work_ctx.m == 4
+    assert plan.embedding.root == 422911732639082176638540
     assert res_x2_modular(f, g).rep == res_x2_direct(f, g).rep
 
 
