@@ -72,12 +72,12 @@ them.
 The package's one elimination, `GFpSolver`, inverts a GF(p)-linear map
 of full column rank on its image: built once from the map's columns as
 `FieldBatch` values, so clearing a slot of a column is one multiply-add,
-it takes a value of that batch, solves on the earliest rows of full rank
-and checks the answer on every row.  It serves the inverse of the
-embedding, on the root's powers, and the modular route's recovery, on the
-map from the eliminant's base-field coordinates to the chain values, in
-the batch the chain leaves.  Which working field to embed into, and the
-root t goes to, are chosen in `modres`.
+it takes a value of that batch, solves on the earliest rows of full rank,
+checks the answer on every row and returns it in the batch's slots.  It
+serves the inverse of the embedding, on the root's powers, and the modular
+route's recovery, from the chain's batch to the eliminant's base-field
+coordinates.  Which working field to embed into, and the root t goes to,
+are chosen in `modres`.
 
 The package's one square-and-multiply loop, `_pow` (field, GF(p)[t] and
 skew-polynomial powers), and its one term printer, `_format_terms` (field
@@ -890,8 +890,8 @@ class FieldBatch:
     by constants, a Frobenius power -- acts on all n at once.
 
     Value j takes bits [j*m*w, (j+1)*m*w), one base-p digit per w-bit slot,
-    lowest first.  For p = 2, w = 1 and the batch is the packed integer
-    sum(v_j * q^j).  A map with columns col_k, the images of t^k spread
+    lowest first (w = 1 for p = 2); `spread` writes values in and `values`
+    reads them out.  A map with columns col_k, the images of t^k spread
     into slots (`columns`), sends X to sum_k ((X >> k*w) & digits) * col_k:
     digit plane k holds digit k of every value in that value's lowest slot,
     so each product is one copy of col_k per value and reaches no other
@@ -925,11 +925,19 @@ class FieldBatch:
             x = (x << elem) | _spread(v, ctx.p, w)
         return x
 
-    def packed(self, x):
-        """The values of batch x packed as sum(v_j * q^j), a read-out."""
-        if self.ctx.p == 2:
-            return x
-        return _gather(x, self.ctx.p, self.w)
+    def values(self, x, n, m=None):
+        """The n packed values of batch x, m digits each (the field's m by
+        default), value j in slots [j*m, (j+1)*m): the read-out of a batch
+        of digits, in one pass over its slots (for p = 2, a shift and a mask
+        per value)."""
+        p, w, m = self.ctx.p, self.w, m or self.ctx.m
+        if p == 2:
+            mask = (1 << m) - 1
+            return [x >> j * m & mask for j in range(n)]
+        mask, out = (1 << w) - 1, [0] * n
+        for k in range(n * m - 1, -1, -1):  # each value's top digit first
+            out[k // m] = out[k // m] * p + (x >> k * w & mask)
+        return out
 
     def mul(self, c, x):
         """Every value of batch x times the packed constant c."""
@@ -1252,9 +1260,9 @@ class GFpSolver:
     """The inverse of a GF(p)-linear map A of full column rank, on its
     image: built once from A's columns, given as values of a `FieldBatch`
     (one digit of A's output per slot, column i the image of the i-th unit
-    vector), `solve(v)` is the unique packed x with A * x = v for a batch
-    v of that `FieldBatch`, or None when v is outside the image or not a
-    batch of digits.  It is the package's one elimination.
+    vector), `solve(v)` is the unique x with A * x = v for a batch v of
+    that `FieldBatch`, x_i in slot i, or None when v is outside the image
+    or not a batch of digits.  It is the package's one elimination.
 
     The build finds the earliest digits (rows of A) of full rank, the
     pivots r_j, and the inverse of A on them.  Each column carries its unit
@@ -1308,7 +1316,8 @@ class GFpSolver:
         self._top, self._fit = ones << w - 1, ones * ((1 << w - 1) - p)
 
     def solve(self, v):
-        """The packed x with A * x = v, or None when v is not in A's image."""
+        """The x with A * x = v, x_i in slot i as the back-substitution
+        leaves it, or None when v is not in A's image."""
         batch, reduce = self._batch, self._reduce
         p, w = batch.ctx.p, batch.w
         if v < 0 or p > 2 and (v | v + self._fit) & self._top:
@@ -1321,7 +1330,7 @@ class GFpSolver:
         for i, col in enumerate(self._cols):
             if c := x >> i * w & mask:
                 ax = ax ^ col if p == 2 else reduce(ax + c * col)
-        return batch.packed(x) if ax == v else None
+        return x if ax == v else None
 
 
 class FieldEmbedding:
@@ -1358,10 +1367,5 @@ class FieldEmbedding:
             return None
         if self._solver is None:
             self._solver = GFpSolver(self._batch, self._cols)
-        return self._solver.solve(self._batch.spread((v,)))
-
-    def inverse(self, b):
-        if not isinstance(b, FieldElem) or b.ctx != self.big:
-            raise ContextMismatch("inverse embedding applied to foreign element")
-        u = self.inverse_packed(b.val)
-        return None if u is None else FieldElem(self.small, u)
+        x = self._solver.solve(self._batch.spread((v,)))
+        return None if x is None else self._batch.values(x, 1, self.small.m)[0]

@@ -73,8 +73,8 @@ The Frobenius-regime chain costs Theta(D * M^3 * w) bit operations: about
 D Frobenius maps, each M plane passes over a batch of M values of M digits
 of w bits; each diagonal entry then takes one Horner pass in t
 (`FieldBatch.dot`).  A working field may exceed `field_new`'s domain
-p^m < 2^63: GF(2^72) for D = 64 over GF(2^8), where a warm pair took 4x the
-direct route's time, or GF(3^44) for D = 40 over GF(3^4), 25x (README).
+p^m < 2^63: GF(2^72) for D = 64 over GF(2^8), or GF(3^44) for D = 40 over
+GF(3^4); the README gives their warm-pair times beside the direct route's.
 """
 
 from __future__ import annotations
@@ -182,16 +182,12 @@ class ModularPlan:
         or `chain_evaluate`).  The solver reads the chain values of the
         shortest leading run of points that determines the coefficients and
         checks its answer at every point: chain values it does not
-        reproduce, or slots outside [0, p), are inconsistent."""
+        reproduce, or slots outside [0, p), are inconsistent.  The batch
+        reads r_i out of the answer's slots [i*m, (i+1)*m), m = deg base."""
         x = self._solver.solve(values)
         if x is None:
             raise SingularMooreSystem("chain values are inconsistent")
-        q = self.base_ring.ctx.q
-        coeffs = []
-        for _ in range(self.degree_bound + 1):
-            x, r = divmod(x, q)
-            coeffs.append(r)
-        return coeffs
+        return self._batch.values(x, self.degree_bound + 1, self.base_ring.ctx.m)
 
     def to_jsonable(self):
         return {
@@ -398,9 +394,9 @@ def _forward_columns(plan):
     """The columns of the forward map, from the base-field coordinates of
     r_0..r_D to the chain values of sum(emb(r_i) * x1^i): column i*m + k is
     emb(t^k) * S^i(start) at every plan point, as one value of the plan's
-    `FieldBatch`, so the solver's x is sum(r_i * p^(m i)).  One pass over the
-    actions takes each S-power once and multiplies it by each embedded
-    basis element, where (D + 1) * m one-entry chains through
+    `FieldBatch`, so slot i*m + k of the solver's x is digit k of r_i.  One
+    pass over the actions takes each S-power once and multiplies it by each
+    embedded basis element, where (D + 1) * m one-entry chains through
     `chain_evaluate` would take S^1..S^i again for every column."""
     emb = plan.embedding.map_packed
     basis = [emb(b.val) for b in plan.base_ring.ctx.prime_basis()]
@@ -428,16 +424,12 @@ def _pipeline(f, g, rule, seed):
 
 def partial_evaluations(f, g, rule="min_degree", seed=0):
     """Run the pipeline through step 4 and return (plan, partial evals): the
-    PartialEval of every plan point, in point order, read off the chain
-    values packed as sum(v_j * q^j)."""
+    PartialEval of every plan point, in point order, the batch's read-out
+    of the chain values."""
     plan, diag, _ = _pipeline(f, g, rule, seed)
-    rest = plan._batch.packed(chain_evaluate(diag, plan))
-    work, q = plan.work_ctx, plan.work_ctx.q
-    evals = []
-    for pt in plan.points:
-        rest, v = divmod(rest, q)
-        evals.append(PartialEval(point=pt, value=FieldElem(work, v)))
-    return plan, tuple(evals)
+    values = plan._batch.values(chain_evaluate(diag, plan), len(plan.points))
+    pairs = zip(plan.points, values, strict=True)
+    return plan, tuple(PartialEval(pt, FieldElem(plan.work_ctx, v)) for pt, v in pairs)
 
 
 def res_x2_modular(f, g, rule="min_degree", seed=0) -> DetResult:

@@ -297,8 +297,7 @@ def neg_packed(ctx, coeffs):
     """The coefficients of -f (coeffs itself for p = 2)."""
     if ctx.p == 2:
         return coeffs
-    neg = ctx._neg.__getitem__ if ctx._neg is not None else ctx.neg
-    return tuple(map(neg, coeffs))
+    return tuple(map(ctx.neg, coeffs))
 
 
 def addmul_packed(ctx, e, bc, qc, ac, twists):

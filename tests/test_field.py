@@ -425,7 +425,7 @@ def test_extend_field_gf4_to_gf16():
     ew = emb(w)
     assert big.q == 16
     assert ew * ew + ew + big.one == big.zero  # root of t^2 + t + 1
-    assert emb.inverse(ew) == w
+    assert emb.inverse_packed(ew.val) == w.val
     assert emb(ctx.one) == big.one
 
 
@@ -495,7 +495,7 @@ def test_extend_field_same_degree_is_identity():
         assert big is ctx
         for u in range(256) if ctx.q == 256 else rng.sample(range(ctx.q), 500):
             a = ctx.elem(u)
-            assert emb(a) == a and emb.inverse(a) == a
+            assert emb(a) == a and emb.inverse_packed(u) == u
 
 
 @pytest.mark.parametrize(
@@ -597,10 +597,6 @@ def _solver_of(p, rows):
     return GFpSolver(batch, [batch.spread(col) for col in zip(*rows)])
 
 
-def _packed(p, digits):
-    return sum(d * p**i for i, d in enumerate(digits))
-
-
 @pytest.mark.parametrize("p", [2, 3, 7, 1000003])
 def test_solver_equals_dense_solve(p):
     # random systems of full column rank, tall and square, against the
@@ -622,7 +618,7 @@ def test_solver_equals_dense_solve(p):
             continue
         solver = _solver_of(p, rows)
         spread = solver._batch.spread
-        assert solver.solve(spread(v)) == _packed(p, [c.val for c in want])
+        assert solver.solve(spread(v)) == spread([c.val for c in want])
         assert [c.val for c in want] == x
         off = list(v)
         k = rng.randrange(len(rows))
@@ -656,7 +652,7 @@ def test_solver_reads_the_earliest_rows_of_full_rank():
     solver = _solver_of(3, rows)
     assert [r // solver._batch.w for r in solver._pivots] == [0, 3]
     v = [sum(a * b for a, b in zip(row, (2, 1))) % 3 for row in rows]
-    assert solver.solve(solver._batch.spread(v)) == _packed(3, [2, 1])
+    assert solver.solve(solver._batch.spread(v)) == solver._batch.spread([2, 1])
     v[5] = (v[5] + 1) % 3
     assert solver.solve(solver._batch.spread(v)) is None
 
@@ -681,7 +677,7 @@ def test_solver_refuses_slots_that_are_not_digits(p):
     solver = _solver_of(p, rows)
     w = solver._batch.w
     v = solver._batch.spread([sum(a * b for a, b in zip(row, (1, 2))) % p for row in rows])
-    assert solver.solve(v) == _packed(p, [1, 2])
+    assert solver.solve(v) == solver._batch.spread([1, 2])
     for k in range(len(rows)):
         digit = v >> k * w & (1 << w) - 1
         for slot in (digit + p, (p - 1) | 1 << w - 1, (1 << w) - 1):
@@ -1080,9 +1076,7 @@ def test_field_batch_acts_on_every_value(p, m, seed):
         batch._reduce = checked
 
     def values(z):
-        packed = batch.packed(z)
-        assert packed < ctx.q**n
-        out = [packed // ctx.q**j % ctx.q for j in range(n)]
+        out = batch.values(z, n)
         assert batch.spread(out) == z
         return out
 
@@ -1109,6 +1103,40 @@ def test_field_batch_acts_on_every_value(p, m, seed):
             dot(cs, terms + [1])
         with pytest.raises(ValueError):
             dot(cs + [1], terms)
+
+
+@pytest.mark.parametrize("p, m", BATCH_FIELDS)
+def test_field_batch_values_invert_spread(p, m):
+    # the read-out returns what `spread` wrote, trailing zero values
+    # included, and its first k values when asked for k
+    ctx = field_new(p, m)
+    rng = random.Random(p * m)
+    for n in (1, 2, 5):
+        batch = FieldBatch(ctx, n)
+        assert batch.values(0, n) == [0] * n
+        for zeros in range(n + 1):
+            head = [rng.choice((1, ctx.q - 1, rng.randrange(ctx.q))) for _ in range(n - zeros)]
+            vs = head + [0] * zeros
+            x = batch.spread(vs)
+            assert batch.values(x, n) == vs
+            for k in range(n + 1):
+                assert batch.values(x, k) == vs[:k]
+
+
+@pytest.mark.parametrize("p, big_m, m", [(2, 32, 8), (3, 16, 4), (3, 16, 3), (5, 27, 9), (7, 2, 1)])
+def test_field_batch_values_reads_a_smaller_field(p, big_m, m):
+    # a solver's answer holds values of a subfield, m digits each, in the
+    # slots of a batch of the working field (`ModularPlan.recover`, the
+    # embedding's inverse); the read-out packs them m digits at a time, and
+    # with m = 1 it returns every digit
+    small, batch = field_new(p, m), FieldBatch(field_new(p, big_m), 3)
+    rng = random.Random(big_m * m)
+    n = 3 * big_m // m  # as many as the batch's slots hold
+    vs = [rng.randrange(small.q) for _ in range(n - 1)] + [small.q - 1]
+    digits = [d for v in vs for d in small.coords(v)]
+    x = sum(d << i * batch.w for i, d in enumerate(digits))
+    assert batch.values(x, n, m) == vs
+    assert batch.values(x, n * m, 1) == digits
 
 
 @pytest.mark.parametrize("p, m", [f for f in BATCH_FIELDS if f[0] > 2])
@@ -1139,5 +1167,5 @@ def test_field_batch_reduces_its_largest_slot(p, m):
         for _ in range(terms):
             want = ctx.add(want, square)
         got = batch.dot([ctx.q - 1] * terms, [top] * terms)
-        assert batch.packed(got) == want * (1 + ctx.q + ctx.q**2)
+        assert batch.values(got, 3) == [want] * 3
     assert max(largest) <= bound

@@ -4,8 +4,9 @@ modules below it in one fixed order, no module runs the recorded
 Gauss-Jordan elimination, only `field` knows how arithmetic is chosen,
 `modres` evaluates and embeds in one function each, besides the one that
 builds the recovery map, GF(p)[t] is written once, for every p,
-GF(p)-linear maps have one kernel, and chain values stay in one batch
-from the chain to the solver."""
+GF(p)-linear maps have one kernel, chain values stay in one batch from
+the chain to the solver and back, and only `field` reads a context's
+private state."""
 
 import ast
 import sys
@@ -197,24 +198,43 @@ def test_modres_evaluates_and_embeds_in_one_place():
 
 
 def test_chain_values_stay_in_the_batch():
-    # the chain hands recovery the plan's `FieldBatch` as it leaves it: the
-    # solver spreads nothing, and only `partial_evaluations` reads values
-    # out of the batch as sum(v_j * q^j)
+    # the chain hands recovery the plan's `FieldBatch` as it leaves it, and
+    # the solver hands back its answer in the batch's slots: the solver
+    # spreads and gathers nothing, `FieldBatch.values` is the one read-out
+    # of a batch (no module defines or reads a `packed` one), and `modres`
+    # splits no values by divmod
     solver = next(
         node
         for node in ast.walk(_tree("field"))
         if isinstance(node, ast.ClassDef) and node.name == "GFpSolver"
     )
     (solve,) = [f for f in solver.body if isinstance(f, ast.FunctionDef) and f.name == "solve"]
-    assert "_spread" not in {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(solve)}
-    readers = {
-        func.name
-        for func in ast.walk(_tree("modres"))
-        if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func)
-        if isinstance(node, ast.Attribute) and node.attr == "packed"
-    }
-    assert readers == {"partial_evaluations"}
+    named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(solve)}
+    assert not named & {"_spread", "_gather", "packed"}
+    for name in ORDER:
+        for node in ast.walk(_tree(name)):
+            assert not (
+                isinstance(node, ast.Attribute) and node.attr == "packed"
+                or isinstance(node, ast.FunctionDef) and node.name == "packed"
+            ), f"{name}.py line {node.lineno} names 'packed'"
+    for node in ast.walk(_tree("modres")):
+        assert not (isinstance(node, ast.Name) and node.id == "divmod"), (
+            f"modres.py line {node.lineno} calls divmod"
+        )
+
+
+@pytest.mark.parametrize("name", [n for n in ORDER if n != "field"])
+def test_only_field_reads_private_context_state(name):
+    # a context's tables and memos belong to `field`; every other module
+    # calls the context's public methods (`ore_uni.neg_packed` maps
+    # `ctx.neg`), so no attribute of a `ctx` that starts with an
+    # underscore is read outside `field`
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = ast.unparse(node.value)
+            assert not owner.endswith("ctx"), (
+                f"{name}.py line {node.lineno} reads {owner}.{node.attr}"
+            )
 
 
 def test_skewdet_chooses_no_arithmetic_by_characteristic():

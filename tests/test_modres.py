@@ -628,6 +628,15 @@ def test_recovery_refuses_what_is_not_a_batch_of_digits(p, m, e1, bound):
             plan.pack(values[:-1] + [v])
 
 
+@pytest.mark.parametrize("p, m, e1, bound", RECOVERY_SHAPES)
+def test_recovery_of_zero_is_zero(p, m, e1, bound):
+    # the all-zero batch, the chain of the zero eliminant, reads back as
+    # D + 1 zero coefficients
+    plan = modres._plan(bivar_for(p, m, e1, e1), bound)
+    assert plan.recover(0) == [0] * (bound + 1)
+    assert plan.recover(plan.pack([0] * len(plan.points))) == [0] * (bound + 1)
+
+
 @pytest.mark.parametrize("p, m, e1, bound", [s for s in RECOVERY_SHAPES if s[2]])
 def test_one_digit_perturbation_is_inconsistent(p, m, e1, bound):
     # sigma1 = Frobenius^e1 with g = gcd(e1, M): a linearized polynomial of
@@ -677,7 +686,7 @@ def test_trace_dual_basis(ctx):
     solver = GFpSolver(batch, [batch.spread([trace_form(b)]) for b in ctx.prime_basis()])
     dual = trace_dual_basis(ctx)
     units = [batch.spread([ctx.p**j]) for j in range(ctx.m)]
-    assert [solver.solve(u) for u in units] == [b.val for b in dual]
+    assert [batch.values(solver.solve(u), 1)[0] for u in units] == [b.val for b in dual]
 
 
 def test_frobenius_plan_off_the_power_basis_is_refused():
