@@ -486,6 +486,7 @@ class FieldCtx:
         "_inv",
         "_single",
         "_frobenius",
+        "_power_batches",
         "_byte_tables",
         "_zero_elem",
         "_one_elem",
@@ -522,6 +523,7 @@ class FieldCtx:
         self._generator = None
         self._single = None
         self._frobenius = {}
+        self._power_batches = {}
         self._byte_tables = None
         # the product and the inverse outside the log tables, mod the
         # slot-packed modulus
@@ -981,6 +983,32 @@ class FieldBatch:
                 if c or a:  # else every slot stays below p
                     x = reduce(x)
         return x
+
+    def linearized(self, coeffs, e, x):
+        """Every value v of batch x sent to sum(c_i * v^(p^(i*e))) for the
+        packed constants c_i: a linearized polynomial (Ore, Trans. AMS 1933),
+        which is one GF(p)-linear map of the field.  One `dot` over the
+        field's power batches builds its m columns, and one pass of plane
+        products (`_apply`) maps every value of x at once.  Power batch i
+        holds (t^k)^(p^(i*e)) as value k, k < m; the batches are built on
+        first use, each by one Frobenius map of the one before, and kept per
+        field and e, at most m of them: i wraps at the order of
+        x -> x^(p^e).  (A race builds equal batches, so contexts stay
+        shareable.)"""
+        ctx, m = self.ctx, self.ctx.m
+        e %= m
+        order = m // gcd(e, m)
+        need = min(len(coeffs), order)
+        full, powers = ctx._power_batches.get(e) or (FieldBatch(ctx, m), ())
+        if len(powers) < need:
+            grown = list(powers) or [full.spread([ctx.p**k for k in range(m)])]
+            while len(grown) < need:
+                grown.append(full.frob(grown[-1], e))
+            ctx._power_batches[e] = full, (powers := tuple(grown))
+        y = full.dot(coeffs, [powers[i % order] for i in range(len(coeffs))])
+        elem = full._elem
+        mask = (1 << elem) - 1
+        return self._apply([y >> k * elem & mask for k in range(m)], x)
 
     def columns(self, values):
         """The columns of the GF(p)-linear map sending the i-th power basis

@@ -20,22 +20,25 @@ down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
      serves every pair of one ring and one D.  This module alone chooses
      the working field: `_plan` its degree M, `extend_field` its modulus
      and the root that the embedding sends t to;
-  3. embed the diagonal into the working field: the embedding is an
+  3. fold each run of constant diagonal entries into one, in the base
+     field (`_fold_constants`: the row-order product is unchanged), and
+     embed the diagonal into the working field: the embedding is an
      injective ring map commuting with every Frobenius power, and the pivot
      rules see only degrees, zero-ness and their seeded rng, so this is
-     exactly the embedded matrix's diagonal;
+     exactly the embedded matrix's diagonal, folded;
   4. evaluate the diagonal chain at every plan point, x1 acting there as
      the plan says (`ModularPlan.actions`, applied by `apply_formal`, the
      package's one evaluation map).  `chain_evaluate` is the module's one
      evaluation loop: the bad-evaluation check runs it on a one-entry chain.
-     In the Frobenius regime sigma1 and a product by a diagonal coefficient
-     are the same GF(p)-linear map at every point, so all points are
-     evaluated at once, on one `FieldBatch` holding every chain value: an
-     entry takes its sigma1-powers, then sums its coefficients' products
-     with them by digit planes, in one Horner pass in t (`FieldBatch.dot`);
-     in the plug-in regime x1's multiplier differs per point, and the chain
-     runs point by point.  Either way the chain values leave as the plan's
-     `FieldBatch`, value j at point j;
+     In the Frobenius regime a diagonal entry sum(c_i * x1^i) acts as the
+     linearized polynomial u -> sum(c_i * sigma1^i(u)), the same
+     GF(p)-linear map at every point, so all points are evaluated at once,
+     on one `FieldBatch` holding every chain value: one `FieldBatch.dot`
+     over cached sigma1-power batches of the power basis builds the entry's
+     M columns, and one pass of plane products applies them
+     (`FieldBatch.linearized`); in the plug-in regime x1's multiplier
+     differs per point, and the chain runs point by point.  Either way the
+     chain values leave as the plan's `FieldBatch`, value j at point j;
   5. recover the coefficients, in the base field, from that batch, whose
      digit slots the solver reads as they are.  The chain values are a
      GF(p)-linear image of the base-field coordinates of r_0..r_D, and the
@@ -69,12 +72,17 @@ multiplied out but recovered from the chain values, which must all be those
 of one base-field polynomial.  It costs more than the direct route, never
 less.
 
-The Frobenius-regime chain costs Theta(D * M^3 * w) bit operations: about
-D Frobenius maps, each M plane passes over a batch of M values of M digits
-of w bits; each diagonal entry then takes one Horner pass in t
-(`FieldBatch.dot`).  A working field may exceed `field_new`'s domain
-p^m < 2^63: GF(2^72) for D = 64 over GF(2^8), or GF(3^44) for D = 40 over
-GF(3^4); the README gives their warm-pair times beside the direct route's.
+The Frobenius-regime chain costs Theta(D * M^3 * w) bit operations, in
+additions: an entry's columns are one `FieldBatch.dot` of its coefficients
+with the sigma1-power batches, each of M values of M digits of w bits,
+where every nonzero digit adds a batch into one of M accumulators, and one
+Horner pass in t finishes them.  The chain batch is then mapped once per
+non-constant folded entry, M plane passes.  The sigma1-power batches are
+built on the first chain, one Frobenius map each, at most M of them per
+working field and exponent.  A working field may exceed `field_new`'s
+domain p^m < 2^63: GF(2^72) for D = 64 over GF(2^8), or GF(3^44) for
+D = 40 over GF(3^4); the README gives their warm-pair times beside the
+direct route's.
 """
 
 from __future__ import annotations
@@ -110,17 +118,21 @@ from .skewdet import DetResult, triangularize_with_log
 def apply_formal(ctx, step, arg, coeffs, u):
     """sum(c_i * S^i(u)), where S(v) = step(v, arg) is how x acts on the
     field: a Frobenius power (`ctx.frob`, e), or multiplication by a point
-    (`ctx.mul`, a), which makes the sum the plain value f(a) * u.  It takes
-    u, S(u), ..., S^d(u) and returns ctx's `dot` of the coefficients with
-    them: on a `FieldCtx` one mul and one add per nonzero coefficient, on a
-    `FieldBatch` every value's sum at once, with one Horner pass in t.  A
-    constant takes no powers: it is ctx's `mul` by the coefficient."""
-    if len(coeffs) == 1:
-        return ctx.mul(coeffs[0], u)
+    (`ctx.mul`, a), which makes the sum the plain value f(a) * u.  On a
+    `FieldCtx` it takes u, S(u), ..., S^d(u) and returns `ctx.dot` of the
+    coefficients with them, one mul and one add per nonzero coefficient.
+    On a `FieldBatch`, where S is a Frobenius power, the sum is one
+    GF(p)-linear map of the field, which `FieldBatch.linearized` builds
+    with one `dot` and applies to every value at once.  A constant takes no
+    powers: it is ctx's `mul` by the coefficient."""
+    if len(coeffs) < 2:
+        return ctx.mul(coeffs[0], u) if coeffs else 0
+    if isinstance(ctx, FieldBatch):
+        return ctx.linearized(coeffs, arg, u)
     powers = [u]
     for _ in coeffs[1:]:
         powers.append(u := step(u, arg))
-    return ctx.dot(coeffs, powers) if coeffs else 0
+    return ctx.dot(coeffs, powers)
 
 
 @dataclass(frozen=True)
@@ -376,8 +388,11 @@ def chain_evaluate(diag, plan):
     """The diagonal chain's values at every plan point, per the composition
     formula (the row-order product d_1 * ... * d_k acts as d_1 applied
     last), as the plan's `FieldBatch`, value j at point j: the input of
-    `ModularPlan.recover`.  The diagonal must lie over the plan's working
-    field."""
+    `ModularPlan.recover`.  Each entry is one `apply_formal`: in the
+    Frobenius regime one GF(p)-linear map of the whole batch per
+    non-constant entry and one batch product per constant, in the plug-in
+    regime one evaluation per point.  The diagonal must lie over the plan's
+    working field."""
     inner = plan.work_ring.inner
     if any(d.ring != inner for d in diag):
         raise RingMismatch("the diagonal is not over the plan's working field")
@@ -413,13 +428,35 @@ def _forward_columns(plan):
     return [plan.pack(col) for col in zip(*per_action)]
 
 
+def _fold_constants(diag):
+    """The diagonal with each run of constant entries (zero included)
+    multiplied into one: a run left-multiplies the next non-constant entry,
+    coefficient by coefficient, and a trailing run stays one constant.  The
+    row-order product, and so every chain value, is unchanged, and a zero
+    entry leaves a zero entry."""
+    out, run = [], None  # run: the packed product of the current run
+    for d in diag:
+        ring, coeffs = d.ring, d.coeffs
+        if d.degree > 0:
+            if run is not None:
+                d = ring.from_packed([ring.ctx.mul(run, c) for c in coeffs])
+            out.append(d)
+            run = None
+        else:
+            c = coeffs[0] if coeffs else 0
+            run = c if run is None else ring.ctx.mul(run, c)
+    return out if run is None else out + [ring.from_packed([run])]
+
+
 def _pipeline(f, g, rule, seed):
     """Steps 1-3: triangularize the Sylvester matrix in the base field, plan,
-    then embed the diagonal.  Returns the plan, the diagonal (inner
-    polynomials over the working field) and the base-field op log."""
+    then fold the diagonal's constant runs (`_fold_constants`) and embed it.
+    Returns the plan, the folded diagonal (inner polynomials over the
+    working field) and the base-field op log."""
     tri, ops = triangularize_with_log(sylvester_matrix(f, g), rule=rule, seed=seed)
     plan = plan_modular(f, g)
-    return plan, [embed_uni(tri.rows[i][i], plan) for i in range(tri.n)], ops
+    diag = _fold_constants([tri.rows[i][i] for i in range(tri.n)])
+    return plan, [embed_uni(d, plan) for d in diag], ops
 
 
 def partial_evaluations(f, g, rule="min_degree", seed=0):

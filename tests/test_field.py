@@ -1169,3 +1169,32 @@ def test_field_batch_reduces_its_largest_slot(p, m):
         got = batch.dot([ctx.q - 1] * terms, [top] * terms)
         assert batch.values(got, 3) == [want] * 3
     assert max(largest) <= bound
+
+
+@pytest.mark.parametrize("p, m, e", [(2, 16, 1), (2, 12, 2), (3, 8, 1), (5, 6, 2), (251, 4, 3)])
+def test_linearized_is_one_map_of_its_power_batches(p, m, e):
+    # sum(c_i * u^(p^(i*e))) on every value of a batch equals the schoolbook
+    # value by value, for batches of 1, 3 and m values and entries of 1 to
+    # 2m + 2 coefficients, zero ones among them; the power batches are built
+    # on the first call, never with the context, and stop at the order of
+    # u -> u^(p^e), however long the entry
+    ctx = FieldCtx(p, m)  # a context of its own, with no power batches yet
+    assert ctx._power_batches == {}
+    order = m // gcd(e, m)
+    rng = random.Random(p * m + e)
+    for size in (2, m, m + 1, 2 * m + 2):
+        cs = [rng.choice((0, 1, ctx.q - 1, rng.randrange(ctx.q))) for _ in range(size)]
+        for n in (1, 3, m):
+            batch = FieldBatch(ctx, n)
+            us = [rng.randrange(ctx.q) for _ in range(n - 1)] + [ctx.q - 1]
+            want = []
+            for u in us:
+                frobs, acc = _schoolbook_frobs(ctx, u), 0
+                for i, c in enumerate(cs):
+                    acc = ctx.add(acc, mul_schoolbook(ctx, c, frobs[i * e % m]))
+                want.append(acc)
+            assert batch.values(batch.linearized(cs, e, batch.spread(us)), n) == want
+        full, powers = ctx._power_batches[e]
+        assert len(powers) == min(size, order) and full.values(powers[0], m) == [
+            p**k for k in range(m)
+        ]
