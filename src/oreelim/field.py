@@ -66,8 +66,10 @@ one for negation let `bytes.translate` multiply, twist or negate a whole
 byte string of codes in one C call, and the field sums two such strings as
 integers: an XOR for p = 2, six logical operations on the two bit planes
 of the GF(3) digits (Kawahara, Aoki and Takagi, Pairing 2008), and one
-SWAR step for GF(p).  `skewdet` triangularizes on whole-row integers with
-them.
+SWAR step for GF(p).  One more table gives the code of -1/a for each
+code of a, the factor of a division step.  `skewdet` triangularizes on
+whole-row integers with them.  Sequences of values are negated by
+`neg_seq`, one table read per value on the log tables.
 
 The package's one elimination, `GFpSolver`, inverts a GF(p)-linear map
 of full column rank on its image: built once from the map's columns as
@@ -421,16 +423,18 @@ class ByteTables(NamedTuple):
     1 -> 01, 2 -> 10, so the code of sum c_i 3^i is sum c_i 4^i.  `enc`
     maps a packed value to its code and `dec` a code back.  For the code
     of a, mul[c] gives the code of c*a (c a code), frob[t] that of
-    frob(a, t) and `neg` that of -a; each is 256 bytes long and zero at
-    every byte that is not a code.  adder(nbytes) returns the row sum of
-    width nbytes: the sum, code by code, of two integers of at most nbytes
-    bytes, byte i holding the code of slot i."""
+    frob(a, t), `neg` that of -a and `ninv` that of -1/a (0 for a = 0);
+    each is 256 bytes long and zero at every byte that is not a code.
+    adder(nbytes) returns the row sum of width nbytes: the sum, code by
+    code, of two integers of at most nbytes bytes, byte i holding the code
+    of slot i."""
 
     enc: bytes
     dec: bytes
     mul: list
     frob: list
     neg: bytes
+    ninv: bytes
     adder: object
 
 
@@ -661,6 +665,17 @@ class FieldCtx:
             mult *= p
         return out
 
+    def neg_seq(self, us):
+        """The negatives of a sequence of packed values, as a tuple: the
+        values themselves for p = 2, one table read each on the log
+        tables."""
+        if self.p == 2:
+            return tuple(us)
+        neg = self._neg
+        if neg is not None:
+            return tuple([neg[u] for u in us])
+        return tuple(map(self.neg, us))
+
     def sub(self, u, v):
         if self.p == 2:
             return u ^ v
@@ -808,7 +823,8 @@ class FieldCtx:
     def _build_byte_tables(self):
         """Every table from q products by the generator g: mul[g^k] is
         mul[g^(k-1)] translated by mul[g], the p-th power table is read off
-        mul, and frob[t] is frob[t-1] translated by it."""
+        mul, frob[t] is frob[t-1] translated by it, and -1/a is where the
+        row mul[a] holds the code of -1."""
         p, m, q, g = self.p, self.m, self.q, self.generator.val
         if p == 3 and m > 1:  # two bits per digit: the code of u is sum c_i 4^i
             codes = [_spread(u, 3, 2) for u in range(q)]
@@ -832,8 +848,11 @@ class FieldCtx:
                 power = bytes(mul[c][a] for c, a in enumerate(power))
             for _ in range(m - 1):
                 frob.append(frob[-1].translate(power))
+        neg1, ninv = codes[p - 1], bytearray(256)
+        for c in codes[1:]:
+            ninv[c] = mul[c].index(neg1)
         return ByteTables(
-            bytes(codes) + pad, bytes(dec), mul, frob, mul[codes[p - 1]], adder
+            bytes(codes) + pad, bytes(dec), mul, frob, mul[neg1], bytes(ninv), adder
         )
 
     # -- cached structure -------------------------------------------------------

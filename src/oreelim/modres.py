@@ -13,7 +13,9 @@ sum(r_i * S^i(start)), so the chain values at the D + 1 or more points pin
 down r_0..r_D through the system with rows [S^i(start)], i = 0..D.  Steps:
 
   1. triangularize the Sylvester matrix once, in the base field, by the
-     direct method's own call (same pivot rule, op log and input errors);
+     direct method's own call (same pivot rule, op log and input errors):
+     the matrix goes in as its x2-shifts (`sylvester_shifts`), and only
+     its diagonal comes back;
   2. plan: bound the eliminant degree D from the Sylvester shape and, if
      the input field is too small, extend it (Frobenius exponents lift
      unchanged, and the embedding commutes with them); one plan object
@@ -111,7 +113,13 @@ from .field import (
 )
 from .ore_bivar import BivarOrePoly, BivarRing
 from .ore_uni import OreRing, gcrd
-from .resultant import sylvester_degree_bound, sylvester_matrix
+# `sylvester_matrix` is not called here, but perfbench/spans.py traces it
+# under this module's name
+from .resultant import (  # noqa: F401
+    sylvester_degree_bound,
+    sylvester_matrix,
+    sylvester_shifts,
+)
 from .skewdet import DetResult, triangularize_with_log
 
 
@@ -449,13 +457,14 @@ def _fold_constants(diag):
 
 
 def _pipeline(f, g, rule, seed):
-    """Steps 1-3: triangularize the Sylvester matrix in the base field, plan,
-    then fold the diagonal's constant runs (`_fold_constants`) and embed it.
+    """Steps 1-3: triangularize the Sylvester matrix in the base field, from
+    its x2-shifts, to its diagonal, plan, then fold the diagonal's constant
+    runs (`_fold_constants`) and embed it.
     Returns the plan, the folded diagonal (inner polynomials over the
     working field) and the base-field op log."""
-    tri, ops = triangularize_with_log(sylvester_matrix(f, g), rule=rule, seed=seed)
+    diag, ops = triangularize_with_log(sylvester_shifts(f, g), rule=rule, seed=seed)
     plan = plan_modular(f, g)
-    diag = _fold_constants([tri.rows[i][i] for i in range(tri.n)])
+    diag = _fold_constants(diag)
     return plan, [embed_uni(d, plan) for d in diag], ops
 
 

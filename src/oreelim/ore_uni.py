@@ -294,10 +294,8 @@ class OrePoly(DensePoly):
 
 
 def neg_packed(ctx, coeffs):
-    """The coefficients of -f (coeffs itself for p = 2)."""
-    if ctx.p == 2:
-        return coeffs
-    return tuple(map(ctx.neg, coeffs))
+    """The coefficients of -f."""
+    return ctx.neg_seq(coeffs)
 
 
 def addmul_packed(ctx, e, bc, qc, ac, twists):

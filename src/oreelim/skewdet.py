@@ -25,7 +25,7 @@ replayed or serialized for audit.
 
 `triangularize_with_log` works on one of two row stores, not on `OrePoly`
 values; `OrePoly` values are built only for the logged multipliers and the
-returned matrix.  The field decides which store runs, and `skewdet` reads
+entries returned.  The field decides which store runs, and `skewdet` reads
 no characteristic: when the field supplies byte tables
 (`FieldCtx.byte_tables`: GF(2^m) and GF(3^m) up to GF(2^8) and GF(3^4),
 and GF(p) for p < 128) each row is one integer of one-byte value codes,
@@ -36,26 +36,41 @@ and the whole tail of a row at once: the pivot row's bytes are twisted by
 frob^(i*e) and multiplied by -q_i through `bytes.translate`, then added
 i*W bytes up by the field's row sum (an XOR for p = 2, bitsliced GF(3)
 digits for GF(3^m) with m > 1, one SWAR step for GF(p)), whose width
-doubles when a product would outgrow it.  Every other field keeps rows of
-packed coefficient tuples, updated by `ore_uni`'s packed helpers.  The
-pivot rules, the signed swap and the no-progress fallback are one
-elimination loop over either store, so both give the same op log and the
-same matrix.  Each store's pass writes the new length of every entry it
-divides, read from the row, and the loop checks after each pass that
-every entry below the pivot is now shorter, so a fault in a store's
-arithmetic raises an AssertionError instead of dividing forever.
+doubles when a product would outgrow it; -1 over the pivot's leading
+coefficient is one read of the field's `ninv` table.  Every other field
+keeps rows of packed coefficient tuples, updated by `ore_uni`'s packed
+helpers.  Each store's pass writes the new length of every entry it
+divides, read from the row, and logs each multiplier as it makes it.
+
+The input is an `OreMatrix`, or a `ShiftMatrix`: a matrix given by the
+shifts of a few base rows, which is how both elimination routes hand over
+the Sylvester matrix.  The byte store encodes each base row once and
+builds every shifted row from it by one `bytes.translate` and one shift,
+so no entry of a shifted row exists as an `OrePoly`; the tuple store
+reads the shifted rows' entries.  For a `ShiftMatrix` only the diagonal
+is decoded and returned, the one part of the triangular form that either
+route reads.
+
+One elimination loop runs every pivot rule over either store, so both
+give the same op log and the same matrix.  Per division pass it picks the
+pivot from the column's entry lengths in one scan, makes the signed swap
+in line, and lets the store divide.  When no entry below the pivot is as
+long as the pivot, a pass would change no row, and the loop swaps the
+shortest entry up instead.  After each pass it checks that every entry
+below the pivot is now shorter, so a fault in a store's arithmetic raises
+an AssertionError instead of dividing forever.
 
 Row signs are lazy: the matrix is kept as per-row signs times stored rows,
 a signed swap exchanges two stored rows and flips one sign, and no entry is
-negated until the signs are applied once, to the result (a no-op for
-p = 2).  Dividing stored entries gives q, so the stored update is
+negated until the result is read: the byte store decodes a row of sign -1
+through a negating decoder, the tuple store negates the entries read (a
+no-op for p = 2).  Dividing stored entries gives q, so the stored update is
 row_k - q*row_col and the logged multiplier is -s_k*s_col*q.
 
 Memos live for one division pass: the tuple store keeps one memo per pivot
 entry per pass (the byte store one for the whole pivot row), shared by
 every row that the pass updates, so each twist of the pivot row is made
-once per pass.  Nothing outlives the pass, the inverse of the pivot's
-leading coefficient included.
+once per pass.  Nothing outlives the pass.
 """
 
 from __future__ import annotations
@@ -210,13 +225,44 @@ def apply_op_log(matrix, ops):
     return matrix
 
 
-def _pick_pivot(cands, rule, rng):
-    # cands: list of (degree, row)
+class ShiftMatrix(NamedTuple):
+    """A square matrix over A[x;sigma] given by the shifts of its base rows
+    by a second indeterminate y that twists field values by frob^e.  For
+    each (base, count) in `bases`, count > 0, the matrix holds the rows of
+    y^(count-1)*h, ..., y*h, h, where the n entries of base are the
+    y-coefficients of h, highest power leftmost: entry j of the row of
+    y^k*h is base entry j + k with every coefficient twisted by frob^(k*e),
+    and zero past the end.  The first count - 1 base entries are zero, so
+    a shift moves no nonzero entry off the row, and the counts add up to
+    n.  `resultant.sylvester_shifts` describes the Sylvester matrix so;
+    `rows` lists its entries."""
+
+    ring: object  # OreRing
+    e: int
+    bases: tuple  # ((entries, count), ...)
+
+    @property
+    def n(self):
+        return sum(count for _, count in self.bases)
+
+    @property
+    def rows(self):
+        zero, out = self.ring.zero(), []
+        for base, count in self.bases:
+            for k in range(count - 1, -1, -1):
+                twist = k * self.e
+                out.append(tuple(a.coeff_twist(twist) for a in base[k:]) + (zero,) * k)
+        return tuple(out)
+
+
+def _pick_pivot(lengths, col, rule, rng):
+    """The pivot row of column col under `rule`, from the entry lengths of
+    rows col..n-1 (0 for a zero entry), at least one of them nonzero."""
+    below = lengths[col:]
     if rule == "min_degree":
-        return min(cands)[1]
-    if rule == "first_nonzero":
-        return min(row for _, row in cands)
-    return rng.choice(sorted(row for _, row in cands))
+        return below.index(min(filter(None, below))) + col
+    rows = [k for k, d in enumerate(below, col) if d]
+    return rows[0] if rule == "first_nonzero" else rng.choice(rows)
 
 
 class _TupleRows:
@@ -224,28 +270,23 @@ class _TupleRows:
     packed coefficient tuple, updated by `ore_uni`'s packed helpers."""
 
     def __init__(self, matrix):
-        ring = matrix.ring
-        self.ctx, self.e, self.n = ring.ctx, ring.sigma.e, matrix.n
+        self.ring, self.n = matrix.ring, matrix.n
         self.rows = [[a.coeffs for a in r] for r in matrix.rows]
 
     def column(self, col):
         return [len(r[col]) for r in self.rows]
 
-    def swap(self, i, j):
-        rows = self.rows
-        rows[i], rows[j] = rows[j], rows[i]
-
-    def reduce_below(self, col, lengths, signs):
+    def reduce_below(self, col, lengths, signs, ops):
         """Every stored row k below col whose entry is not shorter than the
         pivot becomes rows[k] - q*rows[col], for q the quotient of the
         entries; writes the new entry length of each such row k into
-        lengths and returns (k, -s_k*s_col*q), the true multiplier."""
-        ctx, e, n, rows = self.ctx, self.e, self.n, self.rows
+        lengths and logs (col, k, -s_k*s_col*q), the true multiplier."""
+        ring, n, rows = self.ring, self.n, self.rows
+        ctx, e = ring.ctx, ring.sigma.e
         prow = rows[col]
-        pivot, ptwists = prow[col], {}
+        pivot, ptwists, sign = prow[col], {}, signs[col]
         tail = [(j, prow[j], {}) for j in range(col + 1, n) if prow[j]]
         inv = ctx.inv(pivot[-1])
-        done = []
         for k in range(col + 1, n):
             if lengths[k] < len(pivot):  # zero or of lower degree
                 continue
@@ -255,11 +296,12 @@ class _TupleRows:
             for j, a, a_twists in tail:
                 row[j] = addmul_packed(ctx, e, row[j], nq, a, a_twists)
             lengths[k] = len(row[col])
-            done.append((k, nq if signs[k] == signs[col] else q))
-        return done
+            ops.append(AddMulOp(col, k, OrePoly(ring, nq if signs[k] == sign else q)))
 
-    def entries(self):
-        return self.rows
+    def signed(self, k, sign, count):
+        """Entries k..k+count-1 of the finished row k, times sign."""
+        entries = self.rows[k][k : k + count]
+        return entries if sign > 0 else [neg_packed(self.ring.ctx, c) for c in entries]
 
 
 class _ByteRows:
@@ -271,23 +313,42 @@ class _ByteRows:
     pivot row's bytes, twisted by frob^(i*e) and multiplied by -q_i through
     `bytes.translate`, are added i*W bytes up by the field's row sum.  The
     sum spans `nbytes`, which bounds every row, and doubles when a product
-    would outgrow it.  The entries are encoded on entry, and the logged
-    multipliers and the result are decoded, each by one `bytes.translate`
-    per row."""
+    would outgrow it.
+
+    An `OreMatrix` is encoded row by row.  A `ShiftMatrix` is encoded one
+    base row at a time: the row of y^k*h is the base row's bytes
+    translated by frob[k*e'], for e' the shift's twist, and moved k bytes
+    down, so no entry of a shifted row is twisted or encoded on its own.
+    A finished row is decoded by one `bytes.translate` per entry read,
+    through the negating decoder when its sign is -1, and each logged
+    multiplier by one."""
 
     def __init__(self, matrix, tables):
         ring, n = matrix.ring, matrix.n
-        self.ctx, self.e, self.n = ring.ctx, ring.sigma.e, n
-        self.enc, self.dec, self.mul, self.frob, self.neg, self.adder = tables
-        self.negdec = self.neg.translate(self.dec)  # code -> packed negative
-        codes = []
-        for r in matrix.rows:
-            b = bytearray(n * max((len(a.coeffs) for a in r), default=0))
-            for j, a in enumerate(r):
-                b[j : len(a.coeffs) * n : n] = bytes(a.coeffs)
-            codes.append(b.translate(self.enc))
-        self.rows = [int.from_bytes(b, "little") for b in codes]
+        self.ring, self.e, self.n = ring, ring.sigma.e, n
+        self.enc, self.dec, self.mul, self.frob, neg, self.ninv, self.adder = tables
+        self.negdec = neg.translate(self.dec)  # code -> packed negative
+        if isinstance(matrix, ShiftMatrix):
+            codes = [self._codes(base) for base, _ in matrix.bases]
+            e, m = matrix.e, len(self.frob)
+            self.rows = [
+                int.from_bytes(b.translate(self.frob[k * e % m]), "little") >> 8 * k
+                for b, (_, count) in zip(codes, matrix.bases)
+                for k in range(count - 1, -1, -1)
+            ]
+        else:
+            codes = [self._codes(r) for r in matrix.rows]
+            self.rows = [int.from_bytes(b, "little") for b in codes]
         self.nbytes = max(map(len, codes), default=0)
+
+    def _codes(self, entries):
+        """A row's value codes, coefficient-major: byte i*n + j holds
+        coefficient i of entry j."""
+        n = self.n
+        b = bytearray(n * max((len(a.coeffs) for a in entries), default=0))
+        for j, a in enumerate(entries):
+            b[j : len(a.coeffs) * n : n] = bytes(a.coeffs)
+        return b.translate(self.enc)
 
     def _span(self, nbytes, w):
         # the row sum, and the mask of the bytes of entry col, over nbytes
@@ -308,35 +369,28 @@ class _ByteRows:
         first, s = self.first, 8 * w
         return [0] * col + [((r & first).bit_length() + s - 1) // s for r in rows[col:]]
 
-    def swap(self, i, j):
-        rows = self.rows
-        rows[i], rows[j] = rows[j], rows[i]
-
-    def reduce_below(self, col, lengths, signs):
+    def reduce_below(self, col, lengths, signs, ops):
         """Every stored row k below col whose entry is not shorter than the
         pivot becomes rows[k] - q*rows[col]: for each quotient term q_i x^i,
         from the top, the pivot row twisted by frob^(i*e) and multiplied by
         -q_i is added i*W bytes up.  Writes the new entry length of each
-        such row k into lengths, read from the row, and returns
-        (k, -s_k*s_col*q), the true multiplier."""
-        n, rows = self.n, self.rows
-        lp = lengths[col]
-        below = [k for k in range(col + 1, n) if lengths[k] >= lp]
-        if not below:
-            return []
-        w = n - col
+        such row k into lengths, read from the row, and logs
+        (col, k, -s_k*s_col*q), the true multiplier."""
+        ring, n, rows = self.ring, self.n, self.rows
+        lp, w = lengths[col], n - col
         prow = _bytes(rows[col])
         need = len(prow) + (max(lengths[col + 1 :]) - lp) * w  # the longest product
         if need > self.nbytes:
             self._span(max(need, 2 * self.nbytes), w)
         e, add, mul, frob, first = self.e, self.add, self.mul, self.frob, self.first
-        m, s = len(frob), 8 * w
-        ninv = self.neg[self.enc[self.ctx.inv(self.dec[prow[(lp - 1) * w]])]]
-        twisted = {}  # t -> (the pivot row through frob[t], frob(-inv, t))
-        done = []
-        for k in below:
-            row = rows[k]
+        m, s, sign = len(frob), 8 * w, signs[col]
+        ninv = self.ninv[prow[(lp - 1) * w]]  # -1 / the pivot's lead
+        twisted = {}  # t -> (the pivot row through frob[t], frob(-1/lead, t))
+        for k in range(col + 1, n):
             dq = lengths[k] - lp
+            if dq < 0:  # zero or of lower degree
+                continue
+            row = rows[k]
             nq = bytearray(dq + 1)  # -q
             for i in range(dq, -1, -1):
                 top = row >> s * (i + lp - 1) & 255
@@ -350,18 +404,16 @@ class _ByteRows:
                     row = add(row, product << s * i)
             rows[k] = row
             lengths[k] = ((row & first).bit_length() + s - 1) // s
-            logged = self.dec if signs[k] == signs[col] else self.negdec
-            done.append((k, tuple(nq.translate(logged))))
-        return done
+            logged = self.dec if signs[k] == sign else self.negdec
+            ops.append(AddMulOp(col, k, OrePoly(ring, tuple(nq.translate(logged)))))
 
-    def entries(self):
-        # row k was finished at column k: entry k + j is b[j::n - k]
-        n, out = self.n, []
-        for k, r in enumerate(self.rows):
-            b = _bytes(r).translate(self.dec)
-            tail = [tuple(b[j :: n - k].rstrip(b"\0")) for j in range(n - k)]
-            out.append([()] * k + tail)
-        return out
+    def signed(self, k, sign, count):
+        """Entries k..k+count-1 of the finished row k, times sign: row k was
+        finished at column k, so entry k + j is byte j, j + W, ... for
+        W = n - k."""
+        b, w = _bytes(self.rows[k]), self.n - k
+        dec = self.dec if sign > 0 else self.negdec
+        return [tuple(b[j::w].rstrip(b"\0").translate(dec)) for j in range(count)]
 
 
 def _bytes(row):
@@ -375,57 +427,51 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
 
     A column whose at-or-below-diagonal entries are all zero simply leaves a
     zero on the diagonal and processing continues (the determinant is then
-    zero)."""
+    zero).  An `OreMatrix` gives (the triangular OreMatrix, op log); a
+    `ShiftMatrix`, the routes' input, gives (its diagonal, op log), the
+    diagonal a tuple of n entries, since neither route reads more."""
     if rule not in PIVOT_RULES:
         raise RingMismatch(f"unknown pivot rule {rule!r}")
-    ring = matrix.ring
-    ctx = ring.ctx
-    n = matrix.n
-    tables = ctx.byte_tables()
+    ring, n = matrix.ring, matrix.n
+    tables = ring.ctx.byte_tables()
     store = _ByteRows(matrix, tables) if tables else _TupleRows(matrix)
+    rows = store.rows
     # row k of the matrix is signs[k] times the stored row k
     signs = [1] * n
     ops = []
     rng = random.Random(seed) if rule == "random" else None
-
-    def swap(i, j, lengths):
-        # row_j <- row_i ; row_i <- -row_j, the sign kept apart; the entry
-        # lengths of the current column move with their rows
-        store.swap(i, j)
-        lengths[i], lengths[j] = lengths[j], lengths[i]
-        signs[i], signs[j] = -signs[j], signs[i]
-        ops.append(SwapSignedOp(i, j))
-
-    def reduce_below(col, lengths):
-        """One full division pass of every below-diagonal entry against the
-        diagonal; returns True if any row changed.  The stored row k becomes
-        rows[k] - q*rows[col] for the division q, r of the stored entries;
-        the store updates lengths and returns -s_k*s_col*q, logged."""
-        done = store.reduce_below(col, lengths, signs)
-        for k, logged in done:
-            ops.append(AddMulOp(col, k, OrePoly(ring, logged)))
-        return bool(done)
-
     for col in range(n):
         lengths = store.column(col)
+        pick = rule
         while any(lengths[col + 1 :]):
-            cands = [(d, k) for k, d in enumerate(lengths[col:], col) if d]
-            k = _pick_pivot(cands, rule, rng)
+            k = _pick_pivot(lengths, col, pick, rng)
             if k != col:
-                swap(k, col, lengths)
-            if not reduce_below(col, lengths):
-                # Every below entry now has degree strictly under the pivot;
-                # bring the smallest one up so the Euclidean descent continues.
-                below = [(d, k) for k, d in enumerate(lengths[col + 1 :], col + 1) if d]
-                if not below:
-                    break
-                swap(min(below)[1], col, lengths)
-                reduce_below(col, lengths)
+                # row_col <- row_k ; row_k <- -row_col, the sign kept apart;
+                # the entry lengths of the column move with their rows
+                rows[k], rows[col] = rows[col], rows[k]
+                lengths[k], lengths[col] = lengths[col], lengths[k]
+                signs[k], signs[col] = -signs[col], signs[k]
+                ops.append(SwapSignedOp(k, col))
+            if max(lengths[col + 1 :]) < lengths[col]:
+                # Every below entry has degree strictly under the pivot, so a
+                # pass would change no row; the shortest comes up instead.
+                pick = "min_degree"
+                continue
+            pick = rule
+            # One full division pass of every below-diagonal entry against
+            # the diagonal: the stored row k becomes rows[k] - q*rows[col]
+            # for the division q, r of the stored entries, and the store
+            # updates lengths and logs -s_k*s_col*q.
+            store.reduce_below(col, lengths, signs, ops)
             if max(lengths[col + 1 :]) >= lengths[col]:  # a fault in the store
                 raise AssertionError("division pass made no progress")
+    if isinstance(matrix, ShiftMatrix):
+        diag = tuple(OrePoly(ring, store.signed(k, s, 1)[0]) for k, s in enumerate(signs))
+        return diag, tuple(ops)
+    zero = ring.zero()
     out = [
-        [OrePoly(ring, c if s > 0 else neg_packed(ctx, c)) for c in row]
-        for s, row in zip(signs, store.entries())
+        [zero] * k + [OrePoly(ring, c) for c in store.signed(k, s, n - k)]
+        for k, s in enumerate(signs)
     ]
     return OreMatrix(ring, out), tuple(ops)
 
@@ -435,8 +481,9 @@ def dieudonne_det(matrix, rule="min_degree", seed=0):
 
     For n = 1 the result is the single entry itself.  A zero diagonal entry
     (non-invertible matrix) yields the zero representative."""
-    tri, ops = triangularize_with_log(matrix, rule=rule, seed=seed)
-    diag = [tri.rows[i][i] for i in range(tri.n)]
+    diag, ops = triangularize_with_log(matrix, rule=rule, seed=seed)
+    if not isinstance(matrix, ShiftMatrix):  # the whole triangular matrix
+        diag = [diag.rows[i][i] for i in range(diag.n)]
     if any(d.is_zero for d in diag):
         zero = matrix.ring.zero()
         return DetResult(rep=zero, is_zero=True, degree=NEG_INF, op_log=ops)

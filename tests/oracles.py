@@ -577,6 +577,16 @@ def point_bad_eval(f, plan):
 # -- triangularization on OrePoly entries ------------------------------------
 
 
+def _pick_pivot(cands, rule, rng):
+    """The former `skewdet._pick_pivot`: the pivot row among cands, a list
+    of (degree, row) of the nonzero entries at or below the diagonal."""
+    if rule == "min_degree":
+        return min(cands)[1]
+    if rule == "first_nonzero":
+        return min(row for _, row in cands)
+    return rng.choice(sorted(row for _, row in cands))
+
+
 def triangularize_reference(matrix, rule="min_degree", seed=0):
     """The former `skewdet.triangularize_with_log`, kept as the reference
     for the packed-row version: every entry is an `OrePoly`, every update
@@ -585,7 +595,7 @@ def triangularize_reference(matrix, rule="min_degree", seed=0):
     import random
 
     from oreelim import OreMatrix
-    from oreelim.skewdet import AddMulOp, SwapSignedOp, _pick_pivot
+    from oreelim.skewdet import AddMulOp, SwapSignedOp
 
     n = matrix.n
     work = [list(r) for r in matrix.rows]

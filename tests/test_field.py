@@ -871,6 +871,17 @@ def test_zech_add_exhaustive(p, m):
         ], u
 
 
+@pytest.mark.parametrize("p, m", [(2, 4), (3, 1), (3, 4), (7, 2), (2**31 - 1, 1)])
+def test_sequence_negation_is_the_negation_of_each_value(p, m):
+    # one table read per value on the log tables, the values themselves for
+    # p = 2, `neg` per value on the other backends: always a tuple
+    rng = random.Random(f"neg_seq/{p}/{m}")
+    for ctx in (field_new(p, m), _untabled(p, m)):
+        values = [0, 1, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(20)]
+        assert ctx.neg_seq(values) == tuple(ctx.neg(u) for u in values)
+        assert ctx.neg_seq(()) == ()
+
+
 @pytest.mark.parametrize("p, m", [(3, 10), (65521, 1), (2, 16)])
 @settings(max_examples=200, deadline=None, database=None)
 @given(data=st.data())
@@ -929,13 +940,14 @@ def test_poly_mul_equals_schoolbook(case):
 
 def _check_byte_tables(ctx):
     """Decoding through each table gives the field's own product, Frobenius
-    power and negation of every element; bytes that are no code map to 0."""
+    power and negation of every element, and -1 over every nonzero one;
+    bytes that are no code map to 0."""
     tables = ctx.byte_tables()
     q, enc, dec = ctx.q, tables.enc, tables.dec
     codes = set(enc[:q])
     assert len(codes) == q and [dec[enc[u]] for u in range(q)] == list(range(q))
     assert len(tables.frob) == ctx.m
-    for table in (*tables.mul, *tables.frob, tables.neg):
+    for table in (*tables.mul, *tables.frob, tables.neg, tables.ninv):
         assert len(table) == 256
         assert not any(table[c] for c in range(256) if c not in codes)
     for c in range(q):
@@ -947,6 +959,9 @@ def _check_byte_tables(ctx):
             ctx.frob(a, t) for a in range(q)
         ]
     assert [dec[tables.neg[enc[a]]] for a in range(q)] == [ctx.neg(a) for a in range(q)]
+    assert [dec[tables.ninv[enc[a]]] for a in range(1, q)] == [
+        ctx.neg(ctx.inv(a)) for a in range(1, q)
+    ]
 
 
 @pytest.mark.parametrize("m", range(1, 9))

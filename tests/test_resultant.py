@@ -1,19 +1,25 @@
 """The skew Sylvester matrix and direct elimination."""
 
 import random
+from unittest import mock
 
 import pytest
 
 from oreelim import (
     BothConstant,
+    OreMatrix,
     RingMismatch,
     ZeroPolynomial,
     res_x2_direct,
+    res_x2_modular,
+    skewdet,
     sylvester_degree_bound,
     sylvester_matrix,
 )
+from oreelim.resultant import sylvester_shifts
+from oreelim.skewdet import _ByteRows
 from oracles import classical_resultant, bivar_to_lists, uni_to_list
-from support import bivar_for, rand_bivar, rand_bivar_exact
+from support import bivar_for, rand_bivar, rand_bivar_exact, rand_orepoly
 
 
 def test_sylvester_classical_shape():
@@ -63,6 +69,82 @@ def test_sylvester_errors():
     untwisted = bivar_for(2, 2, 1, 0)
     with pytest.raises(RingMismatch):
         sylvester_matrix(twisted.x2(), untwisted.x2())
+
+
+def _sylvester_from_shift_left(f, g):
+    """The Sylvester matrix built entry by entry from `shift_left`."""
+    n, m = f.degree, g.degree
+    size = n + m
+    rows = [
+        [h.shift_left(k).coeff(size - 1 - j) for j in range(size)]
+        for h, count in ((f, m), (g, n))
+        for k in range(count - 1, -1, -1)
+    ]
+    return OreMatrix(f.ring.inner, rows)
+
+
+# (p, m, e1, e2): GF(2^m), GF(3^m) and GF(p) for p < 128, each with sigma2
+# the identity, and the first two with sigma2 a nontrivial Frobenius power
+SHIFT_FIELDS = (
+    (2, 4, 1, 0),
+    (2, 8, 1, 3),
+    (3, 2, 0, 1),
+    (3, 4, 1, 0),
+    (3, 4, 1, 2),
+    (5, 1, 0, 0),
+    (127, 1, 0, 0),
+)
+
+
+@pytest.mark.parametrize("p, m, e1, e2", SHIFT_FIELDS)
+def test_shift_built_rows_equal_the_encoded_sylvester_matrix(p, m, e1, e2):
+    ring = bivar_for(p, m, e1, e2)
+    inner, tables = ring.inner, ring.ctx.byte_tables()
+    assert tables is not None
+    rng = random.Random(f"shift-rows/{p}/{m}/{e2}")
+
+    def constant_in_x2():
+        return ring.poly([rand_orepoly(inner, rng, 3, nonzero=True)])
+
+    pairs = [
+        (rand_bivar(ring, rng, 4, 3, min_d2=1), rand_bivar(ring, rng, 4, 3, min_d2=1))
+        for _ in range(8)
+    ]
+    # zero inner coefficients between nonzero ones, and both degenerate
+    # shapes: g, then f, of x2-degree 0
+    gappy = ring.poly([inner.x(2), inner.zero(), inner.zero(), inner.one() + inner.x()])
+    pairs += [
+        (gappy, rand_bivar_exact(ring, rng, 2, 2)),
+        (rand_bivar_exact(ring, rng, 3, 2), constant_in_x2()),
+        (constant_in_x2(), rand_bivar_exact(ring, rng, 2, 3)),
+    ]
+    for f, g in pairs:
+        matrix = sylvester_matrix(f, g)
+        assert matrix == _sylvester_from_shift_left(f, g)
+        shifted, encoded = _ByteRows(sylvester_shifts(f, g), tables), _ByteRows(matrix, tables)
+        assert shifted.rows == encoded.rows
+        assert shifted.nbytes == encoded.nbytes
+
+
+def test_routes_check_the_pair_before_building_a_store():
+    ring = bivar_for(3, 4, 1, 2)
+    f = ring.x2() - ring.x1()
+    cases = [
+        ((f, ring.zero()), ZeroPolynomial),
+        ((ring.zero(), f), ZeroPolynomial),
+        ((ring.constant(1), ring.constant(2)), BothConstant),
+        ((f, bivar_for(3, 4, 1, 0).x2()), RingMismatch),
+        ((f, ring.inner.x()), RingMismatch),
+    ]
+    no_store = AssertionError("a row store was built")
+    with (
+        mock.patch.object(skewdet, "_ByteRows", side_effect=no_store),
+        mock.patch.object(skewdet, "_TupleRows", side_effect=no_store),
+    ):
+        for args, error in cases:
+            for call in (sylvester_shifts, sylvester_matrix, res_x2_direct, res_x2_modular):
+                with pytest.raises(error):
+                    call(*args)
 
 
 def test_direct_classical_example():

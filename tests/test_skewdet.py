@@ -25,9 +25,17 @@ from oreelim import (
     triangularize_with_log,
 )
 from oreelim import skewdet
-from oreelim.skewdet import PIVOT_RULES
+from oreelim.resultant import sylvester_shifts
+from oreelim.skewdet import PIVOT_RULES, ShiftMatrix, SwapSignedOp
 from oracles import det_poly_matrix, triangularize_reference, uni_to_list
-from support import bivar_for, rand_orepoly, rand_orepoly_exact, ring_for, untabled
+from support import (
+    bivar_for,
+    rand_bivar_exact,
+    rand_orepoly,
+    rand_orepoly_exact,
+    ring_for,
+    untabled,
+)
 
 
 def rand_matrix(ring, rng, n, max_deg=3):
@@ -398,6 +406,39 @@ def test_triangularize_equals_reference(rule, case, seed):
         assert max(widths) > widths[0]
 
 
+def _as_shifts(matrix):
+    """The matrix as a `ShiftMatrix`: each row its own base row, shifted 0
+    times."""
+    return ShiftMatrix(matrix.ring, 0, tuple((row, 1) for row in matrix.rows))
+
+
+def _final_signs(ops, n):
+    """The row signs the signed swaps of an op log leave."""
+    signs = [1] * n
+    for op in ops:
+        if isinstance(op, SwapSignedOp):
+            signs[op.i], signs[op.j] = -signs[op.j], signs[op.i]
+    return signs
+
+
+@pytest.mark.parametrize("rule", PIVOT_RULES)
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=reference_matrices(), seed=st.integers(0, 5))
+def test_route_path_gives_the_diagonal_and_op_log_of_the_matrix(rule, case, seed):
+    # the routes' input, a ShiftMatrix, is decoded on the diagonal only, rows
+    # of sign -1 through the negating decoder; singular matrices included
+    _, matrix = case
+    tri, ops = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=seed)
+    assert triangularize_with_log(matrix, rule=rule, seed=seed) == (tri, ops)
+    shifts = _as_shifts(matrix)
+    diag, route_ops = triangularize_with_log(shifts, rule=rule, seed=seed)
+    assert diag == tuple(tri.rows[i][i] for i in range(matrix.n))
+    assert route_ops == ops
+    assert dieudonne_det(shifts, rule=rule, seed=seed) == dieudonne_det(
+        matrix, rule=rule, seed=seed
+    )
+
+
 # (p, m, e1, e2, deg x2, deg x1): the benchmark's shapes, with full degrees,
 # whose Sylvester matrices reach entries of degree ~40 and descents of 20-36
 # division passes in one column, far past the small matrices drawn above.
@@ -425,6 +466,35 @@ def test_benchmark_sized_matrices_equal_reference(p, m, e1, e2, d2, d1):
             assert triangularize_with_log(matrix, rule=rule, seed=1) == expected
 
 
+@pytest.mark.parametrize("p, m, e1, e2, d2, d1", BENCHMARK_SHAPES)
+def test_route_path_equals_the_sylvester_matrix_path(p, m, e1, e2, d2, d1):
+    ring = bivar_for(p, m, e1, e2)
+    rng = random.Random(f"route-path/{p}/{m}")
+
+    def full():
+        coeffs = [rand_orepoly_exact(ring.inner, rng, d1) for _ in range(d2 + 1)]
+        return ring.poly(coeffs)
+
+    # two full pairs, and a pair with a common right factor: singular
+    h = rand_bivar_exact(ring, rng, 2, 2)
+    common = (rand_bivar_exact(ring, rng, 1, 1) * h, rand_bivar_exact(ring, rng, 1, 1) * h)
+    negated = 0  # nonzero diagonal entries of rows of sign -1
+    for f, g in [(full(), full()), (full(), full()), common]:
+        matrix = sylvester_matrix(f, g)
+        for rule in PIVOT_RULES:
+            tri, ops = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=1)
+            assert triangularize_with_log(matrix, rule=rule, seed=1) == (tri, ops)
+            diag, route_ops = triangularize_with_log(sylvester_shifts(f, g), rule=rule, seed=1)
+            assert diag == tuple(tri.rows[i][i] for i in range(matrix.n))
+            assert route_ops == ops
+            det = res_x2_direct(f, g, rule=rule, seed=1)
+            assert det == dieudonne_det(matrix, rule=rule, seed=1)
+            assert det.is_zero == ((f, g) == common)
+            signs = _final_signs(ops, matrix.n)
+            negated += sum(1 for s, d in zip(signs, diag) if s < 0 and d)
+    assert negated or p == 2
+
+
 def _dropping_row_sum(nbytes):
     """A broken row sum: it returns its first operand and drops the second."""
     return lambda x, y: x
@@ -448,3 +518,18 @@ def test_a_division_pass_that_makes_no_progress_raises():
         pytest.raises(AssertionError, match="division pass made no progress"),
     ):
         triangularize_with_log(matrix)
+
+
+def test_a_route_whose_division_pass_makes_no_progress_raises():
+    # the same broken row sum on the direct route, whose rows are built from
+    # the x2-shifts: the check stops the descent instead of a loop
+    ring = bivar_for(3, 4, 1, 2)
+    inner = ring.inner
+    f = ring.poly([inner.from_packed((1, 2)), inner.from_packed((0, 1))])
+    g = ring.poly([inner.from_packed((5, 0, 1)), inner.from_packed((7, 1))])
+    broken = ring.ctx.byte_tables()._replace(adder=_dropping_row_sum)
+    with (
+        mock.patch.object(FieldCtx, "byte_tables", return_value=broken),
+        pytest.raises(AssertionError, match="division pass made no progress"),
+    ):
+        res_x2_direct(f, g)
