@@ -1201,14 +1201,6 @@ class Automorphism:
             raise ContextMismatch("automorphism applied to element of another field")
         return FieldElem(self.ctx, self.ctx.frob(a.val, self.e))
 
-    def compose(self, other):
-        if other.ctx != self.ctx:
-            raise ContextMismatch("cannot compose automorphisms of different fields")
-        return Automorphism(self.ctx, self.e + other.e)
-
-    def inverse(self):
-        return Automorphism(self.ctx, -self.e)
-
     @property
     def order(self):
         return self.ctx.m // gcd(self.e, self.ctx.m) if self.e else 1
@@ -1401,11 +1393,6 @@ class FieldEmbedding:
 
     def map_packed(self, u):
         return self._batch.apply_packed(self._cols, u)
-
-    def __call__(self, a):
-        if not isinstance(a, FieldElem) or a.ctx != self.small:
-            raise ContextMismatch("embedding applied to element of another field")
-        return FieldElem(self.big, self.map_packed(a.val))
 
     def inverse_packed(self, v):
         """Preimage of a packed big-field value in [0, q), or None if outside

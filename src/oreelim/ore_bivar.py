@@ -159,18 +159,6 @@ class BivarOrePoly(DensePoly):
                 out[i + j] = out[i + j] + ai * bj.coeff_twist(i * e2)
         return BivarOrePoly(self.ring, _normalize(out))
 
-    def shift_left(self, k):
-        """x2^k * self: coefficient of x2^(i+k) is sigma2^k applied to the
-        x2^i coefficient (coefficient-wise on base-field values)."""
-        if k < 0:
-            raise RingMismatch("shift power must be nonnegative")
-        if k == 0 or self.is_zero:
-            return self
-        e2 = self.ring.sigma2.e
-        zero = self.ring.inner.zero()
-        shifted = (zero,) * k + tuple(c.coeff_twist(k * e2) for c in self.coeffs)
-        return BivarOrePoly(self.ring, shifted)
-
     # -- presentation ---------------------------------------------------------------
 
     def text(self):

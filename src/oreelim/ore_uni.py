@@ -222,7 +222,7 @@ class OrePoly(DensePoly):
     def __neg__(self):
         if self.ring.ctx.p == 2:
             return self
-        return OrePoly(self.ring, neg_packed(self.ring.ctx, self.coeffs))
+        return OrePoly(self.ring, self.ring.ctx.neg_seq(self.coeffs))
 
     def __mul__(self, other):
         g = self._coerce(other)
@@ -291,11 +291,6 @@ class OrePoly(DensePoly):
 # coefficient sequences over ctx with x*c = frob(c, e)*x; `twists` is a
 # dict that `FieldCtx.skew_addmul` fills with the twisted copies of the
 # right factor or divisor, fresh for each `OrePoly` call.
-
-
-def neg_packed(ctx, coeffs):
-    """The coefficients of -f."""
-    return ctx.neg_seq(coeffs)
 
 
 def addmul_packed(ctx, e, bc, qc, ac, twists):

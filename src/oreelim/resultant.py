@@ -69,6 +69,5 @@ def res_x2_direct(f, g, rule="min_degree", seed=0) -> DetResult:
     """res_{x2}(f, g): the Dieudonne determinant of the Sylvester matrix.
 
     The representative is reported raw (fixed pivot rule, diagonal product in
-    row order, hence bit-reproducible); `DetResult.monic_rep` gives the
-    monic-normalized convenience form."""
+    row order, hence bit-reproducible)."""
     return dieudonne_det(sylvester_shifts(f, g), rule=rule, seed=seed)

@@ -23,9 +23,14 @@ a full division pass cannot shrink the column, which keeps every strategy
 terminating.  Every applied operation is recorded in an op log that can be
 replayed or serialized for audit.
 
+Every input goes in as shifts (a `ShiftMatrix`, as both routes hand over
+the Sylvester matrix; an `OreMatrix` as its rows, each shifted 0 times)
+and gives back its diagonal, the one part either route reads, with its op
+log; `apply_op_log(matrix, ops)` replays the whole triangular form.
+
 `triangularize_with_log` works on one of two row stores, not on `OrePoly`
 values; `OrePoly` values are built only for the logged multipliers and the
-entries returned.  The field decides which store runs, and `skewdet` reads
+diagonal returned.  The field decides which store runs, and `skewdet` reads
 no characteristic: when the field supplies byte tables
 (`FieldCtx.byte_tables`: GF(2^m) and GF(3^m) up to GF(2^8) and GF(3^4),
 and GF(p) for p < 128) each row is one integer of one-byte value codes,
@@ -37,22 +42,16 @@ frob^(i*e) and multiplied by -q_i through `bytes.translate`, then added
 i*W bytes up by the field's row sum (an XOR for p = 2, bitsliced GF(3)
 digits for GF(3^m) with m > 1, one SWAR step for GF(p)), whose width
 doubles when a product would outgrow it; -1 over the pivot's leading
-coefficient is one read of the field's `ninv` table.  Every other field
-keeps rows of packed coefficient tuples, updated by `ore_uni`'s packed
+coefficient is one read of the field's `ninv` table.  The byte store
+encodes each base row once and builds every shifted row from it by one
+`bytes.translate` and one shift, so no entry of a shifted row exists as
+an `OrePoly`.  Every other field keeps rows of packed coefficient tuples,
+read from the shifted rows' entries and updated by `ore_uni`'s packed
 helpers.  Each store's pass writes the new length of every entry it
 divides, read from the row, and logs each multiplier as it makes it.
 
-The input is an `OreMatrix`, or a `ShiftMatrix`: a matrix given by the
-shifts of a few base rows, which is how both elimination routes hand over
-the Sylvester matrix.  The byte store encodes each base row once and
-builds every shifted row from it by one `bytes.translate` and one shift,
-so no entry of a shifted row exists as an `OrePoly`; the tuple store
-reads the shifted rows' entries.  For a `ShiftMatrix` only the diagonal
-is decoded and returned, the one part of the triangular form that either
-route reads.
-
 One elimination loop runs every pivot rule over either store, so both
-give the same op log and the same matrix.  Per division pass it picks the
+give the same op log and the same diagonal.  Per division pass it picks the
 pivot from the column's entry lengths in one scan, makes the signed swap
 in line, and lets the store divide.  When no entry below the pivot is as
 long as the pivot, a pass would change no row, and the loop swaps the
@@ -62,10 +61,10 @@ an AssertionError instead of dividing forever.
 
 Row signs are lazy: the matrix is kept as per-row signs times stored rows,
 a signed swap exchanges two stored rows and flips one sign, and no entry is
-negated until the result is read: the byte store decodes a row of sign -1
-through a negating decoder, the tuple store negates the entries read (a
-no-op for p = 2).  Dividing stored entries gives q, so the stored update is
-row_k - q*row_col and the logged multiplier is -s_k*s_col*q.
+negated until the diagonal is read: the byte store decodes the entry of a
+row of sign -1 through a negating decoder, the tuple store negates it (a
+no-op for p = 2).  Dividing stored entries gives q, so the stored update
+is row_k - q*row_col and the logged multiplier is -s_k*s_col*q.
 
 Memos live for one division pass: the tuple store keeps one memo per pivot
 entry per pass (the byte store one for the whole pivot row), shared by
@@ -81,7 +80,7 @@ from typing import NamedTuple
 
 from .errors import EqualRows, IndexOutOfRange, RingMismatch
 from .field import NEG_INF
-from .ore_uni import OrePoly, addmul_packed, neg_packed, right_divmod_packed
+from .ore_uni import OrePoly, addmul_packed, right_divmod_packed
 
 PIVOT_RULES = ("min_degree", "first_nonzero", "random")
 
@@ -181,12 +180,6 @@ class DetResult:
     is_zero: bool
     degree: object  # int or -inf
     op_log: tuple = field(default_factory=tuple)
-
-    @property
-    def monic_rep(self):
-        """Monic-normalized convenience form (the raw representative keeps the
-        unit produced by the fixed row order)."""
-        return self.rep if self.is_zero else self.rep.monic()
 
     def to_jsonable(self):
         return {
@@ -292,16 +285,16 @@ class _TupleRows:
                 continue
             row = rows[k]
             q, row[col] = right_divmod_packed(ctx, e, row[col], pivot, ptwists, inv)
-            nq = neg_packed(ctx, q)
+            nq = ctx.neg_seq(q)
             for j, a, a_twists in tail:
                 row[j] = addmul_packed(ctx, e, row[j], nq, a, a_twists)
             lengths[k] = len(row[col])
             ops.append(AddMulOp(col, k, OrePoly(ring, nq if signs[k] == sign else q)))
 
-    def signed(self, k, sign, count):
-        """Entries k..k+count-1 of the finished row k, times sign."""
-        entries = self.rows[k][k : k + count]
-        return entries if sign > 0 else [neg_packed(self.ring.ctx, c) for c in entries]
+    def diagonal(self, k, sign):
+        """Entry k of the finished row k, times sign."""
+        entry = self.rows[k][k]
+        return entry if sign > 0 else self.ring.ctx.neg_seq(entry)
 
 
 class _ByteRows:
@@ -315,30 +308,25 @@ class _ByteRows:
     sum spans `nbytes`, which bounds every row, and doubles when a product
     would outgrow it.
 
-    An `OreMatrix` is encoded row by row.  A `ShiftMatrix` is encoded one
-    base row at a time: the row of y^k*h is the base row's bytes
-    translated by frob[k*e'], for e' the shift's twist, and moved k bytes
-    down, so no entry of a shifted row is twisted or encoded on its own.
-    A finished row is decoded by one `bytes.translate` per entry read,
-    through the negating decoder when its sign is -1, and each logged
-    multiplier by one."""
+    The matrix is encoded one base row at a time: the row of y^k*h is the
+    base row's bytes translated by frob[k*e'], for e' the shift's twist,
+    and moved k bytes down, so no entry of a shifted row is twisted or
+    encoded on its own.  The diagonal entry of a finished row is decoded
+    by one `bytes.translate`, through the negating decoder when its sign
+    is -1, and each logged multiplier by one."""
 
     def __init__(self, matrix, tables):
         ring, n = matrix.ring, matrix.n
         self.ring, self.e, self.n = ring, ring.sigma.e, n
         self.enc, self.dec, self.mul, self.frob, neg, self.ninv, self.adder = tables
         self.negdec = neg.translate(self.dec)  # code -> packed negative
-        if isinstance(matrix, ShiftMatrix):
-            codes = [self._codes(base) for base, _ in matrix.bases]
-            e, m = matrix.e, len(self.frob)
-            self.rows = [
-                int.from_bytes(b.translate(self.frob[k * e % m]), "little") >> 8 * k
-                for b, (_, count) in zip(codes, matrix.bases)
-                for k in range(count - 1, -1, -1)
-            ]
-        else:
-            codes = [self._codes(r) for r in matrix.rows]
-            self.rows = [int.from_bytes(b, "little") for b in codes]
+        codes = [self._codes(base) for base, _ in matrix.bases]
+        e, m = matrix.e, len(self.frob)
+        self.rows = [
+            int.from_bytes(b.translate(self.frob[k * e % m]), "little") >> 8 * k
+            for b, (_, count) in zip(codes, matrix.bases)
+            for k in range(count - 1, -1, -1)
+        ]
         self.nbytes = max(map(len, codes), default=0)
 
     def _codes(self, entries):
@@ -407,13 +395,11 @@ class _ByteRows:
             logged = self.dec if signs[k] == sign else self.negdec
             ops.append(AddMulOp(col, k, OrePoly(ring, tuple(nq.translate(logged)))))
 
-    def signed(self, k, sign, count):
-        """Entries k..k+count-1 of the finished row k, times sign: row k was
-        finished at column k, so entry k + j is byte j, j + W, ... for
-        W = n - k."""
-        b, w = _bytes(self.rows[k]), self.n - k
+    def diagonal(self, k, sign):
+        """Entry k of the finished row k, times sign: row k was finished at
+        column k, so entry k is bytes 0, W, 2W, ... for W = n - k."""
         dec = self.dec if sign > 0 else self.negdec
-        return [tuple(b[j::w].rstrip(b"\0").translate(dec)) for j in range(count)]
+        return tuple(_bytes(self.rows[k])[:: self.n - k].rstrip(b"\0").translate(dec))
 
 
 def _bytes(row):
@@ -427,11 +413,14 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
 
     A column whose at-or-below-diagonal entries are all zero simply leaves a
     zero on the diagonal and processing continues (the determinant is then
-    zero).  An `OreMatrix` gives (the triangular OreMatrix, op log); a
-    `ShiftMatrix`, the routes' input, gives (its diagonal, op log), the
-    diagonal a tuple of n entries, since neither route reads more."""
+    zero).  The matrix is a `ShiftMatrix` or an `OreMatrix`, which goes in
+    as the `ShiftMatrix` of its rows, each shifted 0 times.  Either gives
+    (the diagonal of the triangular form, a tuple of n entries, op log);
+    `apply_op_log(matrix, ops)` replays the whole triangular form."""
     if rule not in PIVOT_RULES:
         raise RingMismatch(f"unknown pivot rule {rule!r}")
+    if isinstance(matrix, OreMatrix):
+        matrix = ShiftMatrix(matrix.ring, 0, tuple((row, 1) for row in matrix.rows))
     ring, n = matrix.ring, matrix.n
     tables = ring.ctx.byte_tables()
     store = _ByteRows(matrix, tables) if tables else _TupleRows(matrix)
@@ -465,15 +454,8 @@ def triangularize_with_log(matrix, rule="min_degree", seed=0):
             store.reduce_below(col, lengths, signs, ops)
             if max(lengths[col + 1 :]) >= lengths[col]:  # a fault in the store
                 raise AssertionError("division pass made no progress")
-    if isinstance(matrix, ShiftMatrix):
-        diag = tuple(OrePoly(ring, store.signed(k, s, 1)[0]) for k, s in enumerate(signs))
-        return diag, tuple(ops)
-    zero = ring.zero()
-    out = [
-        [zero] * k + [OrePoly(ring, c) for c in store.signed(k, s, n - k)]
-        for k, s in enumerate(signs)
-    ]
-    return OreMatrix(ring, out), tuple(ops)
+    diag = tuple(OrePoly(ring, store.diagonal(k, s)) for k, s in enumerate(signs))
+    return diag, tuple(ops)
 
 
 def dieudonne_det(matrix, rule="min_degree", seed=0):
@@ -482,8 +464,6 @@ def dieudonne_det(matrix, rule="min_degree", seed=0):
     For n = 1 the result is the single entry itself.  A zero diagonal entry
     (non-invertible matrix) yields the zero representative."""
     diag, ops = triangularize_with_log(matrix, rule=rule, seed=seed)
-    if not isinstance(matrix, ShiftMatrix):  # the whole triangular matrix
-        diag = [diag.rows[i][i] for i in range(diag.n)]
     if any(d.is_zero for d in diag):
         zero = matrix.ring.zero()
         return DetResult(rep=zero, is_zero=True, degree=NEG_INF, op_log=ops)

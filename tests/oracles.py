@@ -10,6 +10,7 @@ values.  Only the validated base-field scalar operations are shared.  The
 exceptions are former package code paths kept as references for their
 replacements:
 `working_field_triangularization`, the modular route's former pipeline,
+`shift_left`, the bivariate ring's former left x2-shift,
 `least_modulus_root_enum`, the embedding-root search by subfield
 enumeration, `mul_schoolbook`, the `poly` backend's former product,
 `default_modulus_full_scan`, the default-modulus search without its
@@ -227,6 +228,20 @@ def bivar_to_lists(f):
 
 
 # -- Ore structure oracles -----------------------------------------------------
+
+
+def shift_left(f, k):
+    """x2^k * f for a bivariate f, by twisting each x2-coefficient by
+    sigma2^k and moving it k places up: the former
+    `BivarOrePoly.shift_left`, kept as the reference for the left
+    x2-shifts that the Sylvester rows are made of."""
+    from oreelim import BivarOrePoly
+
+    if f.is_zero:
+        return f
+    e2 = f.ring.sigma2.e
+    zero = f.ring.inner.zero()
+    return BivarOrePoly(f.ring, (zero,) * k + tuple(c.coeff_twist(k * e2) for c in f.coeffs))
 
 
 def naive_ore_mul(f, g):
@@ -508,8 +523,8 @@ def working_field_triangularization(f, g, plan, rule, seed):
     from oreelim import embed_bivar, sylvester_matrix, triangularize_with_log
 
     syl = sylvester_matrix(embed_bivar(f, plan), embed_bivar(g, plan))
-    tri, ops = triangularize_with_log(syl, rule=rule, seed=seed)
-    return [tri.rows[i][i] for i in range(tri.n)], ops
+    diag, ops = triangularize_with_log(syl, rule=rule, seed=seed)
+    return list(diag), ops
 
 
 def recorded_elimination_recover(plan, values):

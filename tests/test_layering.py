@@ -5,16 +5,19 @@ Gauss-Jordan elimination, only `field` knows how arithmetic is chosen,
 `modres` evaluates and embeds in one function each, besides the one that
 builds the recovery map, GF(p)[t] is written once, for every p,
 GF(p)-linear maps have one kernel, chain values stay in one batch from
-the chain to the solver and back, and only `field` reads a context's
-private state."""
+the chain to the solver and back, only `field` reads a context's private
+state, retired names stay retired, every re-export has a user or a stated
+reason, and no module imports a name it never uses."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "oreelim"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "oreelim"
 
 # bottom to top: a module may import from the modules before it
 ORDER = (
@@ -226,9 +229,9 @@ def test_chain_values_stay_in_the_batch():
 @pytest.mark.parametrize("name", [n for n in ORDER if n != "field"])
 def test_only_field_reads_private_context_state(name):
     # a context's tables and memos belong to `field`; every other module
-    # calls the context's public methods (`ore_uni.neg_packed` maps
-    # `ctx.neg`), so no attribute of a `ctx` that starts with an
-    # underscore is read outside `field`
+    # calls the context's public methods (`OrePoly.__neg__` and the tuple
+    # store call `ctx.neg_seq`), so no attribute of a `ctx` that starts
+    # with an underscore is read outside `field`
     for node in ast.walk(_tree(name)):
         if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
             owner = ast.unparse(node.value)
@@ -254,3 +257,118 @@ def test_skewdet_chooses_no_arithmetic_by_characteristic():
         if isinstance(f, ast.FunctionDef) and f.name == "reduce_below"
     }
     assert stores == {"_ByteRows", "_TupleRows"}
+
+
+# wrappers and methods that only tests called: `ore_uni.neg_packed`
+# (`FieldCtx.neg_seq` is the negation), `BivarOrePoly.shift_left`
+# (`sylvester_shifts` builds the Sylvester rows; the reference is
+# `tests/oracles.py::shift_left`), `DetResult.monic_rep` (`rep.monic()`)
+# and `Automorphism.compose`
+RETIRED_API = {"neg_packed", "shift_left", "monic_rep", "compose"}
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_retired_api_stays_retired(name):
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found = node.name
+        elif isinstance(node, ast.Name):
+            found = node.id
+        elif isinstance(node, ast.Attribute):
+            found = node.attr
+        elif isinstance(node, ast.alias):
+            found = node.name
+        else:
+            continue
+        assert found not in RETIRED_API, f"{name}.py line {node.lineno} names {found!r}"
+
+
+def _exports():
+    """The names `oreelim/__init__.py` re-exports."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _named_in(path):
+    """The identifiers a file's code names: its names, attributes and
+    imported names, and the dotted names its string constants spell (how
+    `perfbench/spans.py` names what it traces)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[\w.]+", node.value):
+                found.update(node.value.split("."))
+    return found
+
+
+# re-exports that no package module, no command and no benchmark file
+# names; the README lists them, each with the reason it stays public
+UNCALLED_EXPORTS = {
+    "sigma_norm",
+    "apply_op_log",
+    "partial_evaluations",
+    "check_bad_eval",
+    "embed_bivar",
+    "sylvester_matrix",
+    "parse_ore_poly",
+}
+
+
+def test_every_export_has_a_user_or_a_stated_reason():
+    # a re-export is public because the package (`cli.py` included) or the
+    # benchmark calls it, or because the README's list says why it stays
+    named = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        if path != SRC / "__init__.py":
+            named |= _named_in(path)
+    exports = _exports()
+    assert UNCALLED_EXPORTS <= exports
+    assert sorted(exports - named - UNCALLED_EXPORTS) == []
+
+
+def test_readme_lists_the_uncalled_exports():
+    # the paragraph from "Public, but called by no route or command" up to
+    # the next blank line names exactly the allowlisted exports
+    text = (ROOT / "README.md").read_text()
+    at = text.index("Public, but called by no route or command")
+    listed = set(re.findall(r"`(\w+)`", text[at : text.index("\n\n", at)]))
+    assert listed & _exports() == UNCALLED_EXPORTS
+
+
+def _imported_names(node):
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    return [alias.asname or alias.name for alias in node.names]
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_no_unused_imports(name):
+    # every imported name is used, unless its import is marked
+    # `# noqa: F401` (today only `modres`'s `sylvester_matrix`, which
+    # `perfbench/spans.py` traces under that module's name); `__init__`
+    # imports only to re-export
+    lines = (SRC / f"{name}.py").read_text().splitlines()
+    tree = _tree(name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for imported in _imported_names(node):
+            assert imported in used, (
+                f"{name}.py line {node.lineno} imports {imported!r}, never used"
+            )

@@ -17,8 +17,8 @@ from oreelim import (
     sylvester_matrix,
 )
 from oreelim.resultant import sylvester_shifts
-from oreelim.skewdet import _ByteRows
-from oracles import classical_resultant, bivar_to_lists, uni_to_list
+from oreelim.skewdet import ShiftMatrix, _ByteRows
+from oracles import classical_resultant, bivar_to_lists, shift_left, uni_to_list
 from support import bivar_for, rand_bivar, rand_bivar_exact, rand_orepoly
 
 
@@ -52,9 +52,9 @@ def test_sylvester_rows_carry_sigma2_twists():
     assert syl.rows[1] == (tw(ring.inner.one()), tw(ring.inner.poly([0, 1])), ring.inner.zero())
     # row 2 is g untouched
     assert syl.rows[2] == (ring.inner.zero(), ring.inner.one(), ring.inner.poly([0, 1]))
-    # rows are exactly what shift_left reports
+    # rows are exactly the left x2-shifts of the reference
     for r, shift, poly in ((0, 0, f), (1, 1, g), (2, 0, g)):
-        s = poly.shift_left(shift)
+        s = shift_left(poly, shift)
         assert syl.rows[r] == tuple(s.coeff(2 - j) for j in range(3))
 
 
@@ -72,11 +72,12 @@ def test_sylvester_errors():
 
 
 def _sylvester_from_shift_left(f, g):
-    """The Sylvester matrix built entry by entry from `shift_left`."""
+    """The Sylvester matrix built entry by entry from the reference's left
+    x2-shifts."""
     n, m = f.degree, g.degree
     size = n + m
     rows = [
-        [h.shift_left(k).coeff(size - 1 - j) for j in range(size)]
+        [shift_left(h, k).coeff(size - 1 - j) for j in range(size)]
         for h, count in ((f, m), (g, n))
         for k in range(count - 1, -1, -1)
     ]
@@ -121,7 +122,9 @@ def test_shift_built_rows_equal_the_encoded_sylvester_matrix(p, m, e1, e2):
     for f, g in pairs:
         matrix = sylvester_matrix(f, g)
         assert matrix == _sylvester_from_shift_left(f, g)
-        shifted, encoded = _ByteRows(sylvester_shifts(f, g), tables), _ByteRows(matrix, tables)
+        # the matrix entry by entry: each row its own base row, shifted 0 times
+        rows = ShiftMatrix(inner, 0, tuple((row, 1) for row in matrix.rows))
+        shifted, encoded = _ByteRows(sylvester_shifts(f, g), tables), _ByteRows(rows, tables)
         assert shifted.rows == encoded.rows
         assert shifted.nbytes == encoded.nbytes
 
@@ -218,12 +221,3 @@ def test_direct_deterministic():
     f = rand_bivar(ring, rng, 2, 2, min_d2=1)
     g = rand_bivar(ring, rng, 2, 2, min_d2=1)
     assert res_x2_direct(f, g).rep == res_x2_direct(f, g).rep
-
-
-def test_monic_rep_convenience():
-    ring = bivar_for(5, 1, 0, 0)
-    f = ring.constant(2) * ring.x2() - ring.x1()
-    g = ring.x2() - ring.constant(2)
-    d = res_x2_direct(f, g)
-    assert not d.is_zero
-    assert d.monic_rep.lead_coeff == ring.ctx.one

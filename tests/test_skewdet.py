@@ -44,6 +44,20 @@ def rand_matrix(ring, rng, n, max_deg=3):
     )
 
 
+def _diagonal(matrix):
+    return tuple(matrix.rows[i][i] for i in range(matrix.n))
+
+
+def _assert_replays_to(matrix, diag, ops):
+    """Replaying ops on matrix gives an upper-triangular matrix whose
+    diagonal is diag."""
+    tri = apply_op_log(matrix, ops)
+    for i in range(tri.n):
+        for j in range(i):
+            assert tri.rows[i][j].is_zero
+    assert _diagonal(tri) == diag
+
+
 def test_row_addmul_zero_multiplier_is_identity():
     ring = ring_for(5, 1, 0)
     m = OreMatrix.identity(ring, 3)
@@ -108,7 +122,7 @@ def test_triangularize_diagonal_input_unchanged():
             [ring.zero(), ring.zero(), ring.x(2)],
         ],
     )
-    assert triangularize_with_log(m)[0] == m
+    assert triangularize_with_log(m) == ((ring.x(), ring.one(), ring.x(2)), ())
 
 
 def test_triangularize_euclidean_example():
@@ -123,8 +137,9 @@ def test_triangularize_euclidean_example():
 def test_triangularize_zero_column():
     ring = ring_for(5, 1, 0)
     m = OreMatrix(ring, [[ring.zero(), ring.x()], [ring.zero(), ring.one()]])
-    tri = triangularize_with_log(m)[0]
-    assert tri.rows[0][0].is_zero or tri.rows[1][1].is_zero
+    diag, ops = triangularize_with_log(m)
+    assert diag[0].is_zero or diag[1].is_zero
+    _assert_replays_to(m, diag, ops)
     assert dieudonne_det(m).is_zero
 
 
@@ -151,7 +166,7 @@ def test_det_diag_examples():
 def test_det_of_the_empty_matrix_is_the_empty_product(p, m, e):
     ring = ring_for(p, m, e)
     empty = OreMatrix(ring, [])
-    assert triangularize_with_log(empty) == (empty, ())
+    assert triangularize_with_log(empty) == ((), ())
     d = dieudonne_det(empty)
     assert (d.rep, d.is_zero, d.degree, d.op_log) == (ring.one(), False, 0, ())
 
@@ -168,10 +183,10 @@ def test_det_degree_is_diagonal_degree_sum():
     rng = random.Random(1)
     for _ in range(50):
         m = rand_matrix(ring, rng, rng.randrange(1, 5))
-        tri, _ = triangularize_with_log(m)
+        diag, _ = triangularize_with_log(m)
         d = dieudonne_det(m)
         if not d.is_zero:
-            assert d.degree == sum(tri.rows[i][i].degree for i in range(m.n))
+            assert d.degree == sum(e.degree for e in diag)
 
 
 def test_replay_op_log():
@@ -180,11 +195,8 @@ def test_replay_op_log():
     for _ in range(40):
         m = rand_matrix(ring, rng, rng.randrange(1, 5))
         for rule in PIVOT_RULES:
-            tri, ops = triangularize_with_log(m, rule=rule, seed=3)
-            assert apply_op_log(m, ops) == tri
-            for i in range(m.n):
-                for j in range(i):
-                    assert tri.rows[i][j].is_zero
+            diag, ops = triangularize_with_log(m, rule=rule, seed=3)
+            _assert_replays_to(m, diag, ops)
 
 
 def test_pivot_rule_invariance():
@@ -391,7 +403,7 @@ def _fresh_copy(matrix):
 @given(case=reference_matrices(), seed=st.integers(0, 5))
 def test_triangularize_equals_reference(rule, case, seed):
     shape, matrix = case
-    expected = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=seed)
+    tri, ops = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=seed)
     tables = matrix.ring.ctx.byte_tables()
     widths = []  # every width the byte store asks of the row sum
 
@@ -401,14 +413,15 @@ def test_triangularize_equals_reference(rule, case, seed):
 
     spied = tables and tables._replace(adder=adder)
     with mock.patch.object(FieldCtx, "byte_tables", return_value=spied):
-        assert triangularize_with_log(matrix, rule=rule, seed=seed) == expected
+        assert triangularize_with_log(matrix, rule=rule, seed=seed) == (_diagonal(tri), ops)
+    assert apply_op_log(matrix, ops) == tri
     if shape == "outgrow" and tables:
         assert max(widths) > widths[0]
 
 
 def _as_shifts(matrix):
     """The matrix as a `ShiftMatrix`: each row its own base row, shifted 0
-    times."""
+    times, the form in which `triangularize_with_log` takes an `OreMatrix`."""
     return ShiftMatrix(matrix.ring, 0, tuple((row, 1) for row in matrix.rows))
 
 
@@ -429,11 +442,9 @@ def test_route_path_gives_the_diagonal_and_op_log_of_the_matrix(rule, case, seed
     # of sign -1 through the negating decoder; singular matrices included
     _, matrix = case
     tri, ops = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=seed)
-    assert triangularize_with_log(matrix, rule=rule, seed=seed) == (tri, ops)
+    assert apply_op_log(matrix, ops) == tri
     shifts = _as_shifts(matrix)
-    diag, route_ops = triangularize_with_log(shifts, rule=rule, seed=seed)
-    assert diag == tuple(tri.rows[i][i] for i in range(matrix.n))
-    assert route_ops == ops
+    assert triangularize_with_log(shifts, rule=rule, seed=seed) == (_diagonal(tri), ops)
     assert dieudonne_det(shifts, rule=rule, seed=seed) == dieudonne_det(
         matrix, rule=rule, seed=seed
     )
@@ -462,8 +473,9 @@ def test_benchmark_sized_matrices_equal_reference(p, m, e1, e2, d2, d1):
     for _ in range(3):
         matrix = sylvester_matrix(full(), full())
         for rule in PIVOT_RULES:
-            expected = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=1)
-            assert triangularize_with_log(matrix, rule=rule, seed=1) == expected
+            tri, ops = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=1)
+            assert triangularize_with_log(matrix, rule=rule, seed=1) == (_diagonal(tri), ops)
+            assert apply_op_log(matrix, ops) == tri
 
 
 @pytest.mark.parametrize("p, m, e1, e2, d2, d1", BENCHMARK_SHAPES)
@@ -483,16 +495,59 @@ def test_route_path_equals_the_sylvester_matrix_path(p, m, e1, e2, d2, d1):
         matrix = sylvester_matrix(f, g)
         for rule in PIVOT_RULES:
             tri, ops = triangularize_reference(_fresh_copy(matrix), rule=rule, seed=1)
-            assert triangularize_with_log(matrix, rule=rule, seed=1) == (tri, ops)
-            diag, route_ops = triangularize_with_log(sylvester_shifts(f, g), rule=rule, seed=1)
-            assert diag == tuple(tri.rows[i][i] for i in range(matrix.n))
-            assert route_ops == ops
+            diag = _diagonal(tri)
+            assert triangularize_with_log(matrix, rule=rule, seed=1) == (diag, ops)
+            assert apply_op_log(matrix, ops) == tri
+            assert triangularize_with_log(sylvester_shifts(f, g), rule=rule, seed=1) == (diag, ops)
             det = res_x2_direct(f, g, rule=rule, seed=1)
             assert det == dieudonne_det(matrix, rule=rule, seed=1)
             assert det.is_zero == ((f, g) == common)
             signs = _final_signs(ops, matrix.n)
             negated += sum(1 for s, d in zip(signs, diag) if s < 0 and d)
     assert negated or p == 2
+
+
+# -- the contract: every input gives back its diagonal and op log -------------
+
+STORES = ("bytes", "tuples")
+
+
+def _triangularize_on(store, matrix, forms, rule, seed):
+    """triangularize_with_log on the given store, the same for every one of
+    the matrix's input forms; the tuple store runs when the field hides its
+    byte tables."""
+    tables = matrix.ring.ctx.byte_tables() if store == "bytes" else None
+    with mock.patch.object(FieldCtx, "byte_tables", return_value=tables):
+        results = [triangularize_with_log(form, rule=rule, seed=seed) for form in forms]
+    assert all(result == results[0] for result in results)
+    return results[0]
+
+
+@pytest.mark.parametrize("store", STORES)
+@pytest.mark.parametrize("rule", PIVOT_RULES)
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=reference_matrices(), seed=st.integers(0, 5))
+def test_every_input_gives_back_the_diagonal_of_its_replayed_op_log(store, rule, case, seed):
+    _, matrix = case
+    forms = (matrix, _as_shifts(matrix))
+    _assert_replays_to(matrix, *_triangularize_on(store, matrix, forms, rule, seed))
+
+
+@pytest.mark.parametrize("store", STORES)
+@pytest.mark.parametrize("p, m, e1, e2, d2, d1", BENCHMARK_SHAPES)
+def test_sylvester_inputs_give_back_the_diagonal_of_their_replayed_op_log(
+    store, p, m, e1, e2, d2, d1
+):
+    ring = bivar_for(p, m, e1, e2)
+    rng = random.Random(f"contract/{p}/{m}")
+    f, g = (
+        ring.poly([rand_orepoly_exact(ring.inner, rng, d1) for _ in range(d2 + 1)])
+        for _ in range(2)
+    )
+    matrix = sylvester_matrix(f, g)
+    forms = (matrix, sylvester_shifts(f, g))
+    for rule in PIVOT_RULES:
+        _assert_replays_to(matrix, *_triangularize_on(store, matrix, forms, rule, 1))
 
 
 def _dropping_row_sum(nbytes):
